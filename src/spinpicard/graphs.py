@@ -5,9 +5,9 @@ irreducible component carrying that component's arithmetic genus ``pa`` (its own
 self-nodes included) and its number of self-nodes, plus a symmetric table
 ``k(u, v)`` counting nodes that join two distinct components.
 
-Degree bounds are exact.  Every lower bound ``m(Y)`` is a `fractions.Fraction`
-and all comparisons happen in exact rational arithmetic; no floats are used
-anywhere in this module.
+Degree bounds are exact.  Every lower bound ``m(Y)`` handed back is a
+`fractions.Fraction`; subcurve scans compare integers scaled by 2(g - 1),
+which is equally exact.  No floats are used anywhere in this module.
 
 All classes are immutable (or immutable by convention) and all operations are
 pure functions of their arguments, so values can be shared freely across
@@ -215,6 +215,13 @@ class DualGraph:
         return tuple(self.contact(v) for v in self._ids)
 
     @cached_property
+    def _subcurve_table(self) -> tuple[list[int], list[int], list[int]]:
+        """Genus, contact and internal-node count of every subcurve, as three
+        lists indexed by bitmask: bit i selects the i-th id in sorted order,
+        and entry 0 is the empty subcurve (genus 1, no nodes)."""
+        return _build_subcurve_table(self)
+
+    @cached_property
     def genus(self) -> int:
         """Arithmetic genus: sum(pa_i) + sum(k_ij over pairs) - n + 1."""
         nodes = sum(m for _, _, m in self.pairs())
@@ -346,6 +353,8 @@ class Multidegree:
             if isinstance(deg, bool) or not isinstance(deg, int):
                 raise GraphError(f"degree of {vid!r} must be an integer, got {deg!r}")
         object.__setattr__(self, "items", norm)
+        # Not a dataclass field, so eq, hash and repr ignore it.
+        object.__setattr__(self, "_lookup", dict(norm))
 
     @classmethod
     def of(cls, degrees: Mapping[str, int]) -> "Multidegree":
@@ -366,22 +375,17 @@ class Multidegree:
         return sum(d for _, d in self.items)
 
     def __getitem__(self, vid: str) -> int:
-        for key, deg in self.items:
-            if key == vid:
-                return deg
-        raise KeyError(vid)
+        return self._lookup[vid]
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.items)
 
     def values(self, ids: Sequence[str]) -> tuple[int, ...]:
-        table = self.as_dict()
-        return tuple(table[i] for i in ids)
+        return tuple(self._lookup[i] for i in ids)
 
     def degree_on(self, subcurve: Iterable[str]) -> int:
         """Total degree carried by the components in the subcurve."""
-        table = self.as_dict()
-        return sum(table[v] for v in subcurve)
+        return sum(self._lookup[v] for v in subcurve)
 
 
 def _check_multidegree(graph: DualGraph, md: Multidegree) -> None:
@@ -430,20 +434,76 @@ def _as_subcurve(graph: DualGraph, subcurve: Iterable[str]) -> frozenset:
     return Y
 
 
-def _subcurve_numbers(graph: DualGraph, members: Sequence[int]) -> tuple[int, int]:
-    """(genus, contact) of the subcurve given by vertex indices."""
+def _mask_of(graph: DualGraph, subcurve: Iterable[str]) -> int:
+    """Bitmask of a validated subcurve over the id-sorted vertex order."""
+    index = graph._index
+    return sum(1 << index[v] for v in subcurve)
+
+
+def _build_subcurve_table(graph: DualGraph) -> tuple[list[int], list[int], list[int]]:
+    # Masks in [2^h, 2^(h+1)) are the masks below 2^h plus vertex h, so each
+    # block extends the previous one with the nodes joining h to the smaller
+    # mask ("cross"), itself built the same way: O(1) work per mask.
+    genus = [1]
+    contact = [0]
+    internal = [0]
     matrix = graph._matrix
-    internal = 0
-    deg = 0
-    for a, i in enumerate(members):
-        row = matrix[i]
-        deg += graph._contacts[i]
-        for j in members[a + 1:]:
-            internal += row[j]
-    pa_sum = sum(graph.vertices[i].pa for i in members)
-    g_y = pa_sum + internal - len(members) + 1
-    k_y = deg - 2 * internal
-    return g_y, k_y
+    for h, vertex in enumerate(graph.vertices):
+        row = matrix[h]
+        cross = [0]
+        for j in range(h):
+            mult = row[j]
+            cross += [x + mult for x in cross]
+        pa_step = vertex.pa - 1
+        c_h = graph._contacts[h]
+        genus += [g_y + pa_step + x for g_y, x in zip(genus, cross)]
+        contact += [k_y + c_h - 2 * x for k_y, x in zip(contact, cross)]
+        internal += [e_y + x for e_y, x in zip(internal, cross)]
+    return genus, contact, internal
+
+
+def _subset_sums(values: Sequence[int]) -> list[int]:
+    """Sum of ``values[i]`` over the bits i of every mask, indexed by mask."""
+    sums = [0]
+    for value in values:
+        sums += [s + value for s in sums]
+    return sums
+
+
+def _mask_numbers(graph: DualGraph, mask: int) -> tuple[int, int, int]:
+    """(genus, contact, internal nodes) of one subcurve, in O(n^2) without
+    building the 2^n table; agrees with ``graph._subcurve_table`` at mask."""
+    members = [i for i in range(graph.n) if mask >> i & 1]
+    matrix = graph._matrix
+    internal = sum(matrix[i][j] for a, i in enumerate(members) for j in members[a + 1:])
+    genus = sum(graph.vertices[i].pa - 1 for i in members) + internal + 1
+    contact = sum(graph._contacts[i] for i in members) - 2 * internal
+    return genus, contact, internal
+
+
+def _require_genus(graph: DualGraph) -> int:
+    """The graph's genus, which degree bounds need to be at least 2."""
+    g = graph.genus
+    if g <= 1:
+        raise DomainError(f"degree bounds need total arithmetic genus >= 2, got {g}")
+    return g
+
+
+def _scaled_lower(d_total: int, g: int, genus: int, contact: int) -> int:
+    """2(g-1) * m(Y): the lower degree bound of a subcurve as an integer."""
+    return d_total * (2 * genus - 2 + contact) - (g - 1) * contact
+
+
+def _internal_error(message: str, graph: DualGraph, **context) -> RuntimeError:
+    """RuntimeError for a failed internal cross-check.
+
+    The message ends in a JSON payload (after ``replay: ``) holding the graph
+    in its ``to_dict`` form plus the given context, enough to replay the call.
+    """
+    import json  # deferred: only this failure path needs it
+
+    payload = json.dumps({"graph": graph.to_dict(), **context}, sort_keys=True)
+    return RuntimeError(f"internal error: {message}; replay: {payload}")
 
 
 def subcurve_profile(
@@ -459,12 +519,9 @@ def subcurve_profile(
     lower bound divides by g - 1.
     """
     Y = _as_subcurve(graph, subcurve)
-    g = graph.genus
-    if g <= 1:
-        raise DomainError(f"degree bounds need total arithmetic genus >= 2, got {g}")
-    members = sorted(graph.index(v) for v in Y)
-    g_y, k_y = _subcurve_numbers(graph, members)
-    lower = Fraction(d_total, g - 1) * (g_y - 1 + Fraction(k_y, 2)) - Fraction(k_y, 2)
+    g = _require_genus(graph)
+    g_y, k_y, _ = _mask_numbers(graph, _mask_of(graph, Y))
+    lower = Fraction(_scaled_lower(d_total, g, g_y, k_y), 2 * (g - 1))
     degree: Optional[int] = None
     if multidegree is not None:
         _check_multidegree(graph, multidegree)
@@ -536,43 +593,25 @@ def basic_inequality(
     """
     _check_multidegree(graph, multidegree)
     _check_cap(graph, max_vertices)
-    g = graph.genus
-    if g <= 1:
-        raise DomainError(f"degree bounds need total arithmetic genus >= 2, got {g}")
+    g = _require_genus(graph)
     d_total = multidegree.total
     ids = graph.ids
-    n = graph.n
-    matrix = graph._matrix
-    contacts = graph._contacts
-    pa = tuple(v.pa for v in graph.vertices)
-    dvec = multidegree.values(ids)
-    ratio = Fraction(d_total, g - 1)
-
+    genus, contact, _ = graph._subcurve_table
+    degree = _subset_sums(multidegree.values(ids))
+    scale = 2 * (g - 1)
+    # With everything multiplied by 2(g-1) the window test is integral; the
+    # empty mask (genus 1, no contact, degree 0) always passes it.
     violations = []
-    for mask in range(1, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        internal = 0
-        deg = 0
-        pa_sum = 0
-        d_y = 0
-        for a, i in enumerate(members):
-            row = matrix[i]
-            deg += contacts[i]
-            pa_sum += pa[i]
-            d_y += dvec[i]
-            for j in members[a + 1:]:
-                internal += row[j]
-        g_y = pa_sum + internal - len(members) + 1
-        k_y = deg - 2 * internal
-        lower = ratio * (g_y - 1 + Fraction(k_y, 2)) - Fraction(k_y, 2)
-        upper = lower + k_y
-        if not lower <= d_y <= upper:
+    for mask, (g_y, k_y, d_y) in enumerate(zip(genus, contact, degree)):
+        low = _scaled_lower(d_total, g, g_y, k_y)
+        if not 0 <= scale * d_y - low <= scale * k_y:
+            lower = Fraction(low, scale)
             violations.append(
                 BIViolation(
-                    subcurve=frozenset(ids[i] for i in members),
+                    subcurve=frozenset(vid for i, vid in enumerate(ids) if mask >> i & 1),
                     degree=d_y,
                     lower=lower,
-                    upper=upper,
+                    upper=lower + k_y,
                 )
             )
     return BIReport(satisfied=not violations, violations=tuple(violations))
@@ -593,9 +632,7 @@ def enumerate_multidegrees(
     """
     if isinstance(d_total, bool) or not isinstance(d_total, int):
         raise DomainError(f"total degree must be an integer, got {d_total!r}")
-    g = graph.genus
-    if g <= 1:
-        raise DomainError(f"degree bounds need total arithmetic genus >= 2, got {g}")
+    g = _require_genus(graph)
     if not is_stable(graph):
         raise DomainError("multidegree enumeration expects a stable graph")
     _check_cap(graph, max_vertices)

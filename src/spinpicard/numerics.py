@@ -52,14 +52,19 @@ def normalize_degree(g: int, d: int) -> int:
 
     Twisting by a line bundle of relative degree 2g - 2 identifies the two
     Picard varieties, so the scalar invariants agree before and after; the
-    postcondition asserts exactly that.
+    postcondition checks exactly that and raises RuntimeError if it fails.
     """
     _check_g(g)
     _check_d(d)
     lo = 20 * (g - 1)
     shifted = lo + (d - lo) % (2 * g - 2)
-    assert kouvidakis_class(g, shifted) == kouvidakis_class(g, d)
-    assert coarse_moduli_predicate(g, shifted) == coarse_moduli_predicate(g, d)
+    same_class = kouvidakis_class(g, shifted) == kouvidakis_class(g, d)
+    same_coarse = coarse_moduli_predicate(g, shifted) == coarse_moduli_predicate(g, d)
+    if not (same_class and same_coarse):
+        raise RuntimeError(
+            f"internal error: scalar invariants change under normalization at "
+            f"(g, d, shifted) = ({g}, {d}, {shifted})"
+        )
     return shifted
 
 

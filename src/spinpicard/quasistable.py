@@ -26,17 +26,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import BlowupError, DomainError, GraphError, ParityError
 from .graphs import (
+    MAX_SUBSET_VERTICES,
     DualGraph,
     Multidegree,
     Vertex,
     _as_subcurve,
     _check_cap,
-    iter_subcurves,
-    subcurve_profile,
+    _internal_error,
+    _mask_numbers,
+    _mask_of,
+    _require_genus,
+    _scaled_lower,
+    _subset_sums,
 )
 
 __all__ = [
@@ -212,6 +218,7 @@ class QuasistableGraph(DualGraph):
         self.source = source
         self.config = config
         self._spin_cache: dict[int, Multidegree] = {}
+        self._row_cache: dict[int, list[tuple]] = {}
 
         for vid in sorted(self.exceptional):
             vert = self.vertex(vid)
@@ -247,6 +254,10 @@ class QuasistableGraph(DualGraph):
         return sum(
             m for nbr, m in self._adjacency[vid].items() if nbr not in self.exceptional
         )
+
+    @cached_property
+    def _exceptional_mask(self) -> int:
+        return _mask_of(self, self.exceptional)
 
     def __repr__(self) -> str:
         return (
@@ -379,11 +390,68 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
     md = Multidegree.of(degrees)
     expected = (2 * t + 1) * (q.genus - 1)
     if md.total != expected:
-        raise RuntimeError(
-            f"internal error: spin multidegree totals {md.total}, expected {expected}"
+        raise _model_error(
+            q, f"spin multidegree totals {md.total}, expected {expected}",
+            t=t, multidegree=md.as_dict(),
         )
     q._spin_cache[t] = md
     return md
+
+
+def _model_error(q: QuasistableGraph, message: str, mask: int = 0, **context) -> RuntimeError:
+    """Internal error on a blow-up model, naming the subcurve ``mask`` if any;
+    the payload also carries the source graph and blow-up config, so
+    ``expand`` rebuilds the model exactly."""
+    if mask:
+        context["subcurve"] = [vid for i, vid in enumerate(q.ids) if mask >> i & 1]
+    return _internal_error(
+        message, q, source=q.source.to_dict(), blowups=q.config.to_dict(), **context
+    )
+
+
+def _structure(q: QuasistableGraph, mask: int, contact, internal, t=None) -> tuple[int, bool, bool]:
+    """Core contact and the two exceptional clauses of one subcurve mask,
+    read from contact and internal-node columns indexable by mask.
+
+    Nodes joining disjoint A and B number (k(A) + k(B) - k(A | B)) / 2.  The
+    clauses: no node joins Y's exceptional part to the complement's core
+    (inner), nor the complement's exceptional part to Y's core (outer).  Each
+    exceptional vertex inside Y owns two node slots, split between nodes
+    internal to Y and nodes leaving Y; those structural bounds raise with a
+    replayable payload when they fail.
+    """
+    exc = q._exceptional_mask
+    core = ((1 << q.n) - 1) ^ exc
+    inner = mask & exc
+    outer = exc ^ inner
+    y_core = mask ^ inner
+    rest = core ^ y_core
+    core_contact = (contact[y_core] + contact[rest] - contact[core]) // 2
+    excess = internal[mask] - internal[y_core]
+    slots = 2 * inner.bit_count()
+    if not excess <= slots <= excess + contact[mask] - core_contact:
+        context = {} if t is None else {"t": t}
+        if excess > slots:
+            raise _model_error(q, "exceptional node count exceeds its bound", mask, **context)
+        raise _model_error(q, "exceptional node slots unaccounted for", mask, **context)
+    inner_ok = contact[inner] + contact[rest] == contact[inner | rest]
+    outer_ok = contact[outer] + contact[y_core] == contact[outer | y_core]
+    return core_contact, inner_ok, outer_ok
+
+
+class _DirectColumn(dict):
+    """One column (0 genus, 1 contact, 2 internal nodes) of the subcurve
+    table, filled per mask on first read in O(n^2), for single-subcurve calls
+    that must not build the 2^n table."""
+
+    def __init__(self, q: QuasistableGraph, field: int) -> None:
+        super().__init__()
+        self.q = q
+        self.field = field
+
+    def __missing__(self, mask: int) -> int:
+        value = self[mask] = _mask_numbers(self.q, mask)[self.field]
+        return value
 
 
 @dataclass(frozen=True)
@@ -407,40 +475,17 @@ class ExceptionalProfile:
 
 def exceptional_profile(q: QuasistableGraph, subcurve: Iterable[str]) -> ExceptionalProfile:
     Y = _as_subcurve(q, subcurve)
-    members = sorted(Y)
-    core_members = [v for v in members if v not in q.exceptional]
-    internal = 0
-    core_internal = 0
-    for a, u in enumerate(members):
-        row = q._adjacency[u]
-        for v in members[a + 1:]:
-            m = row.get(v, 0)
-            internal += m
-            if u not in q.exceptional and v not in q.exceptional:
-                core_internal += m
-    core_contact = 0
-    for u in core_members:
-        for nbr, m in q._adjacency[u].items():
-            if nbr not in Y and nbr not in q.exceptional:
-                core_contact += m
-    profile = ExceptionalProfile(
+    mask = _mask_of(q, Y)
+    y_core = mask & ~q._exceptional_mask
+    contact, internal = _DirectColumn(q, 1), _DirectColumn(q, 2)
+    return ExceptionalProfile(
         subcurve=Y,
-        components=len(members),
-        core_components=len(core_members),
-        internal_nodes=internal,
-        core_internal_nodes=core_internal,
-        core_contact=core_contact,
+        components=mask.bit_count(),
+        core_components=y_core.bit_count(),
+        internal_nodes=internal[mask],
+        core_internal_nodes=internal[y_core],
+        core_contact=_structure(q, mask, contact, internal)[0],
     )
-    # Each exceptional vertex inside Y owns two node slots, split between
-    # nodes internal to Y and nodes leaving Y; these bounds are structural.
-    excess = profile.internal_nodes - profile.core_internal_nodes
-    inside_exceptional = 2 * (profile.components - profile.core_components)
-    if excess > inside_exceptional:
-        raise RuntimeError("internal error: exceptional node count exceeds its bound")
-    k_y = sum(q._contacts[q.index(u)] for u in members) - 2 * internal
-    if excess + (k_y - profile.core_contact) < inside_exceptional:
-        raise RuntimeError("internal error: exceptional node slots unaccounted for")
-    return profile
 
 
 @dataclass(frozen=True)
@@ -468,6 +513,64 @@ class BoundaryCase:
         return self.lower + self.contact
 
 
+def _rows(q: QuasistableGraph, t: int, masks: Iterable[int], table: tuple, degree) -> list[tuple]:
+    """Boundary rows (degree, core_contact, inner_ok, outer_ok, at_min,
+    at_max) of the given masks, each decided twice.
+
+    ``table`` holds the genus, contact and internal-node columns and
+    ``degree`` the spin degree, each indexable by mask: full 2^n lists for a
+    scan, or mappings filled on demand for one direct row.  Every mask runs
+    the node-slot bounds and the comparison of the exact range ends with the
+    structural clauses; a failure raises with a replayable payload.
+    """
+    genus, contact, internal = table
+    g = q.genus
+    d_total = (2 * t + 1) * (g - 1)
+    scale = 2 * (g - 1)
+    rows = []
+    for mask in masks:
+        core_contact, inner_ok, outer_ok = _structure(q, mask, contact, internal, t)
+        k_y = contact[mask]
+        offset = scale * degree[mask] - _scaled_lower(d_total, g, genus[mask], k_y)
+        at_min = offset == 0
+        at_max = offset == scale * k_y
+        struct_min = core_contact == 0 and inner_ok
+        struct_max = core_contact == 0 and outer_ok
+        if at_min != struct_min or at_max != struct_max:
+            raise _model_error(
+                q,
+                f"boundary predicates disagree (direct min/max {at_min}/{at_max}, "
+                f"structural {struct_min}/{struct_max})",
+                mask, t=t,
+            )
+        rows.append((degree[mask], core_contact, inner_ok, outer_ok, at_min, at_max))
+    return rows
+
+
+def _table_rows(q: QuasistableGraph, t: int) -> list:
+    """Boundary rows of every nonempty mask at twist t, cached on the model;
+    index 0, the empty subcurve, is a placeholder no scan reads.
+
+    Callers validate t and the spin structure through spin_multidegree first.
+    """
+    rows = q._row_cache.get(t)
+    if rows is None:
+        _require_genus(q)
+        degree = _subset_sums(q._spin_cache[t].values(q.ids))
+        rows = [None, *_rows(q, t, range(1, 1 << q.n), q._subcurve_table, degree)]
+        q._row_cache[t] = rows
+    return rows
+
+
+def _direct_row(q: QuasistableGraph, t: int, mask: int) -> tuple[int, int, tuple]:
+    """(genus, contact, row) of one mask in O(n^2), for models over the cap."""
+    table = tuple(_DirectColumn(q, field) for field in range(3))
+    degrees = q._spin_cache[t].values(q.ids)
+    degree = {mask: sum(d for i, d in enumerate(degrees) if mask >> i & 1)}
+    (row,) = _rows(q, t, [mask], table, degree)
+    return table[0][mask], table[1][mask], row
+
+
 def boundary_case(
     q: QuasistableGraph,
     t: int,
@@ -481,39 +584,26 @@ def boundary_case(
     characterization (core_contact zero plus the appropriate exceptional
     clause).  The routes must agree; disagreement raises RuntimeError, since it
     would mean the degree formulas and the combinatorics have come apart.
+    Models within MAX_SUBSET_VERTICES read the model's cached row table for
+    t; larger ones compute the one row directly.
     """
-    md = spin_multidegree(q, t, unsafe_t=unsafe_t)
+    spin_multidegree(q, t, unsafe_t=unsafe_t)
     Y = _as_subcurve(q, subcurve)
-    d_total = (2 * t + 1) * (q.genus - 1)
-    prof = subcurve_profile(q, Y, d_total, md)
-    ep = exceptional_profile(q, Y)
-
-    inner_ok = True
-    for eid in q.exceptional:
-        if eid in Y and any(nbr not in Y for nbr in q.neighbors(eid)):
-            inner_ok = False
-            break
-    outer_ok = True
-    for eid in q.exceptional:
-        if eid not in Y and any(nbr in Y for nbr in q.neighbors(eid)):
-            outer_ok = False
-            break
-
-    at_min = prof.degree == prof.lower
-    at_max = prof.degree == prof.upper
-    struct_min = ep.core_contact == 0 and inner_ok
-    struct_max = ep.core_contact == 0 and outer_ok
-    if at_min != struct_min or at_max != struct_max:
-        raise RuntimeError(
-            f"internal error: boundary predicates disagree on Y={sorted(Y)} "
-            f"(direct min/max {at_min}/{at_max}, structural {struct_min}/{struct_max})"
-        )
+    g = _require_genus(q)
+    mask = _mask_of(q, Y)
+    if q.n <= MAX_SUBSET_VERTICES:
+        genus, contact, _ = q._subcurve_table
+        g_y, k_y, row = genus[mask], contact[mask], _table_rows(q, t)[mask]
+    else:
+        g_y, k_y, row = _direct_row(q, t, mask)
+    degree, core_contact, inner_ok, outer_ok, at_min, at_max = row
+    lower = Fraction(_scaled_lower((2 * t + 1) * (g - 1), g, g_y, k_y), 2 * (g - 1))
     return BoundaryCase(
         subcurve=Y,
-        degree=prof.degree,
-        lower=prof.lower,
-        contact=prof.contact,
-        core_contact=ep.core_contact,
+        degree=degree,
+        lower=lower,
+        contact=k_y,
+        core_contact=core_contact,
         at_min=at_min,
         at_max=at_max,
         inner_exceptionals_avoid_complement=inner_ok,
@@ -550,15 +640,20 @@ def git_stable_exhaustive(
 
     Unstable exactly when some proper subcurve that is not a union of
     exceptional components attains the top of its degree range.  (The full
-    curve always attains it trivially, hence 'proper'.)
+    curve always attains it trivially, hence 'proper'.)  The scan reads the
+    model's row table for t, in which every subcurve has been decided by both
+    the exact comparison and the structural clauses.
     """
     check_t(t, unsafe_t=unsafe_t)
-    for Y in iter_subcurves(q, proper=True, max_vertices=max_vertices):
-        if Y <= q.exceptional:
-            continue
-        if boundary_case(q, t, Y, unsafe_t=unsafe_t).at_max:
-            return False
-    return True
+    _check_cap(q, max_vertices)
+    if q.n == 1:
+        return True  # a single component has no proper subcurve
+    spin_multidegree(q, t, unsafe_t=unsafe_t)
+    rows = _table_rows(q, t)
+    exc = q._exceptional_mask
+    return not any(
+        at_max for mask, (*_, at_max) in enumerate(rows[1:-1], start=1) if mask & ~exc
+    )
 
 
 def orbit_closed_check(
@@ -572,14 +667,15 @@ def orbit_closed_check(
 
     The orbit is closed when every subcurve attaining the bottom of its degree
     range has core_contact zero.  For spin models this holds universally, but
-    the check is performed for real rather than returning a constant.
+    the check is performed for real rather than returning a constant: every
+    nonempty subcurve's row in the model's row table for t is read, each one
+    decided by both the exact comparison and the structural clauses.
     """
     check_t(t, unsafe_t=unsafe_t)
-    for Y in iter_subcurves(q, max_vertices=max_vertices):
-        case = boundary_case(q, t, Y, unsafe_t=unsafe_t)
-        if case.at_min and case.core_contact != 0:
-            return False
-    return True
+    _check_cap(q, max_vertices)
+    spin_multidegree(q, t, unsafe_t=unsafe_t)
+    rows = _table_rows(q, t)
+    return not any(at_min and core_contact for _, core_contact, _, _, at_min, _ in rows[1:])
 
 
 def iter_blowup_configs(

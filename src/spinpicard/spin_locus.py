@@ -32,6 +32,7 @@ from .graphs import (
     Multidegree,
     _check_cap,
     _check_multidegree,
+    _internal_error,
     basic_inequality,
     is_stable,
 )
@@ -192,8 +193,9 @@ def grouped_multidegree(
     md = Multidegree.of(degrees)
     expected = (2 * t + 1) * (graph.genus - 1)
     if md.total != expected:
-        raise RuntimeError(
-            f"internal error: grouped multidegree totals {md.total}, expected {expected}"
+        raise _internal_error(
+            f"grouped multidegree totals {md.total}, expected {expected}",
+            graph, t=t, witness=witness.to_dict(), multidegree=md.as_dict(),
         )
     return md
 
@@ -366,7 +368,10 @@ def decide_spin_component(
             {(u, v): a for (u, v, _), a in zip(blown_pairs, split)},
         )
         if grouped_multidegree(graph, witness, t, unsafe_t=unsafe_t) != multidegree:
-            raise RuntimeError("internal error: witness does not reproduce the multidegree")
+            raise _internal_error(
+                "witness does not reproduce the multidegree",
+                graph, t=t, witness=witness.to_dict(), multidegree=multidegree.as_dict(),
+            )
         return witness
     return None
 
@@ -477,8 +482,9 @@ def split_curve_table(genus: int, t: int, *, unsafe_t: bool = False) -> list[Spl
             )
             d2 = (2 * t + 1) * (genus - 1) - d1
             if d1.denominator != 1 or d2.denominator != 1:
-                raise RuntimeError(
-                    f"internal error: non-integral split-curve degree at s={s}, sigma={sigma}"
+                raise _internal_error(
+                    f"non-integral split-curve degree at s={s}, sigma={sigma}",
+                    split_curve_graph(genus), t=t, s=s, sigma=sigma,
                 )
             rows.append(
                 SplitCurveRow(genus=genus, t=t, s=s, sigma=sigma, d1=int(d1), d2=int(d2))

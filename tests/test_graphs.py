@@ -228,6 +228,10 @@ def test_multidegree_basics():
     assert md.values(("b", "a")) == (2, 1)
     with pytest.raises(KeyError):
         md["c"]
+    # the O(1) lookup table behind md[...] stays out of eq, hash and repr
+    same = Multidegree((("a", 1), ("b", 2)))
+    assert md == same and hash(md) == hash(same)
+    assert repr(md) == "Multidegree(items=(('a', 1), ('b', 2)))"
     with pytest.raises(GraphError):
         Multidegree((("a", 1), ("a", 2)))
     with pytest.raises(GraphError):

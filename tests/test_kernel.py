@@ -1,0 +1,324 @@
+"""The bitmask subcurve table against independent member-loop oracles.
+
+Every exhaustive subcurve scan reads one table per graph (genus, contact and
+internal nodes of every mask) and, on a blow-up model, one row table per
+twist.  The oracles below recompute each subcurve from scratch with explicit
+member loops and `Fraction` arithmetic, the way the scans did before the
+table existed, so a wrong recurrence or a wrong scaled comparison shows up as
+a mismatch on some mask.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+import spinpicard.quasistable as quasistable
+import spinpicard.spin_locus as spin_locus
+from spinpicard import (
+    BIReport,
+    BIViolation,
+    BlowupConfig,
+    DualGraph,
+    Multidegree,
+    basic_inequality,
+    boundary_case,
+    decide_spin_component,
+    exceptional_profile,
+    expand,
+    git_stable_exhaustive,
+    iter_blowup_configs,
+    iter_subcurves,
+    orbit_closed_check,
+    spin_multidegree,
+    subcurve_profile,
+    validate_graph,
+)
+
+# -- oracles -----------------------------------------------------------------
+
+
+class Oracle:
+    """Per-subcurve invariants of one graph by member loops over ids."""
+
+    def __init__(self, graph: DualGraph) -> None:
+        self.graph = graph
+        self.k = {u: {v: graph.k(u, v) for v in graph.ids} for u in graph.ids}
+        self.pa = {v: graph.pa(v) for v in graph.ids}
+        self.contact = {v: graph.contact(v) for v in graph.ids}
+        self.core = frozenset(graph.ids) - getattr(graph, "exceptional", frozenset())
+
+    def numbers(self, Y) -> tuple[int, int, int]:
+        """(genus, contact, internal nodes) of Y."""
+        members = sorted(Y)
+        internal = sum(self.k[u][v] for u, v in itertools.combinations(members, 2))
+        genus = sum(self.pa[v] for v in members) + internal - len(members) + 1
+        contact = sum(self.contact[v] for v in members) - 2 * internal
+        return genus, contact, internal
+
+    def lower(self, Y, d_total: int) -> Fraction:
+        """m(Y) = d / (2g - 2) * (2 g(Y) - 2 + k(Y)) - k(Y) / 2."""
+        genus, contact, _ = self.numbers(Y)
+        return Fraction(d_total * (2 * genus - 2 + contact), 2 * self.graph.genus - 2) - Fraction(
+            contact, 2
+        )
+
+    def basic_inequality(self, md: Multidegree) -> BIReport:
+        """The basic-inequality scan, one subcurve at a time in Fractions."""
+        violations = []
+        for Y in iter_subcurves(self.graph, max_vertices=self.graph.n):
+            lower = self.lower(Y, md.total)
+            upper = lower + self.numbers(Y)[1]
+            degree = sum(md[v] for v in Y)
+            if not lower <= degree <= upper:
+                violations.append(BIViolation(Y, degree, lower, upper))
+        return BIReport(satisfied=not violations, violations=tuple(violations))
+
+    def row(self, t: int, Y) -> tuple:
+        """(degree, core_contact, inner_ok, outer_ok, at_min, at_max) of Y."""
+        q = self.graph
+        md = spin_multidegree(q, t)
+        lower = self.lower(Y, md.total)
+        upper = lower + self.numbers(Y)[1]
+        degree = sum(md[v] for v in Y)
+        core = self.core
+        core_contact = sum(self.k[u][v] for u in Y & core for v in core - Y)
+        inner_ok = all(self.k[e][v] == 0 for e in Y & q.exceptional for v in q.ids if v not in Y)
+        outer_ok = all(self.k[e][v] == 0 for e in q.exceptional - Y for v in Y)
+        return (degree, core_contact, inner_ok, outer_ok, degree == lower, degree == upper)
+
+
+def case_row(case) -> tuple:
+    return (
+        case.degree,
+        case.core_contact,
+        case.inner_exceptionals_avoid_complement,
+        case.outer_exceptionals_avoid_subcurve,
+        case.at_min,
+        case.at_max,
+    )
+
+
+def mask_of(graph: DualGraph, Y) -> int:
+    return sum(1 << graph.ids.index(v) for v in Y)
+
+
+def models(corpus, step: int = 1):
+    for graph in corpus[::step]:
+        for config in iter_blowup_configs(graph, spin_only=True):
+            yield expand(graph, config)
+
+
+def replay_payload(err: pytest.ExceptionInfo) -> dict:
+    message = str(err.value)
+    assert message.startswith("internal error: ")
+    return json.loads(message.split("; replay: ", 1)[1])
+
+
+# -- the tables ----------------------------------------------------------------
+
+
+def test_tables_match_member_loop_on_every_mask(quasistable_corpus):
+    t = 10
+    checked = 0
+    for q in models(quasistable_corpus):
+        oracle = Oracle(q)
+        genus, contact, internal = q._subcurve_table
+        spin_multidegree(q, t)
+        rows = quasistable._table_rows(q, t)
+        assert len(genus) == len(rows) == 1 << q.n
+        for Y in iter_subcurves(q):
+            mask = mask_of(q, Y)
+            numbers = (genus[mask], contact[mask], internal[mask])
+            assert numbers == oracle.numbers(Y), (q, Y)
+            assert rows[mask] == oracle.row(t, Y), (q, Y)
+            checked += 1
+    assert checked == 280847
+
+
+def test_single_subcurve_calls_build_no_table():
+    split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 13})
+    q = expand(split, BlowupConfig({("C1", "C2"): 13}))
+    assert q.n == 15
+    Y = frozenset({"C1"}) | frozenset(sorted(q.exceptional)[:5])
+    d_total = 21 * (q.genus - 1)
+    oracle = Oracle(q)
+    prof = subcurve_profile(q, Y, d_total)
+    assert (prof.genus, prof.contact) == oracle.numbers(Y)[:2]
+    assert prof.lower == oracle.lower(Y, d_total)
+    ep = exceptional_profile(q, Y)
+    assert ep.internal_nodes == oracle.numbers(Y)[2] == 5
+    for subcurve in (Y, {"C1"}, set(q.exceptional), set(q.ids)):
+        case = boundary_case(q, 10, subcurve)
+        assert case_row(case) == oracle.row(10, frozenset(subcurve))
+        assert case.lower == oracle.lower(frozenset(subcurve), d_total)
+    assert "_subcurve_table" not in vars(q)
+    assert q._row_cache == {}
+
+
+# -- basic inequality ------------------------------------------------------------
+
+
+def _cycle(n: int) -> DualGraph:
+    return DualGraph(
+        [(f"c{i:02d}", 1) for i in range(n)],
+        {(f"c{i:02d}", f"c{(i + 1) % n:02d}"): 1 for i in range(n)} if n > 2
+        else {("c00", "c01"): 2},
+    )
+
+
+def _random_stable(rng: random.Random, n: int) -> DualGraph:
+    while True:
+        ids = [f"r{i:02d}" for i in range(n)]
+        edges = {(ids[i], ids[rng.randrange(i)]): rng.randint(1, 2) for i in range(1, n)}
+        for _ in range(rng.randint(0, n)):
+            u, v = rng.sample(ids, 2)
+            if (u, v) not in edges and (v, u) not in edges:
+                edges[(u, v)] = 1
+        graph = DualGraph([(v, rng.randint(0, 2)) for v in ids], edges)
+        if graph.genus >= 2 and all(
+            2 * graph.pa(v) - 2 + graph.contact(v) > 0 for v in ids
+        ):
+            return graph
+
+
+def _doubled_canonical(graph: DualGraph) -> Multidegree:
+    """Twice the canonical degree 2pa - 2 + contact on each vertex: admissible
+    at total 4g - 4, since the window on Y is 2 deg(omega|Y) -+ k(Y)/2."""
+    return Multidegree.of({v: 2 * (2 * graph.pa(v) - 2 + graph.contact(v)) for v in graph.ids})
+
+
+def _perturbed(md: Multidegree, rng: random.Random, size: int) -> Multidegree:
+    values = md.as_dict()
+    ids = sorted(values)
+    for _ in range(rng.randint(1, 3)):
+        u, v = rng.sample(ids, 2)
+        shift = rng.randint(1, size)
+        values[u] += shift
+        values[v] -= shift
+    return Multidegree.of(values)
+
+
+def test_basic_inequality_matches_member_loop_scan():
+    rng = random.Random(20021)
+    graphs = [_cycle(n) for n in (2, 3, 5, 8, 12)]
+    graphs += [_random_stable(rng, n) for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
+    violating = 0
+    for graph in graphs:
+        base = _doubled_canonical(graph)
+        assert basic_inequality(graph, base, max_vertices=graph.n).satisfied
+        for md in [base] + [_perturbed(base, rng, 2 + graph.n) for _ in range(3)]:
+            got = basic_inequality(graph, md, max_vertices=graph.n)
+            assert got == Oracle(graph).basic_inequality(md), (graph, md)
+            violating += not got.satisfied
+    assert violating >= 20
+
+
+def test_basic_inequality_matches_member_loop_on_models(quasistable_corpus):
+    rng = random.Random(7)
+    for q in models(quasistable_corpus, step=31):
+        md = spin_multidegree(q, 11)
+        candidates = [md, _perturbed(md, rng, 2)] if q.n > 1 else [md]
+        for candidate in candidates:
+            assert basic_inequality(q, candidate) == Oracle(q).basic_inequality(candidate)
+
+
+# -- GIT and orbit-closure scans ----------------------------------------------------
+
+
+def test_scans_match_boundary_case_loop(quasistable_corpus):
+    unstable = 0
+    for q in models(quasistable_corpus, step=3):
+        for t in (10, 11):
+            cases = [boundary_case(q, t, Y) for Y in iter_subcurves(q)]
+            stable = not any(
+                c.at_max for c in cases if c.subcurve != frozenset(q.ids)
+                and not c.subcurve <= q.exceptional
+            )
+            closed = not any(c.at_min and c.core_contact for c in cases)
+            assert git_stable_exhaustive(q, t) == stable
+            assert orbit_closed_check(q, t) == closed
+            unstable += not stable
+    assert unstable > 0
+
+
+# -- boundary_case: table path and direct path --------------------------------------
+
+
+def test_boundary_case_direct_path_matches_table(quasistable_corpus, monkeypatch):
+    pairs = 0
+    for q in models(quasistable_corpus, step=7):
+        table_cases = [boundary_case(q, 11, Y) for Y in iter_subcurves(q)]
+        fresh = expand(q.source, q.config)
+        with monkeypatch.context() as patch:
+            patch.setattr(quasistable, "MAX_SUBSET_VERTICES", 0)
+            direct_cases = [boundary_case(fresh, 11, Y) for Y in iter_subcurves(fresh)]
+        assert "_subcurve_table" not in vars(fresh)
+        assert direct_cases == table_cases
+        pairs += len(direct_cases)
+    assert pairs > 1000
+
+
+# -- replayable internal errors -----------------------------------------------------
+
+
+def test_row_disagreement_raises_a_replayable_payload(monkeypatch):
+    graph = DualGraph([("a", 1), ("b", 0, 0), ("c", 1)], {("a", "b"): 2, ("b", "c"): 2})
+    config = BlowupConfig({("a", "b"): 2})
+    q = expand(graph, config)
+    exact = quasistable._scaled_lower
+    monkeypatch.setattr(quasistable, "_scaled_lower", lambda *args: exact(*args) + 1)
+    with pytest.raises(RuntimeError, match="boundary predicates disagree") as err:
+        orbit_closed_check(q, 10)
+    payload = replay_payload(err)
+    assert validate_graph(payload["graph"]) == q
+    assert payload["t"] == 10
+    monkeypatch.undo()
+    replayed = expand(validate_graph(payload["source"]), BlowupConfig.from_dict(payload["blowups"]))
+    assert replayed == q and replayed.exceptional == q.exceptional
+    case = boundary_case(replayed, payload["t"], payload["subcurve"])
+    assert case.at_min or case.at_max
+
+
+def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
+    """Inflate the internal-node count of every subcurve holding an
+    exceptional vertex, in the table and in the direct helper."""
+    split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
+    q = expand(split, BlowupConfig({("C1", "C2"): 2}))
+    exc = q._exceptional_mask
+    genus, contact, internal = q._subcurve_table
+    q._subcurve_table = (genus, contact, [e + 5 if m & exc else e for m, e in enumerate(internal)])
+    with pytest.raises(RuntimeError, match="exceeds its bound") as err:
+        git_stable_exhaustive(q, 12)
+    payload = replay_payload(err)
+    assert payload["t"] == 12 and payload["subcurve"] == ["E(C1|C2)#1"]
+
+    exact = quasistable._mask_numbers
+
+    def inflated(graph, mask):
+        g_y, k_y, e_y = exact(graph, mask)
+        return g_y, k_y, e_y + 5 if mask & exc else e_y
+
+    monkeypatch.setattr(quasistable, "_mask_numbers", inflated)
+    with pytest.raises(RuntimeError, match="exceeds its bound") as err:
+        exceptional_profile(q, {"C1", "E(C1|C2)#2"})
+    payload = replay_payload(err)
+    assert payload["subcurve"] == ["C1", "E(C1|C2)#2"] and "t" not in payload
+
+
+def test_witness_check_raises_a_replayable_payload(monkeypatch):
+    graph = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
+    md = Multidegree.of({"C1": 20, "C2": 22})
+    monkeypatch.setattr(spin_locus, "grouped_multidegree", lambda *args, **kw: Multidegree.of({}))
+    with pytest.raises(RuntimeError, match="witness does not reproduce") as err:
+        decide_spin_component(graph, 10, md)
+    payload = replay_payload(err)
+    monkeypatch.undo()
+    assert validate_graph(payload["graph"]) == graph
+    assert Multidegree.of(payload["multidegree"]) == md
+    witness = decide_spin_component(graph, payload["t"], md)
+    assert witness.to_dict() == payload["witness"]

@@ -81,6 +81,15 @@ def test_validation_errors():
         coarse_moduli_predicate(4, True)  # bools are not degrees
 
 
+def test_normalize_degree_postcondition_raises(monkeypatch):
+    import spinpicard.numerics as numerics
+
+    monkeypatch.setattr(numerics, "kouvidakis_class", lambda g, d: d)
+    with pytest.raises(RuntimeError, match=r"\(g, d, shifted\) = \(3, 0, 40\)"):
+        normalize_degree(3, 0)
+    assert normalize_degree(3, 40) == 40  # unchanged degree: invariants agree
+
+
 def test_picard_params():
     p = PicardParams(3, 42)
     assert p.kouvidakis == 1
