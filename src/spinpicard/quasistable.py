@@ -86,6 +86,43 @@ def _pair(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
+def _record(
+    table: dict, key, count, label: str, error: type, *, keep_zero: bool = False
+) -> None:
+    """Store one count under key: a non-negative integer, never given twice.
+    Zero counts are dropped unless ``keep_zero``; faults raise ``error``."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise error(f"{label}: count must be a non-negative integer")
+    if key in table:
+        raise error(f"{label}: duplicate entry")
+    if count or keep_zero:
+        table[key] = count
+
+
+def _pair_counts(entries, error: type, loop_message: str) -> dict[tuple[str, str], int]:
+    """Nonzero per-pair counts ``s`` from a mapping or ((u, v), count) items,
+    keyed by sorted pair; a pair of a vertex with itself raises ``error``
+    with ``loop_message``."""
+    table: dict[tuple[str, str], int] = {}
+    if entries:
+        for (u, v), count in entries.items() if isinstance(entries, Mapping) else entries:
+            _record(table, _pair(u, v), count, f"s[{u}, {v}]", error)
+            if u == v:
+                raise error(f"s[{u}, {v}]: {loop_message}")
+    return table
+
+
+def _odd_vertex(graph: DualGraph, blown) -> Optional[tuple[str, int]]:
+    """The first vertex, in id order, left with an odd number of unblown
+    nodes with other components, and that number; ``blown.s(u, v)`` counts
+    the blown nodes of each pair.  None when every count is even."""
+    for vid in graph.ids:
+        left = graph.contact(vid) - sum(blown.s(vid, u) for u in graph.neighbors(vid))
+        if left % 2:
+            return vid, left
+    return None
+
+
 class BlowupConfig:
     """Which nodes of a stable graph get blown up.
 
@@ -95,28 +132,12 @@ class BlowupConfig:
     """
 
     def __init__(self, s=None, r=None) -> None:
-        self._s: dict[tuple[str, str], int] = {}
+        self._s = _pair_counts(s, BlowupError, "use r for self-nodes")
         self._r: dict[str, int] = {}
-        if s:
-            items = s.items() if isinstance(s, Mapping) else s
-            for key, count in items:
-                u, v = key
-                self._record(self._s, _pair(u, v), count, f"s[{u}, {v}]")
-                if u == v:
-                    raise BlowupError(f"s[{u}, {v}]: use r for self-nodes")
         if r:
             items = r.items() if isinstance(r, Mapping) else r
             for vid, count in items:
-                self._record(self._r, vid, count, f"r[{vid}]")
-
-    @staticmethod
-    def _record(table: dict, key, count: int, label: str) -> None:
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise BlowupError(f"{label}: count must be a non-negative integer")
-        if key in table:
-            raise BlowupError(f"{label}: duplicate entry")
-        if count:
-            table[key] = count
+                _record(self._r, vid, count, f"r[{vid}]", BlowupError)
 
     def s(self, u: str, v: str) -> int:
         return self._s.get(_pair(u, v), 0)
@@ -350,10 +371,7 @@ def spin_parity(graph: DualGraph, config: BlowupConfig) -> bool:
     Self-node blow-ups are irrelevant to parity.
     """
     config.validate(graph)
-    return all(
-        (graph.contact(v) - sum(config.s(v, u) for u in graph.neighbors(v))) % 2 == 0
-        for v in graph.ids
-    )
+    return _odd_vertex(graph, config) is None
 
 
 def _core_contacts(q: QuasistableGraph) -> dict[str, int]:
@@ -548,8 +566,9 @@ def _rows(q: QuasistableGraph, t: int, masks: Iterable[int], table: tuple, degre
 
 
 def _table_rows(q: QuasistableGraph, t: int) -> list:
-    """Boundary rows of every nonempty mask at twist t, cached on the model;
-    index 0, the empty subcurve, is a placeholder no scan reads.
+    """Boundary rows of every nonempty mask at twist t, cached on the model
+    for the latest twist only (one 2^n table, whatever the t sweep); index 0,
+    the empty subcurve, is a placeholder no scan reads.
 
     Callers validate t and the spin structure through spin_multidegree first.
     """
@@ -558,7 +577,7 @@ def _table_rows(q: QuasistableGraph, t: int) -> list:
         _require_genus(q)
         degree = _subset_sums(q._spin_cache[t].values(q.ids))
         rows = [None, *_rows(q, t, range(1, 1 << q.n), q._subcurve_table, degree)]
-        q._row_cache[t] = rows
+        q._row_cache = {t: rows}
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Which fiber components the spin locus hits, decided by witness search.
+"""Which fiber components the spin locus hits, decided by orientations.
 
 Grouping the degree-1 exceptional components of a blow-up model with the
 component they came from turns the canonical spin multidegree into a degree
@@ -7,26 +7,30 @@ vector on the original stable graph:
     d(i) = (2t+1)(pa(i) - 1) + t * sum_j k(i, j)
            + (sum_j (k(i, j) - s(i, j))) / 2 + sum_j sigma(i, j)
 
-where s(i, j) = s(j, i) counts blown nodes between i and j (with every
-k(i, j) - s(i, j) even) and sigma(i, j) + sigma(j, i) = s(i, j) splits each
-pair's exceptional components between the two sides.  Self-node blow-ups
+where s(i, j) = s(j, i) counts blown nodes between i and j (with
+sum_j (k(i, j) - s(i, j)) even at every i) and sigma(i, j) + sigma(j, i) =
+s(i, j) splits each pair's exceptional components between the two sides.  Self-node blow-ups
 cancel out of the grouped vector and are therefore absent from witnesses.
 
 A multidegree is met by the spin locus exactly when such a witness (s, sigma)
-exists.  The search enumerates s tables exhaustively (with parity pruning) and
-solves the sigma split per s; the split is a prescribed-indegree orientation
-problem, decided here by backtracking and, independently, by the subset
-feasibility criterion in :func:`orientation_feasible`.
+exists.  Doubled, pair (i, j) sends a = k - s + 2 sigma(i, j) units to i and
+2k - a to j; every a in 0..2k comes from some (s, sigma), the smallest such s
+being |a - k|.  So a witness is an orientation of the doubled node multigraph
+in which i has in-degree 2q(i), where q(i) = d(i) - (2t+1)(pa(i) - 1)
+- t * contact(i) (Hakimi 1965), and the parity condition holds by itself.
+One kernel, shortest augmenting paths over such orientations, answers every
+"does a split exist" question in polynomial time: the lexicographically
+smallest witness, the reachable set, and :func:`orientation_feasible`.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import BasicInequalityError, DomainError, GraphError, WitnessError
+from .errors import BasicInequalityError, DomainError, WitnessError
 from .graphs import (
     DualGraph,
     Multidegree,
@@ -36,7 +40,7 @@ from .graphs import (
     basic_inequality,
     is_stable,
 )
-from .quasistable import check_t
+from .quasistable import _odd_vertex, _pair, _pair_counts, _record, check_t
 
 __all__ = [
     "SpinWitness",
@@ -50,10 +54,6 @@ __all__ = [
 ]
 
 
-def _pair(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
-
-
 class SpinWitness:
     """A witness (s, sigma) that a multidegree is met by the spin locus.
 
@@ -64,30 +64,12 @@ class SpinWitness:
     """
 
     def __init__(self, s=None, sigma=None) -> None:
-        self._s: dict[tuple[str, str], int] = {}
-        if s:
-            items = s.items() if isinstance(s, Mapping) else s
-            for key, count in items:
-                u, v = key
-                if u == v:
-                    raise WitnessError(f"s[{u}, {v}]: pairs must join distinct vertices")
-                if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                    raise WitnessError(f"s[{u}, {v}]: count must be a non-negative integer")
-                if _pair(u, v) in self._s:
-                    raise WitnessError(f"s[{u}, {v}]: duplicate entry")
-                if count:
-                    self._s[_pair(u, v)] = count
-
+        self._s = _pair_counts(s, WitnessError, "pairs must join distinct vertices")
         given: dict[tuple[str, str], int] = {}
         if sigma:
             items = sigma.items() if isinstance(sigma, Mapping) else sigma
-            for key, count in items:
-                u, v = key
-                if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                    raise WitnessError(f"sigma[{u}, {v}]: count must be a non-negative integer")
-                if (u, v) in given:
-                    raise WitnessError(f"sigma[{u}, {v}]: duplicate entry")
-                given[(u, v)] = count
+            for (u, v), count in items:
+                _record(given, (u, v), count, f"sigma[{u}, {v}]", WitnessError, keep_zero=True)
 
         self._sigma: dict[tuple[str, str], int] = {}
         for (u, v), s_uv in self._s.items():
@@ -130,13 +112,12 @@ class SpinWitness:
                     f"s[{u}, {v}] = {count} exceeds the {graph.k(u, v)} nodes "
                     f"joining {u} and {v}"
                 )
-        for vid in graph.ids:
-            left = graph.contact(vid) - sum(self.s(vid, u) for u in graph.neighbors(vid))
-            if left % 2:
-                raise WitnessError(
-                    f"parity fails at {vid!r}: {left} unblown nodes with other "
-                    f"components (odd)"
-                )
+        odd = _odd_vertex(graph, self)
+        if odd:
+            raise WitnessError(
+                f"parity fails at {odd[0]!r}: {odd[1]} unblown nodes with other "
+                f"components (odd)"
+            )
 
     def sort_key(self, graph: DualGraph) -> tuple:
         """Key realizing the lexicographic order on (s, then sigma) used by
@@ -172,6 +153,14 @@ def _require_spin_graph(graph: DualGraph) -> None:
         raise DomainError("spin-locus operations expect a stable graph")
 
 
+def _spin_base(graph: DualGraph, t: int) -> list[int]:
+    """(2t+1)(pa - 1) + t * contact per vertex, in id order: the degree every
+    witness starts from before the nodes are shared out."""
+    return [
+        (2 * t + 1) * (graph.pa(vid) - 1) + t * graph.contact(vid) for vid in graph.ids
+    ]
+
+
 def grouped_multidegree(
     graph: DualGraph, witness: SpinWitness, t: int, *, unsafe_t: bool = False
 ) -> Multidegree:
@@ -180,16 +169,10 @@ def grouped_multidegree(
     _require_spin_graph(graph)
     witness.validate(graph)
     degrees = {}
-    for vid in graph.ids:
-        contact = graph.contact(vid)
+    for vid, base in zip(graph.ids, _spin_base(graph, t)):
         blown = sum(witness.s(vid, u) for u in graph.neighbors(vid))
         credited = sum(witness.sigma(vid, u) for u in graph.neighbors(vid))
-        degrees[vid] = (
-            (2 * t + 1) * (graph.pa(vid) - 1)
-            + t * contact
-            + (contact - blown) // 2
-            + credited
-        )
+        degrees[vid] = base + (graph.contact(vid) - blown) // 2 + credited
     md = Multidegree.of(degrees)
     expected = (2 * t + 1) * (graph.genus - 1)
     if md.total != expected:
@@ -200,102 +183,127 @@ def grouped_multidegree(
     return md
 
 
-def _lexmin_split(
-    pairs: Sequence[tuple[str, str, int]], need: dict[str, int]
-) -> Optional[list[int]]:
-    """Smallest (lexicographic over the given pair order) split of each pair's
-    count between its endpoints meeting every vertex's quota, or None.
+# -- the orientation kernel ------------------------------------------------
 
-    ``need`` holds per-vertex quotas and is consumed; callers pass a copy.
+
+class _Orientation:
+    """Units of each pair (i, j, total) split between its ends: ``a[p]`` go
+    into i and ``total - a[p]`` into j, with ``lo[p] <= a[p] <= hi[p]``.
+
+    Moving units of in-degree from one end of a pair to the other changes no
+    third vertex, so moves along a path shift in-degree from its first vertex
+    to its last.  Paths are shortest (breadth-first) and each carries as many
+    units as all of its moves allow.
     """
-    capacity = dict.fromkeys(need, 0)
-    for u, v, count in pairs:
-        capacity[u] += count
-        capacity[v] += count
-    for vid, quota in need.items():
-        if quota < 0 or quota > capacity[vid]:
-            return None
-    if sum(need.values()) != sum(c for _, _, c in pairs):
+
+    def __init__(self, n: int, pairs: Sequence[tuple[int, int, int]]) -> None:
+        self.ends = [(i, j) for i, j, _ in pairs]
+        self.total = [total for _, _, total in pairs]
+        self.lo = [0] * len(pairs)
+        self.hi = list(self.total)
+        self.a = [total // 2 for total in self.total]
+        self.incident: list[list[int]] = [[] for _ in range(n)]
+        for p, (i, j) in enumerate(self.ends):
+            if i != j:
+                self.incident[i].append(p)
+                self.incident[j].append(p)
+
+    def _room(self, p: int, x: int) -> tuple[int, int]:
+        """The other end of pair p and how many units can move off x along it."""
+        i, j = self.ends[p]
+        return (j, self.a[p] - self.lo[p]) if x == i else (i, self.hi[p] - self.a[p])
+
+    def _path(
+        self, sources: Sequence[int], targets, skip: int = -1
+    ) -> Optional[tuple[list[tuple[int, int]], int, int]]:
+        """(moves, start, end) of one shortest path from a source to a target,
+        never along pair ``skip``, each move a (vertex, pair); None when no
+        target is reachable."""
+        parent = dict.fromkeys(sources)
+        queue = deque(sources)
+        while queue:
+            x = queue.popleft()
+            for p in self.incident[x]:
+                y, room = self._room(p, x)
+                if p == skip or room <= 0 or y in parent:
+                    continue
+                parent[y] = (x, p)
+                if y in targets:
+                    moves, end = [], y
+                    while parent[y] is not None:
+                        y, p = parent[y]
+                        moves.append((y, p))
+                    return moves, y, end
+                queue.append(y)
         return None
 
-    chosen: list[int] = []
+    def _send(self, moves: list, limit: int) -> int:
+        amount = min([limit] + [self._room(p, x)[1] for x, p in moves])
+        for x, p in moves:
+            self.a[p] += -amount if x == self.ends[p][0] else amount
+        return amount
 
-    def descend(idx: int) -> bool:
-        if idx == len(pairs):
-            return True  # quotas are all zero here: sums match and none is negative
-        u, v, count = pairs[idx]
-        capacity[u] -= count
-        capacity[v] -= count
-        for a in range(count + 1):
-            b = count - a
-            if need[u] - a < 0 or need[v] - b < 0:
-                continue
-            if need[u] - a > capacity[u] or need[v] - b > capacity[v]:
-                continue
-            need[u] -= a
-            need[v] -= b
-            chosen.append(a)
-            if descend(idx + 1):
-                return True
-            chosen.pop()
-            need[u] += a
-            need[v] += b
-        capacity[u] += count
-        capacity[v] += count
-        return False
+    def meet(self, quota: Sequence[int]) -> bool:
+        """Reshape the split so that vertex x receives quota[x] units; False
+        when no split within the bounds does."""
+        excess = [-q for q in quota]
+        for (i, j), a, total in zip(self.ends, self.a, self.total):
+            excess[i] += a
+            excess[j] += total - a
+        while any(excess):
+            found = self._path(
+                [x for x, e in enumerate(excess) if e > 0],
+                {x for x, e in enumerate(excess) if e < 0},
+            )
+            if found is None:
+                return False
+            moves, start, end = found
+            moved = self._send(moves, min(excess[start], -excess[end]))
+            excess[start] -= moved
+            excess[end] += moved
+        return True
 
-    return chosen if descend(0) else None
+    def settle(self, p: int, target: int) -> int:
+        """Walk a[p] toward target while a path avoiding p takes up the change,
+        then fix a[p] there and return it.
+
+        The values a[p] takes over the splits that meet the quotas form an
+        interval, so the walk ends at its point nearest the target.
+        """
+        i, j = self.ends[p]
+        while self.a[p] != target:
+            # Lowering a[p] moves in-degree from i to j; a path from j to i
+            # moves it back (and the other way round for raising).
+            down = self.a[p] > target
+            found = self._path([j if down else i], {i if down else j}, skip=p)
+            if found is None:
+                break
+            moved = self._send(found[0], abs(self.a[p] - target))
+            self.a[p] += -moved if down else moved
+        self.lo[p] = self.hi[p] = self.a[p]
+        return self.a[p]
 
 
 def orientation_feasible(
     pairs: Mapping[tuple, int] | Iterable[tuple], quotas: Mapping[str, int]
 ) -> bool:
-    """Subset criterion for splitting pair counts to meet per-vertex quotas.
+    """Whether each pair's count splits between its two vertices so that
+    every vertex receives exactly its quota (0 for vertices not in quotas);
+    never when a count is negative.
 
-    A split exists iff quotas are non-negative, they total the sum of counts,
-    and every vertex subset A can absorb the counts of pairs lying inside A:
-    sum(quotas over A) >= sum(counts inside A).  Runs over all 2^n subsets;
-    meant as an independent cross-check at desk scale, not a solver.
+    By Hakimi's theorem this holds iff the quotas are non-negative, total the
+    sum of counts, and every vertex subset A can absorb the counts of pairs
+    lying inside A: sum(quotas over A) >= sum(counts inside A).  Decided by
+    shortest augmenting paths in polynomial time, without the 2^n subsets.
     """
-    table: dict[tuple[str, str], int] = {}
     items = pairs.items() if isinstance(pairs, Mapping) else ((p, c) for *p, c in pairs)
-    for key, count in items:
-        u, v = key
-        table[_pair(u, v)] = table.get(_pair(u, v), 0) + count
-    vertices = sorted({x for p in table for x in p} | set(quotas))
-    if any(quotas.get(v, 0) < 0 for v in vertices):
-        return False
-    if sum(quotas.get(v, 0) for v in vertices) != sum(table.values()):
-        return False
-    index = {v: i for i, v in enumerate(vertices)}
-    for mask in range(1, 1 << len(vertices)):
-        inside = sum(
-            count
-            for (u, v), count in table.items()
-            if mask >> index[u] & 1 and mask >> index[v] & 1
-        )
-        quota = sum(
-            quotas.get(v, 0) for v in vertices if mask >> index[v] & 1
-        )
-        if inside > quota:
-            return False
-    return True
-
-
-def _iter_s_tables(graph: DualGraph):
-    """Yield (pairs, s values) lexicographically; pairs in sorted order."""
-    pairs = list(graph.pairs())
-    ranges = [range(k + 1) for _, _, k in pairs]
-    for choice in itertools.product(*ranges):
-        yield pairs, choice
-
-
-def _parity_ok(graph: DualGraph, pairs, choice) -> bool:
-    blown = dict.fromkeys(graph.ids, 0)
-    for (u, v, _), s_uv in zip(pairs, choice):
-        blown[u] += s_uv
-        blown[v] += s_uv
-    return all((graph.contact(v) - blown[v]) % 2 == 0 for v in graph.ids)
+    items = [(u, v, count) for (u, v), count in items]
+    if any(count < 0 for _, _, count in items):
+        return False  # a negative count has no split into non-negative shares
+    names = dict.fromkeys([*quotas, *(x for u, v, _ in items for x in (u, v))])
+    index = {x: i for i, x in enumerate(names)}
+    kernel = _Orientation(len(index), [(index[u], index[v], count) for u, v, count in items])
+    return kernel.meet([quotas.get(x, 0) for x in index])
 
 
 def decide_spin_component(
@@ -312,7 +320,9 @@ def decide_spin_component(
     The multidegree must be a fiber component in the first place: total
     (2t+1)(g-1) and the basic inequality throughout.  Violations raise
     BasicInequalityError rather than returning None, so "not a component" and
-    "a component the spin locus misses" stay distinguishable.
+    "a component the spin locus misses" stay distinguishable.  The basic
+    inequality is checked by the exhaustive subcurve scan, so its vertex cap
+    (``max_vertices``) applies; the witness search itself is polynomial.
     """
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
@@ -332,48 +342,28 @@ def decide_spin_component(
             f"[{worst.lower}, {worst.upper}]"
         )
 
-    base = {
-        vid: (2 * t + 1) * (graph.pa(vid) - 1) + t * graph.contact(vid)
-        for vid in graph.ids
-    }
-    for pairs, choice in _iter_s_tables(graph):
-        if not _parity_ok(graph, pairs, choice):
-            continue
-        blown = dict.fromkeys(graph.ids, 0)
-        for (u, v, _), s_uv in zip(pairs, choice):
-            blown[u] += s_uv
-            blown[v] += s_uv
-        need = {}
-        feasible = True
-        for vid in graph.ids:
-            quota = (
-                multidegree[vid]
-                - base[vid]
-                - (graph.contact(vid) - blown[vid]) // 2
-            )
-            if quota < 0 or quota > blown[vid]:
-                feasible = False
-                break
-            need[vid] = quota
-        if not feasible:
-            continue
-        blown_pairs = [
-            (u, v, s_uv) for (u, v, _), s_uv in zip(pairs, choice) if s_uv
-        ]
-        split = _lexmin_split(blown_pairs, dict(need))
-        if split is None:
-            continue
-        witness = SpinWitness(
-            {(u, v): s_uv for (u, v, s_uv) in blown_pairs},
-            {(u, v): a for (u, v, _), a in zip(blown_pairs, split)},
+    ids = graph.ids
+    index = {vid: i for i, vid in enumerate(ids)}
+    pairs = list(graph.pairs())
+    kernel = _Orientation(len(ids), [(index[u], index[v], 2 * k) for u, v, k in pairs])
+    if not kernel.meet([2 * (multidegree[vid] - b) for vid, b in zip(ids, _spin_base(graph, t))]):
+        return None
+    s, sigma = {}, {}
+    for p, (u, v, k) in enumerate(pairs):
+        # The smallest s_p left by the pairs before p is the distance from k
+        # to the interval of doubled units into u; when it is positive the
+        # interval lies on one side of k, so the units and sigma are forced.
+        shift = kernel.settle(p, k) - k
+        if shift:
+            s[(u, v)] = abs(shift)
+            sigma[(u, v)] = max(shift, 0)
+    witness = SpinWitness(s, sigma)
+    if grouped_multidegree(graph, witness, t, unsafe_t=unsafe_t) != multidegree:
+        raise _internal_error(
+            "witness does not reproduce the multidegree",
+            graph, t=t, witness=witness.to_dict(), multidegree=multidegree.as_dict(),
         )
-        if grouped_multidegree(graph, witness, t, unsafe_t=unsafe_t) != multidegree:
-            raise _internal_error(
-                "witness does not reproduce the multidegree",
-                graph, t=t, witness=witness.to_dict(), multidegree=multidegree.as_dict(),
-            )
-        return witness
-    return None
+    return witness
 
 
 def enumerate_spin_multidegrees(
@@ -386,46 +376,28 @@ def enumerate_spin_multidegrees(
     """Every multidegree the spin locus meets at twist t, sorted by degree
     vector over the id-sorted coordinates (no duplicates).
 
-    Derived purely from witness tables: all parity-feasible s, then all sigma
-    splits of each.
+    Halving the doubled orientations of the witnesses gives every orientation
+    of the node multigraph (Hakimi's subset condition halves exactly), so the
+    locus is the base degree plus the in-degree vectors of those
+    orientations: a sum over pairs of {a at u, k - a at v : 0 <= a <= k},
+    deduplicated after each pair.
     """
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
     _check_cap(graph, max_vertices)
-    ids = graph.ids
-    base = {
-        vid: (2 * t + 1) * (graph.pa(vid) - 1) + t * graph.contact(vid)
-        for vid in ids
-    }
-    seen: set[tuple[int, ...]] = set()
-    for pairs, choice in _iter_s_tables(graph):
-        if not _parity_ok(graph, pairs, choice):
-            continue
-        blown = dict.fromkeys(ids, 0)
-        for (u, v, _), s_uv in zip(pairs, choice):
-            blown[u] += s_uv
-            blown[v] += s_uv
-        start = {
-            vid: base[vid] + (graph.contact(vid) - blown[vid]) // 2 for vid in ids
-        }
-        blown_pairs = [
-            (u, v, s_uv) for (u, v, _), s_uv in zip(pairs, choice) if s_uv
-        ]
-
-        def sweep(idx: int, vec: dict[str, int]) -> None:
-            if idx == len(blown_pairs):
-                seen.add(tuple(vec[i] for i in ids))
-                return
-            u, v, count = blown_pairs[idx]
-            for a in range(count + 1):
-                vec[u] += a
-                vec[v] += count - a
-                sweep(idx + 1, vec)
-                vec[u] -= a
-                vec[v] -= count - a
-
-        sweep(0, dict(start))
-    return [Multidegree.from_values(graph, values) for values in sorted(seen)]
+    index = {vid: i for i, vid in enumerate(graph.ids)}
+    reached = {tuple(_spin_base(graph, t))}
+    for u, v, k in graph.pairs():
+        i, j = index[u], index[v]
+        grown = set()
+        for vec in reached:
+            for a in range(k + 1):
+                new = list(vec)
+                new[i] += a
+                new[j] += k - a
+                grown.add(tuple(new))
+        reached = grown
+    return [Multidegree.from_values(graph, values) for values in sorted(reached)]
 
 
 # -- the split curve -------------------------------------------------------

@@ -1,0 +1,161 @@
+"""Exhaustive reference routes for the spin locus, kept as test oracles.
+
+The library answers every split-existence question with one orientation
+kernel.  These are the independent exhaustive routes it is compared against:
+the lexicographic sweep over s tables with a backtracking sigma split, the
+(s, sigma) sweep that lists every reachable degree vector, and the 2^n subset
+criterion for splitting pair counts to meet per-vertex quotas.  All of them
+take exponential time; keep inputs at desk scale.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable, Mapping, Optional, Sequence
+
+from spinpicard import DualGraph, Multidegree, SpinWitness
+
+
+def _pair(u: str, v: str) -> tuple[str, str]:
+    return (u, v) if u <= v else (v, u)
+
+
+def _base(graph: DualGraph, t: int) -> dict[str, int]:
+    return {
+        vid: (2 * t + 1) * (graph.pa(vid) - 1) + t * graph.contact(vid)
+        for vid in graph.ids
+    }
+
+
+def _lexmin_split(
+    pairs: Sequence[tuple[str, str, int]], need: dict[str, int]
+) -> Optional[list[int]]:
+    """Smallest (lexicographic over the given pair order) split of each pair's
+    count between its endpoints meeting every vertex's quota, or None.
+
+    ``need`` holds per-vertex quotas and is consumed; callers pass a copy.
+    """
+    capacity = dict.fromkeys(need, 0)
+    for u, v, count in pairs:
+        capacity[u] += count
+        capacity[v] += count
+    for vid, quota in need.items():
+        if quota < 0 or quota > capacity[vid]:
+            return None
+    if sum(need.values()) != sum(c for _, _, c in pairs):
+        return None
+
+    chosen: list[int] = []
+
+    def descend(idx: int) -> bool:
+        if idx == len(pairs):
+            return True  # quotas are all zero here: sums match and none is negative
+        u, v, count = pairs[idx]
+        capacity[u] -= count
+        capacity[v] -= count
+        for a in range(count + 1):
+            b = count - a
+            if need[u] - a < 0 or need[v] - b < 0:
+                continue
+            if need[u] - a > capacity[u] or need[v] - b > capacity[v]:
+                continue
+            need[u] -= a
+            need[v] -= b
+            chosen.append(a)
+            if descend(idx + 1):
+                return True
+            chosen.pop()
+            need[u] += a
+            need[v] += b
+        capacity[u] += count
+        capacity[v] += count
+        return False
+
+    return chosen if descend(0) else None
+
+
+def subset_feasible(
+    pairs: Mapping[tuple, int] | Iterable[tuple], quotas: Mapping[str, int]
+) -> bool:
+    """Subset criterion for splitting pair counts to meet per-vertex quotas.
+
+    A split exists iff quotas are non-negative, they total the sum of counts,
+    and every vertex subset A can absorb the counts of pairs lying inside A:
+    sum(quotas over A) >= sum(counts inside A).  Runs over all 2^n subsets.
+    """
+    table: dict[tuple[str, str], int] = {}
+    items = pairs.items() if isinstance(pairs, Mapping) else ((p, c) for *p, c in pairs)
+    for key, count in items:
+        u, v = key
+        table[_pair(u, v)] = table.get(_pair(u, v), 0) + count
+    vertices = sorted({x for p in table for x in p} | set(quotas))
+    if any(quotas.get(v, 0) < 0 for v in vertices):
+        return False
+    if sum(quotas.get(v, 0) for v in vertices) != sum(table.values()):
+        return False
+    index = {v: i for i, v in enumerate(vertices)}
+    for mask in range(1, 1 << len(vertices)):
+        inside = sum(
+            count
+            for (u, v), count in table.items()
+            if mask >> index[u] & 1 and mask >> index[v] & 1
+        )
+        quota = sum(
+            quotas.get(v, 0) for v in vertices if mask >> index[v] & 1
+        )
+        if inside > quota:
+            return False
+    return True
+
+
+def _parity_feasible_s_tables(graph: DualGraph):
+    """Yield (pairs, s values, blown per vertex) lexicographically over every
+    s table passing the parity condition; pairs in sorted order."""
+    pairs = list(graph.pairs())
+    for choice in itertools.product(*(range(k + 1) for _, _, k in pairs)):
+        blown = dict.fromkeys(graph.ids, 0)
+        for (u, v, _), s_uv in zip(pairs, choice):
+            blown[u] += s_uv
+            blown[v] += s_uv
+        if all((graph.contact(v) - blown[v]) % 2 == 0 for v in graph.ids):
+            yield pairs, choice, blown
+
+
+def lexmin_witness(graph: DualGraph, t: int, multidegree: Multidegree) -> Optional[SpinWitness]:
+    """The lexicographically smallest witness (s, then sigma) by sweeping
+    every s table and splitting sigma by backtracking, or None."""
+    base = _base(graph, t)
+    for pairs, choice, blown in _parity_feasible_s_tables(graph):
+        need = {}
+        for vid in graph.ids:
+            quota = multidegree[vid] - base[vid] - (graph.contact(vid) - blown[vid]) // 2
+            if quota < 0 or quota > blown[vid]:
+                break
+            need[vid] = quota
+        else:
+            blown_pairs = [(u, v, s_uv) for (u, v, _), s_uv in zip(pairs, choice) if s_uv]
+            split = _lexmin_split(blown_pairs, need)
+            if split is not None:
+                return SpinWitness(
+                    {(u, v): s_uv for u, v, s_uv in blown_pairs},
+                    {(u, v): a for (u, v, _), a in zip(blown_pairs, split)},
+                )
+    return None
+
+
+def swept_locus(graph: DualGraph, t: int) -> list[tuple[int, ...]]:
+    """Sorted degree vectors of every (s, sigma) witness, by full sweep."""
+    ids = graph.ids
+    base = _base(graph, t)
+    seen: set[tuple[int, ...]] = set()
+    for pairs, choice, blown in _parity_feasible_s_tables(graph):
+        start = [base[vid] + (graph.contact(vid) - blown[vid]) // 2 for vid in ids]
+        blown_pairs = [(ids.index(u), ids.index(v), s_uv)
+                       for (u, v, _), s_uv in zip(pairs, choice) if s_uv]
+        for sigma in itertools.product(*(range(s_uv + 1) for _, _, s_uv in blown_pairs)):
+            vec = list(start)
+            for (i, j, s_uv), a in zip(blown_pairs, sigma):
+                vec[i] += a
+                vec[j] += s_uv - a
+            seen.add(tuple(vec))
+    return sorted(seen)

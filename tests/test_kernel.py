@@ -246,6 +246,23 @@ def test_scans_match_boundary_case_loop(quasistable_corpus):
     assert unstable > 0
 
 
+def test_twist_sweep_keeps_one_row_table():
+    """A t sweep on one model rebuilds the rows per twist and keeps only the
+    latest table, with every answer equal to a fresh model's."""
+    source = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 10})
+    config = BlowupConfig({("C1", "C2"): 10})
+    q = expand(source, config)
+    assert q.n == 12
+    subcurves = [{"C1"}, {"C1", *sorted(q.exceptional)[:4]}, set(q.exceptional)]
+    for t in range(10, 20):
+        fresh = expand(source, config)
+        assert git_stable_exhaustive(q, t) == git_stable_exhaustive(fresh, t)
+        assert orbit_closed_check(q, t) == orbit_closed_check(fresh, t)
+        for Y in subcurves:
+            assert boundary_case(q, t, Y) == boundary_case(fresh, t, Y)
+        assert list(q._row_cache) == [t]
+
+
 # -- boundary_case: table path and direct path --------------------------------------
 
 

@@ -1,0 +1,128 @@
+"""The orientation kernel against the exhaustive routes it replaced.
+
+`decide_spin_component`, `enumerate_spin_multidegrees` and
+`orientation_feasible` all run on one augmenting-path kernel.  The oracles in
+`spin_oracles` are the exhaustive searches they replaced: the lexicographic
+s-table sweep with a backtracking sigma split, the full (s, sigma) sweep, and
+the 2^n subset criterion.  Answers must be equal, witness for witness.
+"""
+
+from __future__ import annotations
+
+import random
+
+from spin_oracles import lexmin_witness, subset_feasible, swept_locus
+from spinpicard import (
+    DualGraph,
+    Multidegree,
+    decide_spin_component,
+    enumerate_multidegrees,
+    enumerate_spin_multidegrees,
+    orientation_feasible,
+)
+
+
+def _complete(n: int, m: int) -> DualGraph:
+    ids = [f"v{i}" for i in range(n)]
+    return DualGraph(
+        [(v, 0) for v in ids],
+        {(ids[i], ids[j]): m for i in range(n) for j in range(i + 1, n)},
+    )
+
+
+def _random_stable(rng: random.Random) -> DualGraph:
+    """A stable graph of genus >= 3 on 4-6 vertices: a random tree with up to
+    three nodes per edge plus a few extra pairs."""
+    while True:
+        n = rng.randint(4, 6)
+        ids = [f"w{i}" for i in range(n)]
+        edges = {(ids[i], ids[rng.randrange(i)]): rng.randint(1, 3) for i in range(1, n)}
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.sample(ids, 2)
+            if (u, v) not in edges and (v, u) not in edges:
+                edges[(u, v)] = rng.randint(1, 2)
+        contact = dict.fromkeys(ids, 0)
+        for (u, v), m in edges.items():
+            contact[u] += m
+            contact[v] += m
+        graph = DualGraph([(v, rng.randint(1 if contact[v] < 3 else 0, 1)) for v in ids], edges)
+        if graph.genus >= 3:
+            return graph
+
+
+def _oriented_component(graph: DualGraph, t: int, rng: random.Random) -> Multidegree:
+    """The spin base plus the in-degrees of a random orientation of the nodes:
+    a fiber component at the spin total (Hakimi)."""
+    degrees = {
+        v: (2 * t + 1) * (graph.pa(v) - 1) + t * graph.contact(v) for v in graph.ids
+    }
+    for u, v, k in graph.pairs():
+        toward_u = sum(rng.random() < 0.5 for _ in range(k))
+        degrees[u] += toward_u
+        degrees[v] += k - toward_u
+    return Multidegree.of(degrees)
+
+
+def test_decide_equals_oracle_on_every_corpus_component(spin_corpus):
+    checked = blown = 0
+    for t in (10, 11):
+        for graph in spin_corpus:
+            for md in enumerate_multidegrees(graph, (2 * t + 1) * (graph.genus - 1)):
+                witness = decide_spin_component(graph, t, md)
+                assert witness == lexmin_witness(graph, t, md), (graph, t, md)
+                checked += 1
+                blown += bool(witness.s_items())
+    assert checked > 8000 and blown > checked // 2
+
+
+def test_decide_equals_oracle_on_complete_and_random_graphs():
+    """Larger graphs than the corpus, where a witness may need several
+    augmenting paths per pair before it is the smallest."""
+    rng = random.Random(20261018)
+    cases = [(_complete(4, 2), rng.choice([10, 11, 23])) for _ in range(40)]
+    cases += [(_complete(5, 2), rng.choice([10, 11, 23])) for _ in range(12)]
+    cases += [(_random_stable(rng), rng.choice([10, 11, 23])) for _ in range(300)]
+    for graph, t in cases:
+        md = _oriented_component(graph, t, rng)
+        assert decide_spin_component(graph, t, md) == lexmin_witness(graph, t, md), (graph, md)
+
+
+def test_enumerate_equals_oracle_sweep(spin_corpus):
+    for graph in spin_corpus:
+        found = [md.values(graph.ids) for md in enumerate_spin_multidegrees(graph, 10)]
+        assert found == swept_locus(graph, 10), graph
+
+
+def test_orientation_feasible_equals_subset_scan():
+    rng = random.Random(20261019)
+    names = "abcdef"
+    verdicts = set()
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        pairs = [
+            (rng.choice(names[:n]), rng.choice(names[:n]), rng.randint(0, 3))
+            for _ in range(rng.randint(0, 8))
+        ]
+        quotas = {v: 0 for v in names[:n] if rng.random() < 0.9}
+        for _ in range(sum(c for *_, c in pairs) + rng.choice([0, 0, 0, -1, 1])):
+            if quotas:
+                quotas[rng.choice(sorted(quotas))] += 1
+        if quotas and rng.random() < 0.05:
+            quotas[rng.choice(sorted(quotas))] -= 2
+        if rng.random() < 0.5:
+            table = {}
+            for u, v, c in pairs:
+                table[(u, v)] = table.get((u, v), 0) + c
+            pairs = table
+        verdict = orientation_feasible(pairs, quotas)
+        assert verdict == subset_feasible(pairs, quotas), (pairs, quotas)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_orientation_feasible_refuses_negative_counts():
+    """A negative count has no split, even where the subset inequalities,
+    read literally, would all hold."""
+    pairs = {("a", "b"): -1, ("b", "a"): 1}
+    assert subset_feasible(pairs, {"a": 0, "b": 0})
+    assert not orientation_feasible(pairs, {"a": 0, "b": 0})

@@ -1,0 +1,106 @@
+"""Property tests for the spin locus on random stable graphs of 5-12 vertices.
+
+Components come from random orientations of the nodes, so each one is a fiber
+component the spin locus meets.  The graphs are larger than the exhaustive
+corpora; the checks need no oracle: a witness must reproduce its
+multidegree, witnesses must move with the twist, and the locus must not
+depend on vertex names.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinpicard import (
+    DualGraph,
+    Multidegree,
+    decide_spin_component,
+    enumerate_spin_multidegrees,
+    grouped_multidegree,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def stable_graphs(draw, max_mult: int = 2) -> DualGraph:
+    """A connected stable graph of genus >= 3: a random tree with up to
+    ``max_mult`` nodes per edge, a few extra single nodes, and rational
+    components raised to genus one where they would be unstable."""
+    n = draw(st.integers(5, 12))
+    edges = {}
+    for i in range(1, n):
+        edges[(i, draw(st.integers(0, i - 1)))] = draw(st.integers(1, max_mult))
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(extra, max_size=4)):
+        if u != v and (u, v) not in edges and (v, u) not in edges:
+            edges[(u, v)] = 1
+    contact = [0] * n
+    for (u, v), m in edges.items():
+        contact[u] += m
+        contact[v] += m
+    pa = [max(p, 1) if contact[i] < 3 else p
+          for i, p in enumerate(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))]
+    genus = sum(pa) + sum(edges.values()) - n + 1
+    pa[0] += max(0, 3 - genus)
+    names = draw(st.permutations([f"x{i:02d}" for i in range(n)]))
+    return DualGraph(
+        [(names[i], pa[i]) for i in range(n)],
+        {(names[u], names[v]): m for (u, v), m in edges.items()},
+    )
+
+
+@st.composite
+def components(draw) -> tuple[DualGraph, int, Multidegree]:
+    graph = draw(stable_graphs())
+    t = draw(st.integers(10, 40))
+    degrees = {
+        v: (2 * t + 1) * (graph.pa(v) - 1) + t * graph.contact(v) for v in graph.ids
+    }
+    for u, v, k in graph.pairs():
+        toward_u = draw(st.integers(0, k))
+        degrees[u] += toward_u
+        degrees[v] += k - toward_u
+    return graph, t, Multidegree.of(degrees)
+
+
+@PROPERTY_SETTINGS
+@given(components())
+def test_decide_returns_a_witness_reproducing_the_component(case):
+    graph, t, md = case
+    witness = decide_spin_component(graph, t, md)
+    assert witness is not None
+    witness.validate(graph)
+    assert grouped_multidegree(graph, witness, t) == md
+
+
+@PROPERTY_SETTINGS
+@given(components())
+def test_witness_moves_with_the_twist(case):
+    """At t + 1 every vertex's base degree grows by 2pa - 2 + contact, and
+    the multidegree shifted by that much has the same witness."""
+    graph, t, md = case
+    shifted = Multidegree.of(
+        {v: md[v] + 2 * graph.pa(v) - 2 + graph.contact(v) for v in graph.ids}
+    )
+    assert decide_spin_component(graph, t + 1, shifted) == decide_spin_component(graph, t, md)
+
+
+@PROPERTY_SETTINGS
+@given(stable_graphs(max_mult=1), st.integers(10, 40), st.randoms(use_true_random=False))
+def test_locus_is_invariant_under_relabeling(graph, t, rng):
+    """The locus holds one vector per in-degree sequence, up to 2^(n+3) of
+    them, so its graphs carry single nodes only."""
+    names = list(graph.ids)
+    rng.shuffle(names)
+    mapping = dict(zip(graph.ids, names))
+    relabeled = {
+        tuple(sorted(md.as_dict().items()))
+        for md in enumerate_spin_multidegrees(graph.relabeled(mapping), t)
+    }
+    mapped = {
+        tuple(sorted((mapping[v], d) for v, d in md.as_dict().items()))
+        for md in enumerate_spin_multidegrees(graph, t)
+    }
+    assert relabeled == mapped

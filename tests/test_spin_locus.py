@@ -27,7 +27,7 @@ from spinpicard import (
     split_curve_graph,
     split_curve_table,
 )
-from spinpicard.spin_locus import _lexmin_split
+from spin_oracles import _lexmin_split
 
 SPLIT3 = split_curve_graph(3)
 TWO_ELLIPTIC = DualGraph([("A", 1), ("B", 1)], {("A", "B"): 3})
