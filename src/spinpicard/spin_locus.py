@@ -20,14 +20,16 @@ in which i has in-degree 2q(i), where q(i) = d(i) - (2t+1)(pa(i) - 1)
 - t * contact(i) (Hakimi 1965), and the parity condition holds by itself.
 One kernel, shortest augmenting paths over such orientations, answers every
 "does a split exist" question in polynomial time: the lexicographically
-smallest witness, the reachable set, and :func:`orientation_feasible`.
+smallest witness, the reachable set, and :func:`orientation_feasible`.  At the
+spin total the basic inequality on Y reads q(Y) >= e(Y), with e(Y) the nodes
+inside Y, which is exactly Hakimi's condition: every fiber component is met,
+and when the walk is stuck the vertices it reached violate the inequality.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BasicInequalityError, DomainError, WitnessError
@@ -37,8 +39,8 @@ from .graphs import (
     _check_cap,
     _check_multidegree,
     _internal_error,
-    basic_inequality,
     is_stable,
+    subcurve_profile,
 )
 from .quasistable import _odd_vertex, _pair, _pair_counts, _record, check_t
 
@@ -215,10 +217,10 @@ class _Orientation:
 
     def _path(
         self, sources: Sequence[int], targets, skip: int = -1
-    ) -> Optional[tuple[list[tuple[int, int]], int, int]]:
+    ) -> tuple[list[tuple[int, int]], int, int] | set[int]:
         """(moves, start, end) of one shortest path from a source to a target,
-        never along pair ``skip``, each move a (vertex, pair); None when no
-        target is reachable."""
+        never along pair ``skip``, each move a (vertex, pair); the set of
+        vertices reached when no target is."""
         parent = dict.fromkeys(sources)
         queue = deque(sources)
         while queue:
@@ -235,7 +237,7 @@ class _Orientation:
                         moves.append((y, p))
                     return moves, y, end
                 queue.append(y)
-        return None
+        return set(parent)
 
     def _send(self, moves: list, limit: int) -> int:
         amount = min([limit] + [self._room(p, x)[1] for x, p in moves])
@@ -243,9 +245,16 @@ class _Orientation:
             self.a[p] += -amount if x == self.ends[p][0] else amount
         return amount
 
-    def meet(self, quota: Sequence[int]) -> bool:
-        """Reshape the split so that vertex x receives quota[x] units; False
-        when no split within the bounds does."""
+    def meet(self, quota: Sequence[int]) -> Optional[set[int]]:
+        """Reshape the split so that vertex x receives quota[x] units and
+        return None; when no split within the bounds does, return the vertex
+        set R the last search reached.
+
+        R holds every vertex over its quota and none under it, and no pair can
+        move a unit out of R, so its pairs to the rest send them every unit:
+        the units of pairs inside R alone exceed R's quota (Hakimi's
+        condition fails on R).
+        """
         excess = [-q for q in quota]
         for (i, j), a, total in zip(self.ends, self.a, self.total):
             excess[i] += a
@@ -255,13 +264,13 @@ class _Orientation:
                 [x for x, e in enumerate(excess) if e > 0],
                 {x for x, e in enumerate(excess) if e < 0},
             )
-            if found is None:
-                return False
+            if isinstance(found, set):
+                return found
             moves, start, end = found
             moved = self._send(moves, min(excess[start], -excess[end]))
             excess[start] -= moved
             excess[end] += moved
-        return True
+        return None
 
     def settle(self, p: int, target: int) -> int:
         """Walk a[p] toward target while a path avoiding p takes up the change,
@@ -276,7 +285,7 @@ class _Orientation:
             # moves it back (and the other way round for raising).
             down = self.a[p] > target
             found = self._path([j if down else i], {i if down else j}, skip=p)
-            if found is None:
+            if isinstance(found, set):
                 break
             moved = self._send(found[0], abs(self.a[p] - target))
             self.a[p] += -moved if down else moved
@@ -303,26 +312,21 @@ def orientation_feasible(
     names = dict.fromkeys([*quotas, *(x for u, v, _ in items for x in (u, v))])
     index = {x: i for i, x in enumerate(names)}
     kernel = _Orientation(len(index), [(index[u], index[v], count) for u, v, count in items])
-    return kernel.meet([quotas.get(x, 0) for x in index])
+    return kernel.meet([quotas.get(x, 0) for x in index]) is None
 
 
 def decide_spin_component(
-    graph: DualGraph,
-    t: int,
-    multidegree: Multidegree,
-    *,
-    unsafe_t: bool = False,
-    max_vertices: Optional[int] = None,
-) -> Optional[SpinWitness]:
-    """Find the lexicographically smallest witness (s, then sigma) for the
-    multidegree, or None when the spin locus misses that fiber component.
+    graph: DualGraph, t: int, multidegree: Multidegree, *, unsafe_t: bool = False
+) -> SpinWitness:
+    """The lexicographically smallest witness (s, then sigma) for the
+    multidegree, in polynomial time with no vertex cap.
 
-    The multidegree must be a fiber component in the first place: total
-    (2t+1)(g-1) and the basic inequality throughout.  Violations raise
-    BasicInequalityError rather than returning None, so "not a component" and
-    "a component the spin locus misses" stay distinguishable.  The basic
-    inequality is checked by the exhaustive subcurve scan, so its vertex cap
-    (``max_vertices``) applies; the witness search itself is polynomial.
+    The multidegree must be a fiber component: total (2t+1)(g-1) and the
+    basic inequality throughout, else BasicInequalityError.  The orientation
+    walk is the certificate either way: it meets the quotas exactly when the
+    basic inequality holds (Hakimi), so the spin locus never misses a
+    component, and when it is stuck the vertices it reached form a subcurve
+    whose degree falls below its window, which the error names.
     """
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
@@ -333,21 +337,26 @@ def decide_spin_component(
             f"total degree {multidegree.total} does not equal "
             f"(2t+1)(g-1) = {d_total}"
         )
-    report = basic_inequality(graph, multidegree, max_vertices=max_vertices)
-    if not report.satisfied:
-        worst = report.violations[0]
-        raise BasicInequalityError(
-            f"multidegree is not a fiber component: degree {worst.degree} on "
-            f"Y={{{', '.join(sorted(worst.subcurve))}}} falls outside "
-            f"[{worst.lower}, {worst.upper}]"
-        )
 
     ids = graph.ids
     index = {vid: i for i, vid in enumerate(ids)}
     pairs = list(graph.pairs())
     kernel = _Orientation(len(ids), [(index[u], index[v], 2 * k) for u, v, k in pairs])
-    if not kernel.meet([2 * (multidegree[vid] - b) for vid, b in zip(ids, _spin_base(graph, t))]):
-        return None
+    stuck = kernel.meet(
+        [2 * (multidegree[vid] - b) for vid, b in zip(ids, _spin_base(graph, t))]
+    )
+    if stuck is not None:
+        worst = subcurve_profile(graph, [ids[i] for i in stuck], d_total, multidegree)
+        if not worst.degree < worst.lower:
+            raise _internal_error(
+                "stuck orientation walk names no violated subcurve",
+                graph, t=t, subcurve=sorted(worst.subcurve), multidegree=multidegree.as_dict(),
+            )
+        raise BasicInequalityError(
+            f"multidegree is not a fiber component: degree {worst.degree} on "
+            f"Y={{{', '.join(sorted(worst.subcurve))}}} falls outside "
+            f"[{worst.lower}, {worst.upper}]"
+        )
     s, sigma = {}, {}
     for p, (u, v, k) in enumerate(pairs):
         # The smallest s_p left by the pairs before p is the distance from k
@@ -434,31 +443,20 @@ def split_curve_table(genus: int, t: int, *, unsafe_t: bool = False) -> list[Spl
     """Closed-form bidegrees on the split curve, one row per (s, sigma).
 
     d1 = (t + 1/2)(g+1) - (2t+1) - s/2 + sigma, with s running over
-    0 <= s <= g+1 of the same parity as g+1 and 0 <= sigma <= s.  Rows are
-    evaluated in exact rationals and must come out integral; distinct rows may
-    repeat a bidegree, deliberately.
+    0 <= s <= g+1 of the same parity as g+1 and 0 <= sigma <= s.  Written as
+    t(g+1) + (g+1-s)/2 - (2t+1) + sigma it is an integer by construction.
+    Rows come in order of s, then sigma; distinct rows may repeat a bidegree,
+    deliberately.
     """
     check_t(t, unsafe_t=unsafe_t)
     if isinstance(genus, bool) or not isinstance(genus, int) or genus < 3:
         raise DomainError(f"split curves need integer genus >= 3, got {genus!r}")
+    total = (2 * t + 1) * (genus - 1)
     rows = []
-    for s in range(0, genus + 2):
-        if (genus + 1 - s) % 2:
-            continue
-        for sigma in range(0, s + 1):
-            d1 = (
-                Fraction(2 * t + 1, 2) * (genus + 1)
-                - (2 * t + 1)
-                - Fraction(s, 2)
-                + sigma
-            )
-            d2 = (2 * t + 1) * (genus - 1) - d1
-            if d1.denominator != 1 or d2.denominator != 1:
-                raise _internal_error(
-                    f"non-integral split-curve degree at s={s}, sigma={sigma}",
-                    split_curve_graph(genus), t=t, s=s, sigma=sigma,
-                )
-            rows.append(
-                SplitCurveRow(genus=genus, t=t, s=s, sigma=sigma, d1=int(d1), d2=int(d2))
-            )
+    for s in range((genus + 1) % 2, genus + 2, 2):
+        low = t * (genus + 1) + (genus + 1 - s) // 2 - (2 * t + 1)
+        rows += [
+            SplitCurveRow(genus=genus, t=t, s=s, sigma=sigma, d1=low + sigma, d2=total - low - sigma)
+            for sigma in range(s + 1)
+        ]
     return rows

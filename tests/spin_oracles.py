@@ -5,15 +5,20 @@ kernel.  These are the independent exhaustive routes it is compared against:
 the lexicographic sweep over s tables with a backtracking sigma split, the
 (s, sigma) sweep that lists every reachable degree vector, and the 2^n subset
 criterion for splitting pair counts to meet per-vertex quotas.  All of them
-take exponential time; keep inputs at desk scale.
+take exponential time; keep inputs at desk scale.  ``named_violation`` reads
+back the subcurve a decide rejection names, for comparison with the scan.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from spinpicard import DualGraph, Multidegree, SpinWitness
+from spinpicard import BasicInequalityError, DualGraph, Multidegree, SpinWitness
+
+_NAMED = re.compile(r"degree (-?\d+) on Y=\{(.*)\} falls outside \[(\S+), (\S+)\]$")
 
 
 def _pair(u: str, v: str) -> tuple[str, str]:
@@ -159,3 +164,12 @@ def swept_locus(graph: DualGraph, t: int) -> list[tuple[int, ...]]:
                 vec[j] += s_uv - a
             seen.add(tuple(vec))
     return sorted(seen)
+
+
+def named_violation(exc: BasicInequalityError) -> tuple[frozenset, int, Fraction, Fraction]:
+    """(subcurve, degree, lower, upper) named by a rejection message."""
+    match = _NAMED.search(str(exc))
+    if match is None:
+        raise AssertionError(f"no subcurve named in {str(exc)!r}")
+    degree, names, lower, upper = match.groups()
+    return frozenset(names.split(", ")), int(degree), Fraction(lower), Fraction(upper)

@@ -231,6 +231,99 @@ def test_spin_t_floor(split3, capsys):
     assert code == 1  # still no negative twists
 
 
+SPLIT10_ALL_BLOWN_TEXT = """spin parity: holds
+expanded model: 13 vertices, 11 exceptional
+spin multidegree (total 189):
+  C1: 89
+  C2: 89
+  E(C1|C2)#1: 1
+  E(C1|C2)#10: 1
+  E(C1|C2)#11: 1
+  E(C1|C2)#2: 1
+  E(C1|C2)#3: 1
+  E(C1|C2)#4: 1
+  E(C1|C2)#5: 1
+  E(C1|C2)#6: 1
+  E(C1|C2)#7: 1
+  E(C1|C2)#8: 1
+  E(C1|C2)#9: 1
+GIT stable: no
+orbit closed: yes
+"""
+
+SPLIT10_ALL_BLOWN_JSON = """{
+  "command": "spin",
+  "inputs": {
+    "blowups": "blow.json",
+    "graph": "split10.json",
+    "t": 10
+  },
+  "result": {
+    "exceptional_count": 11,
+    "git_stable": false,
+    "mode": "blowups",
+    "multidegree": {
+      "C1": 89,
+      "C2": 89,
+      "E(C1|C2)#1": 1,
+      "E(C1|C2)#10": 1,
+      "E(C1|C2)#11": 1,
+      "E(C1|C2)#2": 1,
+      "E(C1|C2)#3": 1,
+      "E(C1|C2)#4": 1,
+      "E(C1|C2)#5": 1,
+      "E(C1|C2)#6": 1,
+      "E(C1|C2)#7": 1,
+      "E(C1|C2)#8": 1,
+      "E(C1|C2)#9": 1
+    },
+    "orbit_closed": true,
+    "spin_parity": true,
+    "total": 189,
+    "vertex_count": 13
+  }
+}
+"""
+
+
+def test_spin_blowups_past_the_cap(tmp_path, monkeypatch, capsys):
+    """Blowing all 11 nodes of the genus-10 split curve gives 13 vertices;
+    orbit closure needs no subcurve scan, so the output is the one the scan
+    gave with its cap raised to 16."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "split10.json").write_text(json.dumps(
+        {"vertices": [{"id": "C1", "pa": 0}, {"id": "C2", "pa": 0}],
+         "edges": [{"u": "C1", "v": "C2", "multiplicity": 11}]}
+    ))
+    (tmp_path / "blow.json").write_text(json.dumps({"s": [{"u": "C1", "v": "C2", "count": 11}]}))
+    argv = ["spin", "split10.json", "-t", "10", "--blowups", "blow.json"]
+    assert run_cli(capsys, *argv) == (0, SPLIT10_ALL_BLOWN_TEXT, "")
+    assert run_cli(capsys, *argv, "--json") == (0, SPLIT10_ALL_BLOWN_JSON, "")
+
+
+def test_spin_decide_past_the_cap(tmp_path, capsys):
+    """Thirteen elliptic components in a chain, one vertex over the cap."""
+    n = 13
+    raw = {
+        "vertices": [{"id": f"v{i:02}", "pa": 1} for i in range(n)],
+        "edges": [
+            {"u": f"v{i:02}", "v": f"v{i + 1:02}", "multiplicity": 1}
+            for i in range(n - 1)
+        ],
+    }
+    path = tmp_path / "chain13.json"
+    path.write_text(json.dumps(raw))
+    # Spin base 10 * contact, plus each node oriented toward its left end.
+    degrees = ",".join(["11"] + ["21"] * 11 + ["10"])
+    code, out, err = run_cli(capsys, "spin", str(path), "-t", "10", "--decide", degrees)
+    assert code == 0 and err == ""
+    assert "witness found" in out
+    off = ",".join(["12"] + ["21"] * 11 + ["9"])
+    code, _, err = run_cli(capsys, "spin", str(path), "-t", "10", "--decide", off)
+    assert code == 1
+    assert "not a fiber component" in err
+
+
 # -- the subcurve cap --------------------------------------------------------
 
 

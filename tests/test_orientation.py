@@ -4,20 +4,27 @@
 `orientation_feasible` all run on one augmenting-path kernel.  The oracles in
 `spin_oracles` are the exhaustive searches they replaced: the lexicographic
 s-table sweep with a backtracking sigma split, the full (s, sigma) sweep, and
-the 2^n subset criterion.  Answers must be equal, witness for witness.
+the 2^n subset criterion.  Answers must be equal, witness for witness.  The
+basic-inequality scan is the oracle for decide's rejections, which the
+stuck walk certifies by naming a violated subcurve.
 """
 
 from __future__ import annotations
 
 import random
 
-from spin_oracles import lexmin_witness, subset_feasible, swept_locus
+import pytest
+
+from spin_oracles import lexmin_witness, named_violation, subset_feasible, swept_locus
 from spinpicard import (
+    BasicInequalityError,
     DualGraph,
     Multidegree,
+    basic_inequality,
     decide_spin_component,
     enumerate_multidegrees,
     enumerate_spin_multidegrees,
+    grouped_multidegree,
     orientation_feasible,
 )
 
@@ -126,3 +133,72 @@ def test_orientation_feasible_refuses_negative_counts():
     pairs = {("a", "b"): -1, ("b", "a"): 1}
     assert subset_feasible(pairs, {"a": 0, "b": 0})
     assert not orientation_feasible(pairs, {"a": 0, "b": 0})
+
+
+def _perturbed(md: Multidegree, rng: random.Random) -> Multidegree:
+    """The multidegree with a few units moved between two vertices."""
+    degrees = md.as_dict()
+    u, v = rng.sample(sorted(degrees), 2)
+    moved = rng.randint(1, 6)
+    degrees[u] -= moved
+    degrees[v] += moved
+    return Multidegree.of(degrees)
+
+
+def _check_certificate(graph: DualGraph, t: int, md: Multidegree, max_vertices=None) -> bool:
+    """decide raises exactly when the exhaustive scan finds a violation, and
+    then names one of the scan's violations, on its lower side."""
+    report = basic_inequality(graph, md, max_vertices=max_vertices)
+    try:
+        witness = decide_spin_component(graph, t, md)
+    except BasicInequalityError as exc:
+        named = named_violation(exc)
+        found = {(v.subcurve, v.degree, v.lower, v.upper) for v in report.violations}
+        assert named in found, (graph, t, md, named)
+        assert named[1] < named[2]
+        return False
+    assert report.satisfied, (graph, t, md)
+    assert grouped_multidegree(graph, witness, t) == md
+    return True
+
+
+def test_decide_rejects_exactly_what_the_scan_rejects(spin_corpus):
+    rng = random.Random(20261020)
+    verdicts = []
+    for t in (10, 11):
+        for graph in spin_corpus:
+            if graph.n < 2:
+                continue
+            component = _oriented_component(graph, t, rng)
+            for _ in range(5):
+                verdicts.append(_check_certificate(graph, t, _perturbed(component, rng)))
+    assert len(verdicts) >= 4000
+    assert verdicts.count(False) > len(verdicts) // 2 and verdicts.count(True) > 100
+
+
+def _cycle(n: int, m: int) -> DualGraph:
+    ids = [f"c{i:02d}" for i in range(n)]
+    return DualGraph([(v, 0) for v in ids], {(ids[i], ids[(i + 1) % n]): m for i in range(n)})
+
+
+def _elliptic_chain(n: int) -> DualGraph:
+    ids = [f"e{i:02d}" for i in range(n)]
+    return DualGraph([(v, 1) for v in ids], {(ids[i], ids[i + 1]): 1 for i in range(n - 1)})
+
+
+@pytest.mark.parametrize("graph", [_cycle(16, 2), _elliptic_chain(13)], ids=["C16m2", "chain13"])
+def test_decide_past_the_subset_cap(graph):
+    """Graphs over the 12-vertex cap of the exhaustive scans: decide answers
+    without it, and the scan, given a raised cap, agrees."""
+    rng = random.Random(20261021)
+    for t in (10, 11):
+        md = _oriented_component(graph, t, rng)
+        witness = decide_spin_component(graph, t, md)
+        witness.validate(graph)
+        assert grouped_multidegree(graph, witness, t) == md
+        violations = 0
+        for _ in range(3):
+            violations += not _check_certificate(
+                graph, t, _perturbed(md, rng), max_vertices=graph.n
+            )
+        assert violations

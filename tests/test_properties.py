@@ -1,34 +1,40 @@
-"""Property tests for the spin locus on random stable graphs of 5-12 vertices.
+"""Property tests for the spin locus on random stable graphs of 5-40 vertices.
 
 Components come from random orientations of the nodes, so each one is a fiber
 component the spin locus meets.  The graphs are larger than the exhaustive
-corpora; the checks need no oracle: a witness must reproduce its
-multidegree, witnesses must move with the twist, and the locus must not
-depend on vertex names.
+corpora, and from 13 vertices on past the cap of the subcurve scans; the
+checks need no oracle: a witness must reproduce its multidegree, witnesses
+must move with the twist, an overloaded vertex must be rejected with a
+violated subcurve, and the locus must not depend on vertex names.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spin_oracles import named_violation
 from spinpicard import (
+    BasicInequalityError,
     DualGraph,
     Multidegree,
     decide_spin_component,
     enumerate_spin_multidegrees,
     grouped_multidegree,
+    subcurve_profile,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def stable_graphs(draw, max_mult: int = 2) -> DualGraph:
-    """A connected stable graph of genus >= 3: a random tree with up to
-    ``max_mult`` nodes per edge, a few extra single nodes, and rational
-    components raised to genus one where they would be unstable."""
-    n = draw(st.integers(5, 12))
+def stable_graphs(draw, max_mult: int = 2, sizes: tuple[int, int] = (5, 12)) -> DualGraph:
+    """A connected stable graph of genus >= 3 with a vertex count in ``sizes``:
+    a random tree with up to ``max_mult`` nodes per edge, a few extra single
+    nodes, and rational components raised to genus one where they would be
+    unstable."""
+    n = draw(st.integers(*sizes))
     edges = {}
     for i in range(1, n):
         edges[(i, draw(st.integers(0, i - 1)))] = draw(st.integers(1, max_mult))
@@ -52,8 +58,8 @@ def stable_graphs(draw, max_mult: int = 2) -> DualGraph:
 
 
 @st.composite
-def components(draw) -> tuple[DualGraph, int, Multidegree]:
-    graph = draw(stable_graphs())
+def components(draw, sizes: tuple[int, int] = (5, 12)) -> tuple[DualGraph, int, Multidegree]:
+    graph = draw(stable_graphs(sizes=sizes))
     t = draw(st.integers(10, 40))
     degrees = {
         v: (2 * t + 1) * (graph.pa(v) - 1) + t * graph.contact(v) for v in graph.ids
@@ -65,14 +71,41 @@ def components(draw) -> tuple[DualGraph, int, Multidegree]:
     return graph, t, Multidegree.of(degrees)
 
 
-@PROPERTY_SETTINGS
-@given(components())
-def test_decide_returns_a_witness_reproducing_the_component(case):
+def _check_witness(case) -> None:
     graph, t, md = case
     witness = decide_spin_component(graph, t, md)
     assert witness is not None
     witness.validate(graph)
     assert grouped_multidegree(graph, witness, t) == md
+
+
+@PROPERTY_SETTINGS
+@given(components())
+def test_decide_returns_a_witness_reproducing_the_component(case):
+    _check_witness(case)
+
+
+@PROPERTY_SETTINGS
+@given(components(sizes=(13, 40)))
+def test_decide_returns_a_witness_past_the_subset_cap(case):
+    _check_witness(case)
+
+
+@PROPERTY_SETTINGS
+@given(components(sizes=(5, 40)), st.randoms(use_true_random=False))
+def test_an_overloaded_vertex_is_rejected_with_a_violated_subcurve(case, rng):
+    """contact(i) + 1 more units on vertex i put it over the top of its
+    window; decide must name a subcurve whose window excludes its degree."""
+    graph, t, md = case
+    i, j = rng.sample(list(graph.ids), 2)
+    moved = graph.contact(i) + 1
+    overloaded = Multidegree.of({**md.as_dict(), i: md[i] + moved, j: md[j] - moved})
+    with pytest.raises(BasicInequalityError) as caught:
+        decide_spin_component(graph, t, overloaded)
+    subcurve, degree, lower, upper = named_violation(caught.value)
+    profile = subcurve_profile(graph, subcurve, overloaded.total, overloaded)
+    assert (profile.degree, profile.lower, profile.upper) == (degree, lower, upper)
+    assert not profile.lower <= profile.degree <= profile.upper
 
 
 @PROPERTY_SETTINGS

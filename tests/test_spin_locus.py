@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from spinpicard import (
     DualGraph,
     Multidegree,
     SpinWitness,
+    SplitCurveRow,
     WitnessError,
     arithmetic_genus,
     basic_inequality,
@@ -316,3 +318,31 @@ def test_split_curve_table_matches_enumerator():
 def test_split_curve_parity_drives_s_range():
     rows = split_curve_table(4, 10)
     assert sorted({r.s for r in rows}) == [1, 3, 5]  # g + 1 odd: s odd
+
+
+def test_split_curve_rows_equal_the_rational_closed_form():
+    """Rows, in order, against d1 = (t + 1/2)(g+1) - (2t+1) - s/2 + sigma
+    evaluated in exact rationals over every s in 0..g+1 of the right parity."""
+    for genus in range(3, 41):
+        for t in (10, 11, 29):
+            expected = []
+            for s in range(genus + 2):
+                if (genus + 1 - s) % 2:
+                    continue
+                for sigma in range(s + 1):
+                    d1 = Fraction(2 * t + 1, 2) * (genus + 1) - (2 * t + 1) - Fraction(s, 2) + sigma
+                    assert d1.denominator == 1
+                    d2 = (2 * t + 1) * (genus - 1) - d1
+                    expected.append((genus, t, s, sigma, int(d1), int(d2)))
+            got = [(r.genus, r.t, r.s, r.sigma, r.d1, r.d2) for r in split_curve_table(genus, t)]
+            assert got == expected, (genus, t)
+
+
+def test_split_curve_row_checks_hand_built_rows():
+    SplitCurveRow(genus=3, t=10, s=4, sigma=0, d1=19, d2=23)
+    with pytest.raises(WitnessError, match="out of range"):
+        SplitCurveRow(genus=3, t=10, s=4, sigma=5, d1=24, d2=18)
+    with pytest.raises(WitnessError, match="parity"):
+        SplitCurveRow(genus=3, t=10, s=3, sigma=0, d1=19, d2=23)
+    with pytest.raises(WitnessError, match="total"):
+        SplitCurveRow(genus=3, t=10, s=4, sigma=0, d1=19, d2=24)
