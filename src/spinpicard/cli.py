@@ -193,6 +193,8 @@ def cmd_bi(args) -> Envelope:
 
 
 def cmd_spin(args) -> Envelope:
+    if args.max_vertices is not None and not args.locus:
+        args.usage_error("argument --max-vertices: only --locus reads it")
     t = args.t
     unsafe = args.unsafe_t
 
@@ -238,7 +240,7 @@ def cmd_spin(args) -> Envelope:
         q = expand(graph, config)
         md = spin_multidegree(q, t, unsafe_t=unsafe)
         stable = git_stable(q, t, unsafe_t=unsafe)
-        closed = True  # spin models: d(Y) - m(Y) >= core_contact(Y)/2, so the orbit is closed
+        # Spin models: d(Y) - m(Y) >= core_contact(Y)/2, so the orbit is closed.
         result.update(
             {
                 "exceptional_count": len(q.exceptional),
@@ -246,7 +248,7 @@ def cmd_spin(args) -> Envelope:
                 "multidegree": _md_json(md),
                 "total": md.total,
                 "git_stable": stable,
-                "orbit_closed": closed,
+                "orbit_closed": True,
             }
         )
         env.lines.append("spin parity: holds")
@@ -257,26 +259,23 @@ def cmd_spin(args) -> Envelope:
         for vid, deg in md.items:
             env.lines.append(f"  {vid}: {deg}")
         env.lines.append(f"GIT stable: {'yes' if stable else 'no'}")
-        env.lines.append(f"orbit closed: {'yes' if closed else 'no'}")
+        env.lines.append("orbit closed: yes")
         return env
 
     if args.decide is not None:
         md = _parse_degree_list(args.decide, graph)
+        # A witness or BasicInequalityError: the locus meets every component.
         witness = decide_spin_component(graph, t, md, unsafe_t=unsafe)
         inputs["multidegree"] = _md_json(md)
-        result = {"mode": "decide", "met": witness is not None}
-        result["witness"] = witness.to_dict() if witness is not None else None
+        result = {"mode": "decide", "met": True, "witness": witness.to_dict()}
         env = Envelope(command="spin", inputs=inputs, result=result)
-        if witness is None:
-            env.lines.append("no witness: the spin locus misses this fiber component")
-        else:
-            env.lines.append("witness found:")
-            for u, v, c in witness.s_items():
-                env.lines.append(f"  s[{u}, {v}] = {c}")
-            for u, v, c in witness.sigma_items():
-                env.lines.append(f"  sigma[{u}, {v}] = {c}")
-            if not witness.s_items():
-                env.lines.append("  (no blow-ups needed)")
+        env.lines.append("witness found:")
+        for u, v, c in witness.s_items():
+            env.lines.append(f"  s[{u}, {v}] = {c}")
+        for u, v, c in witness.sigma_items():
+            env.lines.append(f"  sigma[{u}, {v}] = {c}")
+        if not witness.s_items():
+            env.lines.append("  (no blow-ups needed)")
         return env
 
     if args.locus:
@@ -401,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--split-curve", action="store_true", help="closed-form table for the split curve")
     p_spin.add_argument("-g", "--genus", type=int, help="genus for --split-curve")
     add_common(p_spin)
-    p_spin.set_defaults(handler=cmd_spin)
+    p_spin.set_defaults(handler=cmd_spin, usage_error=p_spin.error)
 
     p_num = sub.add_parser("numerics", help="scalar invariants of the Picard variety")
     p_num.add_argument("verb", choices=["kdg", "coarse", "rank", "normalize"])

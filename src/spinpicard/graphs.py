@@ -9,6 +9,13 @@ Degree bounds are exact.  Every lower bound ``m(Y)`` handed back is a
 `fractions.Fraction`; subcurve scans compare integers scaled by 2(g - 1),
 which is equally exact.  No floats are used anywhere in this module.
 
+Scaled by 2(g - 1), the basic inequality at any total is Hakimi's condition
+for splitting the nodes of each pair between its two ends with prescribed
+per-vertex quotas (Hakimi 1965).  One orientation kernel, shortest augmenting
+paths over such splits, decides it in polynomial time; the multidegree
+enumerator and the spin-locus questions run on it, while `basic_inequality`
+keeps the exhaustive scan because it reports every violated subcurve.
+
 All classes are immutable (or immutable by convention) and all operations are
 pure functions of their arguments, so values can be shared freely across
 threads.
@@ -17,10 +24,11 @@ threads.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, GraphError, GraphTooLargeError
 
@@ -357,6 +365,16 @@ class Multidegree:
         object.__setattr__(self, "_lookup", dict(norm))
 
     @classmethod
+    def _trusted(cls, ids: Sequence[str], values: Sequence[int]) -> "Multidegree":
+        """A multidegree the library built itself, without re-validation:
+        ``ids`` sorted and distinct (a graph's ids), ``values`` ints."""
+        md = object.__new__(cls)
+        items = tuple(zip(ids, values))
+        object.__setattr__(md, "items", items)
+        object.__setattr__(md, "_lookup", dict(items))
+        return md
+
+    @classmethod
     def of(cls, degrees: Mapping[str, int]) -> "Multidegree":
         return cls(tuple(degrees.items()))
 
@@ -462,9 +480,10 @@ def _build_subcurve_table(graph: DualGraph) -> tuple[list[int], list[int], list[
     return genus, contact, internal
 
 
-def _subset_sums(values: Sequence[int]) -> list[int]:
-    """Sum of ``values[i]`` over the bits i of every mask, indexed by mask."""
-    sums = [0]
+def _subset_sums(values: Sequence, zero=0) -> list:
+    """Sum of ``values[i]`` over the bits i of every mask, starting from
+    ``zero``, indexed by mask."""
+    sums = [zero]
     for value in values:
         sums += [s + value for s in sums]
     return sums
@@ -597,24 +616,167 @@ def basic_inequality(
     d_total = multidegree.total
     ids = graph.ids
     genus, contact, _ = graph._subcurve_table
-    degree = _subset_sums(multidegree.values(ids))
-    scale = 2 * (g - 1)
-    # With everything multiplied by 2(g-1) the window test is integral; the
-    # empty mask (genus 1, no contact, degree 0) always passes it.
+    # 2(g-1) m(Y) = d w(Y) - (g-1) k(Y) with w(Y) = 2 g(Y) - 2 + k(Y) additive
+    # over the components of Y, so scaled by 2(g-1) the window is
+    # |2(g-1) d(Y) - d w(Y)| <= (g-1) k(Y): one subset sum of integers per
+    # vertex.  The empty mask (no degree, no contact) always passes.
+    half = g - 1
+    offset = _subset_sums([
+        2 * half * deg - d_total * (2 * v.pa - 2 + c)
+        for deg, v, c in zip(multidegree.values(ids), graph.vertices, graph._contacts)
+    ])
+    bad = [mask for mask, x, k_y in zip(range(len(offset)), offset, contact) if abs(x) > half * k_y]
+    # Bounds are built once per distinct window, not once per violation, and
+    # members are read from two tables of id tuples over half the vertices.
+    windows: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    h = len(ids) // 2
+    low, high = (
+        [_subset_sums([(vid,) for vid in part], ()) for part in (ids[:h], ids[h:])]
+        if bad else ((), ())
+    )
     violations = []
-    for mask, (g_y, k_y, d_y) in enumerate(zip(genus, contact, degree)):
-        low = _scaled_lower(d_total, g, g_y, k_y)
-        if not 0 <= scale * d_y - low <= scale * k_y:
-            lower = Fraction(low, scale)
-            violations.append(
-                BIViolation(
-                    subcurve=frozenset(vid for i, vid in enumerate(ids) if mask >> i & 1),
-                    degree=d_y,
-                    lower=lower,
-                    upper=lower + k_y,
-                )
+    for mask in bad:
+        g_y, k_y = key = genus[mask], contact[mask]
+        if key not in windows:
+            lower = Fraction(_scaled_lower(d_total, g, g_y, k_y), 2 * half)
+            windows[key] = (lower, lower + k_y)
+        violations.append(
+            BIViolation(
+                subcurve=frozenset(low[mask & ((1 << h) - 1)] + high[mask >> h]),
+                degree=(offset[mask] + d_total * (2 * g_y - 2 + k_y)) // (2 * half),
+                lower=windows[key][0],
+                upper=windows[key][1],
             )
+        )
     return BIReport(satisfied=not violations, violations=tuple(violations))
+
+
+# -- the orientation kernel ------------------------------------------------
+
+
+class _Orientation:
+    """Units of each pair (i, j, total) split between its ends: ``a[p]`` go
+    into i and ``total - a[p]`` into j, with ``lo[p] <= a[p] <= hi[p]``.
+
+    Moving units of in-degree from one end of a pair to the other changes no
+    third vertex, so moves along a path shift in-degree from its first vertex
+    to its last.  Paths are shortest (breadth-first) and each carries as many
+    units as all of its moves allow.
+    """
+
+    def __init__(self, n: int, pairs: Sequence[tuple[int, int, int]]) -> None:
+        self.ends = [(i, j) for i, j, _ in pairs]
+        self.total = [total for _, _, total in pairs]
+        self.lo = [0] * len(pairs)
+        self.hi = list(self.total)
+        self.a = [total // 2 for total in self.total]
+        self.incident: list[list[int]] = [[] for _ in range(n)]
+        for p, (i, j) in enumerate(self.ends):
+            if i != j:
+                self.incident[i].append(p)
+                self.incident[j].append(p)
+
+    def _room(self, p: int, x: int) -> tuple[int, int]:
+        """The other end of pair p and how many units can move off x along it."""
+        i, j = self.ends[p]
+        return (j, self.a[p] - self.lo[p]) if x == i else (i, self.hi[p] - self.a[p])
+
+    def _path(
+        self, sources: Sequence[int], targets, skip: int = -1
+    ) -> tuple[list[tuple[int, int]], int, int] | set[int]:
+        """(moves, start, end) of one shortest path from a source to a target,
+        never along pair ``skip``, each move a (vertex, pair); the set of
+        vertices reached when no target is."""
+        parent = dict.fromkeys(sources)
+        queue = deque(sources)
+        while queue:
+            x = queue.popleft()
+            for p in self.incident[x]:
+                y, room = self._room(p, x)
+                if p == skip or room <= 0 or y in parent:
+                    continue
+                parent[y] = (x, p)
+                if y in targets:
+                    moves, end = [], y
+                    while parent[y] is not None:
+                        y, p = parent[y]
+                        moves.append((y, p))
+                    return moves, y, end
+                queue.append(y)
+        return set(parent)
+
+    def _send(self, moves: list, limit: int) -> int:
+        amount = min([limit] + [self._room(p, x)[1] for x, p in moves])
+        for x, p in moves:
+            self.a[p] += -amount if x == self.ends[p][0] else amount
+        return amount
+
+    def meet(self, quota: Sequence[int]) -> Optional[set[int]]:
+        """Reshape the split so that vertex x receives quota[x] units and
+        return None; when no split within the bounds does, return the vertex
+        set R the last search reached.
+
+        R holds every vertex over its quota and none under it, and no pair can
+        move a unit out of R, so its pairs to the rest send them every unit:
+        the units of pairs inside R alone exceed R's quota (Hakimi's
+        condition fails on R).
+        """
+        excess = [-q for q in quota]
+        for (i, j), a, total in zip(self.ends, self.a, self.total):
+            excess[i] += a
+            excess[j] += total - a
+        while any(excess):
+            found = self._path(
+                [x for x, e in enumerate(excess) if e > 0],
+                {x for x, e in enumerate(excess) if e < 0},
+            )
+            if isinstance(found, set):
+                return found
+            moves, start, end = found
+            moved = self._send(moves, min(excess[start], -excess[end]))
+            excess[start] -= moved
+            excess[end] += moved
+        return None
+
+    def settle(self, p: int, target: int) -> int:
+        """Walk a[p] toward target while a path avoiding p takes up the change,
+        then fix a[p] there and return it.
+
+        The values a[p] takes over the splits that meet the quotas form an
+        interval, so the walk ends at its point nearest the target.
+        """
+        i, j = self.ends[p]
+        while self.a[p] != target:
+            # Lowering a[p] moves in-degree from i to j; a path from j to i
+            # moves it back (and the other way round for raising).
+            down = self.a[p] > target
+            found = self._path([j if down else i], {i if down else j}, skip=p)
+            if isinstance(found, set):
+                break
+            moved = self._send(found[0], abs(self.a[p] - target))
+            self.a[p] += -moved if down else moved
+        self.lo[p] = self.hi[p] = self.a[p]
+        return self.a[p]
+
+
+def _bi_verdict(graph: DualGraph, d_total: int) -> Callable[[Sequence[int]], Optional[set[int]]]:
+    """Decide the basic inequality for degree vectors (id order) of total
+    d_total without the subset scan: None when it holds, else the vertex
+    indices of a subcurve whose degree falls below its window.
+
+    Scaled by 2(g-1), m(Y) is the sum of the singleton bounds L_i plus
+    2(g-1) e(Y), with e(Y) the nodes between distinct components of Y, and
+    the upper end of a window is the lower end on the complement.  With
+    quotas Q_i = 2(g-1) d_i - L_i the basic inequality is Hakimi's condition
+    Q(Y) >= 2(g-1) e(Y) for splitting 2(g-1) k(i, j) units per pair between
+    its ends.  One kernel serves every call, starting from the last split.
+    """
+    g = _require_genus(graph)
+    scale = 2 * (g - 1)
+    index = graph._index
+    kernel = _Orientation(graph.n, [(index[u], index[v], scale * k) for u, v, k in graph.pairs()])
+    lower = [_scaled_lower(d_total, g, v.pa, c) for v, c in zip(graph.vertices, graph._contacts)]
+    return lambda values: kernel.meet([scale * x - low for x, low in zip(values, lower)])
 
 
 def enumerate_multidegrees(
@@ -626,13 +788,15 @@ def enumerate_multidegrees(
     """All integer multidegrees of the given total that satisfy the basic
     inequality, in lexicographic order over the id-sorted coordinates.
 
-    Per-vertex boxes come from the singleton subcurves; candidates inside the
-    boxes with the right total are then filtered through the full subset check.
-    Requires a stable graph of genus >= 2.
+    Per-vertex boxes come from the singleton subcurves; each candidate inside
+    the boxes with the right total is decided by one orientation kernel,
+    warm-started from the previous candidate, in polynomial time.  The output
+    itself can grow exponentially with the vertex count, so the vertex cap
+    (``max_vertices``) stays.  Requires a stable graph of genus >= 2.
     """
     if isinstance(d_total, bool) or not isinstance(d_total, int):
         raise DomainError(f"total degree must be an integer, got {d_total!r}")
-    g = _require_genus(graph)
+    _require_genus(graph)
     if not is_stable(graph):
         raise DomainError("multidegree enumeration expects a stable graph")
     _check_cap(graph, max_vertices)
@@ -651,14 +815,14 @@ def enumerate_multidegrees(
         suffix_lo[i] = suffix_lo[i + 1] + lo[i]
         suffix_hi[i] = suffix_hi[i + 1] + hi[i]
 
+    verdict = _bi_verdict(graph, d_total)
     found: list[Multidegree] = []
     stack: list[int] = []
 
     def descend(i: int, remaining: int) -> None:
         if i == n:
-            md = Multidegree.from_values(graph, stack)
-            if basic_inequality(graph, md, max_vertices=max_vertices).satisfied:
-                found.append(md)
+            if verdict(stack) is None:
+                found.append(Multidegree._trusted(ids, stack))
             return
         for value in range(lo[i], hi[i] + 1):
             rest = remaining - value

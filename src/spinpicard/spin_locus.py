@@ -18,24 +18,25 @@ exists.  Doubled, pair (i, j) sends a = k - s + 2 sigma(i, j) units to i and
 being |a - k|.  So a witness is an orientation of the doubled node multigraph
 in which i has in-degree 2q(i), where q(i) = d(i) - (2t+1)(pa(i) - 1)
 - t * contact(i) (Hakimi 1965), and the parity condition holds by itself.
-One kernel, shortest augmenting paths over such orientations, answers every
-"does a split exist" question in polynomial time: the lexicographically
-smallest witness, the reachable set, and :func:`orientation_feasible`.  At the
-spin total the basic inequality on Y reads q(Y) >= e(Y), with e(Y) the nodes
-inside Y, which is exactly Hakimi's condition: every fiber component is met,
-and when the walk is stuck the vertices it reached violate the inequality.
+The orientation kernel of :mod:`spinpicard.graphs`, shortest augmenting paths
+over such orientations, answers every "does a split exist" question in
+polynomial time: the lexicographically smallest witness, the reachable set,
+and :func:`orientation_feasible`.  At the spin total the basic inequality on
+Y reads q(Y) >= e(Y), with e(Y) the nodes inside Y, which is exactly
+Hakimi's condition: every fiber component is met, and when the walk is stuck
+the vertices it reached violate the inequality.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import BasicInequalityError, DomainError, WitnessError
 from .graphs import (
     DualGraph,
     Multidegree,
+    _Orientation,
     _check_cap,
     _check_multidegree,
     _internal_error,
@@ -185,112 +186,7 @@ def grouped_multidegree(
     return md
 
 
-# -- the orientation kernel ------------------------------------------------
-
-
-class _Orientation:
-    """Units of each pair (i, j, total) split between its ends: ``a[p]`` go
-    into i and ``total - a[p]`` into j, with ``lo[p] <= a[p] <= hi[p]``.
-
-    Moving units of in-degree from one end of a pair to the other changes no
-    third vertex, so moves along a path shift in-degree from its first vertex
-    to its last.  Paths are shortest (breadth-first) and each carries as many
-    units as all of its moves allow.
-    """
-
-    def __init__(self, n: int, pairs: Sequence[tuple[int, int, int]]) -> None:
-        self.ends = [(i, j) for i, j, _ in pairs]
-        self.total = [total for _, _, total in pairs]
-        self.lo = [0] * len(pairs)
-        self.hi = list(self.total)
-        self.a = [total // 2 for total in self.total]
-        self.incident: list[list[int]] = [[] for _ in range(n)]
-        for p, (i, j) in enumerate(self.ends):
-            if i != j:
-                self.incident[i].append(p)
-                self.incident[j].append(p)
-
-    def _room(self, p: int, x: int) -> tuple[int, int]:
-        """The other end of pair p and how many units can move off x along it."""
-        i, j = self.ends[p]
-        return (j, self.a[p] - self.lo[p]) if x == i else (i, self.hi[p] - self.a[p])
-
-    def _path(
-        self, sources: Sequence[int], targets, skip: int = -1
-    ) -> tuple[list[tuple[int, int]], int, int] | set[int]:
-        """(moves, start, end) of one shortest path from a source to a target,
-        never along pair ``skip``, each move a (vertex, pair); the set of
-        vertices reached when no target is."""
-        parent = dict.fromkeys(sources)
-        queue = deque(sources)
-        while queue:
-            x = queue.popleft()
-            for p in self.incident[x]:
-                y, room = self._room(p, x)
-                if p == skip or room <= 0 or y in parent:
-                    continue
-                parent[y] = (x, p)
-                if y in targets:
-                    moves, end = [], y
-                    while parent[y] is not None:
-                        y, p = parent[y]
-                        moves.append((y, p))
-                    return moves, y, end
-                queue.append(y)
-        return set(parent)
-
-    def _send(self, moves: list, limit: int) -> int:
-        amount = min([limit] + [self._room(p, x)[1] for x, p in moves])
-        for x, p in moves:
-            self.a[p] += -amount if x == self.ends[p][0] else amount
-        return amount
-
-    def meet(self, quota: Sequence[int]) -> Optional[set[int]]:
-        """Reshape the split so that vertex x receives quota[x] units and
-        return None; when no split within the bounds does, return the vertex
-        set R the last search reached.
-
-        R holds every vertex over its quota and none under it, and no pair can
-        move a unit out of R, so its pairs to the rest send them every unit:
-        the units of pairs inside R alone exceed R's quota (Hakimi's
-        condition fails on R).
-        """
-        excess = [-q for q in quota]
-        for (i, j), a, total in zip(self.ends, self.a, self.total):
-            excess[i] += a
-            excess[j] += total - a
-        while any(excess):
-            found = self._path(
-                [x for x, e in enumerate(excess) if e > 0],
-                {x for x, e in enumerate(excess) if e < 0},
-            )
-            if isinstance(found, set):
-                return found
-            moves, start, end = found
-            moved = self._send(moves, min(excess[start], -excess[end]))
-            excess[start] -= moved
-            excess[end] += moved
-        return None
-
-    def settle(self, p: int, target: int) -> int:
-        """Walk a[p] toward target while a path avoiding p takes up the change,
-        then fix a[p] there and return it.
-
-        The values a[p] takes over the splits that meet the quotas form an
-        interval, so the walk ends at its point nearest the target.
-        """
-        i, j = self.ends[p]
-        while self.a[p] != target:
-            # Lowering a[p] moves in-degree from i to j; a path from j to i
-            # moves it back (and the other way round for raising).
-            down = self.a[p] > target
-            found = self._path([j if down else i], {i if down else j}, skip=p)
-            if isinstance(found, set):
-                break
-            moved = self._send(found[0], abs(self.a[p] - target))
-            self.a[p] += -moved if down else moved
-        self.lo[p] = self.hi[p] = self.a[p]
-        return self.a[p]
+# -- orientations ----------------------------------------------------------
 
 
 def orientation_feasible(
@@ -406,7 +302,7 @@ def enumerate_spin_multidegrees(
                 new[j] += k - a
                 grown.add(tuple(new))
         reached = grown
-    return [Multidegree.from_values(graph, values) for values in sorted(reached)]
+    return [Multidegree._trusted(graph.ids, values) for values in sorted(reached)]
 
 
 # -- the split curve -------------------------------------------------------

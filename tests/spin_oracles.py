@@ -1,22 +1,34 @@
-"""Exhaustive reference routes for the spin locus, kept as test oracles.
+"""Exhaustive reference routes for the orientation kernel, kept as test oracles.
 
-The library answers every split-existence question with one orientation
-kernel.  These are the independent exhaustive routes it is compared against:
-the lexicographic sweep over s tables with a backtracking sigma split, the
-(s, sigma) sweep that lists every reachable degree vector, and the 2^n subset
-criterion for splitting pair counts to meet per-vertex quotas.  All of them
-take exponential time; keep inputs at desk scale.  ``named_violation`` reads
-back the subcurve a decide rejection names, for comparison with the scan.
+The library answers every split-existence question, the basic inequality at
+any total included, with one orientation kernel.  These are the independent
+exhaustive routes it is compared against: the lexicographic sweep over s
+tables with a backtracking sigma split, the (s, sigma) sweep that lists every
+reachable degree vector, the 2^n subset criterion for splitting pair counts
+to meet per-vertex quotas, and multidegree enumeration as every candidate of
+the singleton boxes filtered through the basic-inequality scan.  All of them
+take exponential time; keep inputs at desk scale.  ``spanning_trees`` is
+Kirchhoff's count, which the enumeration must reach at coprime totals, and
+``named_violation`` reads back the subcurve a decide rejection names, for
+comparison with the scan.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from spinpicard import BasicInequalityError, DualGraph, Multidegree, SpinWitness
+from spinpicard import (
+    BasicInequalityError,
+    DualGraph,
+    Multidegree,
+    SpinWitness,
+    basic_inequality,
+    subcurve_profile,
+)
 
 _NAMED = re.compile(r"degree (-?\d+) on Y=\{(.*)\} falls outside \[(\S+), (\S+)\]$")
 
@@ -173,3 +185,43 @@ def named_violation(exc: BasicInequalityError) -> tuple[frozenset, int, Fraction
         raise AssertionError(f"no subcurve named in {str(exc)!r}")
     degree, names, lower, upper = match.groups()
     return frozenset(names.split(", ")), int(degree), Fraction(lower), Fraction(upper)
+
+
+def box_enumeration(graph: DualGraph, d_total: int) -> list[Multidegree]:
+    """Every vector of the singleton boxes [ceil m(v), floor m(v) + k(v)]
+    with the right total that passes the subset scan, in lexicographic order:
+    the route enumeration took before the orientation kernel decided leaves."""
+    boxes = []
+    for vid in graph.ids:
+        prof = subcurve_profile(graph, {vid}, d_total)
+        boxes.append(range(math.ceil(prof.lower), math.floor(prof.upper) + 1))
+    found = []
+    for values in itertools.product(*boxes):
+        if sum(values) == d_total:
+            md = Multidegree.from_values(graph, values)
+            if basic_inequality(graph, md, max_vertices=graph.n).satisfied:
+                found.append(md)
+    return found
+
+
+def spanning_trees(graph: DualGraph) -> int:
+    """Kirchhoff's count of spanning trees, node multiplicities counted: the
+    determinant of the Laplacian with its first row and column removed, by
+    fraction-free (Bareiss) elimination over the integers."""
+    ids = graph.ids
+    rows = [
+        [graph.contact(u) if u == v else -graph.k(u, v) for v in ids[1:]] for u in ids[1:]
+    ]
+    size, sign, prev = len(rows), 1, 1
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        for r in range(col + 1, size):
+            for c in range(col + 1, size):
+                rows[r][c] = (rows[r][c] * rows[col][col] - rows[r][col] * rows[col][c]) // prev
+        prev = rows[col][col]
+    return sign * prev if size else 1

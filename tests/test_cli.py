@@ -6,6 +6,13 @@ import json
 
 import pytest
 
+from spinpicard import (
+    BasicInequalityError,
+    Multidegree,
+    SpinWitness,
+    decide_spin_component,
+    validate_graph,
+)
 from spinpicard.cli import main
 
 SPLIT3_RAW = {
@@ -149,22 +156,21 @@ def test_spin_decide_trivial_witness(split3, capsys):
     assert "(no blow-ups needed)" in out
 
 
-def test_spin_decide_miss_is_not_an_error(split3, capsys, monkeypatch):
-    # On every graph we have tested the locus covers the whole admissible set,
-    # so a miss cannot be produced from real inputs; force one to pin down the
-    # contract that a negative answer is still exit code 0.
-    import spinpicard.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "decide_spin_component", lambda *a, **k: None)
-    code, out, err = run_cli(capsys, "spin", split3, "-t", "10", "--decide", "21,21", "--json")
-    assert code == 0 and err == ""
-    payload = json.loads(out)
-    assert payload["result"]["met"] is False
-    assert payload["result"]["witness"] is None
-
-    code, out, _ = run_cli(capsys, "spin", split3, "-t", "10", "--decide", "21,21")
-    assert code == 0
-    assert "no witness" in out
+def test_decide_returns_a_witness_or_raises():
+    """The CLI reports every decide answer as met: decide gives a witness or
+    raises, never None, across a whole degree window of the split curve."""
+    graph = validate_graph(SPLIT3_RAW)
+    outcomes = set()
+    for d1 in range(10, 33):
+        md = Multidegree.from_values(graph, [d1, 42 - d1])
+        try:
+            witness = decide_spin_component(graph, 10, md)
+        except BasicInequalityError:
+            outcomes.add("raised")
+        else:
+            assert isinstance(witness, SpinWitness)
+            outcomes.add("witness")
+    assert outcomes == {"raised", "witness"}
 
 
 def test_spin_decide_off_fiber_is_an_error(split3, capsys):
@@ -351,6 +357,19 @@ def test_max_vertices_guard(tmp_path, capsys):
     )
     assert code == 0
     assert "basic inequality" in out
+
+
+def test_spin_max_vertices_is_refused_where_unread(split3, blow_all, capsys):
+    """Only --locus runs a capped scan; the other modes refuse the flag."""
+    for mode in (["--decide", "21,21"], ["--blowups", blow_all], ["--split-curve", "-g", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["spin", split3, "-t", "10", *mode, "--max-vertices", "16"])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "--max-vertices: only --locus reads it" in err
+    code, _, err = run_cli(capsys, "spin", split3, "-t", "10", "--locus", "--max-vertices", "1")
+    assert code == 1
+    assert "capped at 1" in err
 
 
 # -- numerics ----------------------------------------------------------------

@@ -18,6 +18,7 @@ from spinpicard import (
     arithmetic_genus,
     basic_inequality,
     enumerate_multidegrees,
+    enumerate_spin_multidegrees,
     is_stable,
     iter_subcurves,
     subcurve_profile,
@@ -238,6 +239,25 @@ def test_multidegree_basics():
         Multidegree.of({"a": 1.5})
     with pytest.raises(GraphError, match="3 entries but the graph has 2"):
         Multidegree.from_values(SPLIT3, [1, 2, 3])
+
+
+def test_trusted_multidegree_equals_validated():
+    """Enumeration outputs skip validation; they must be the objects
+    from_values builds, in every respect callers can see."""
+    graph = DualGraph(
+        [("a", 1), ("b", 0), ("c", 1)], {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 1}
+    )
+    outputs = enumerate_multidegrees(graph, 21 * (graph.genus - 1))
+    outputs += enumerate_spin_multidegrees(graph, 10)
+    assert outputs
+    for md in outputs:
+        checked = Multidegree.from_values(graph, md.values(graph.ids))
+        assert md == checked and hash(md) == hash(checked)
+        assert repr(md) == repr(checked)
+        assert [md[v] for v in graph.ids] == [checked[v] for v in graph.ids]
+        assert all(type(d) is int for _, d in md.items)
+    with pytest.raises(KeyError):
+        outputs[0]["z"]
 
 
 def test_basic_inequality_report():

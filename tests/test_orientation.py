@@ -1,21 +1,32 @@
 """The orientation kernel against the exhaustive routes it replaced.
 
-`decide_spin_component`, `enumerate_spin_multidegrees` and
-`orientation_feasible` all run on one augmenting-path kernel.  The oracles in
-`spin_oracles` are the exhaustive searches they replaced: the lexicographic
-s-table sweep with a backtracking sigma split, the full (s, sigma) sweep, and
-the 2^n subset criterion.  Answers must be equal, witness for witness.  The
-basic-inequality scan is the oracle for decide's rejections, which the
-stuck walk certifies by naming a violated subcurve.
+`decide_spin_component`, `enumerate_spin_multidegrees`,
+`orientation_feasible` and the leaves of `enumerate_multidegrees` all run on
+one augmenting-path kernel.  The oracles in `spin_oracles` are the exhaustive
+searches they replaced: the lexicographic s-table sweep with a backtracking
+sigma split, the full (s, sigma) sweep, the 2^n subset criterion, and the
+singleton boxes filtered through the basic-inequality scan.  Answers must be
+equal, witness for witness and output for output.  The basic-inequality scan
+is also the oracle for every rejection, which the stuck walk certifies by
+naming a violated subcurve, and Kirchhoff's count checks enumeration sizes at
+coprime totals.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from spin_oracles import lexmin_witness, named_violation, subset_feasible, swept_locus
+from spin_oracles import (
+    box_enumeration,
+    lexmin_witness,
+    named_violation,
+    spanning_trees,
+    subset_feasible,
+    swept_locus,
+)
 from spinpicard import (
     BasicInequalityError,
     DualGraph,
@@ -26,7 +37,9 @@ from spinpicard import (
     enumerate_spin_multidegrees,
     grouped_multidegree,
     orientation_feasible,
+    subcurve_profile,
 )
+from spinpicard.graphs import _bi_verdict
 
 
 def _complete(n: int, m: int) -> DualGraph:
@@ -202,3 +215,93 @@ def test_decide_past_the_subset_cap(graph):
                 graph, t, _perturbed(md, rng), max_vertices=graph.n
             )
         assert violations
+
+
+# -- the basic inequality at every total -------------------------------------
+
+
+def _totals(graph: DualGraph) -> list[int]:
+    g = graph.genus
+    return [*range(-g, 3 * g + 1), 21 * (g - 1), 21 * (g - 1) + 1]
+
+
+def test_enumeration_equals_the_box_scan_route(quasistable_corpus):
+    outputs = 0
+    for graph in quasistable_corpus[::5]:
+        for d in _totals(graph):
+            found = enumerate_multidegrees(graph, d)
+            assert found == box_enumeration(graph, d), (graph, d)
+            outputs += len(found)
+    assert outputs > 10000
+
+
+def test_enumeration_counts_spanning_trees_at_coprime_totals(quasistable_corpus):
+    """Caporaso: when gcd(d - g + 1, 2g - 2) = 1 the admissible multidegrees
+    are as many as the spanning trees."""
+    checked = 0
+    for graph in quasistable_corpus[::5]:
+        g = graph.genus
+        trees = spanning_trees(graph)
+        for d in _totals(graph):
+            if math.gcd(d - g + 1, 2 * g - 2) == 1:
+                assert len(enumerate_multidegrees(graph, d)) == trees, (graph, d)
+                checked += 1
+    assert checked > 1000
+
+
+def _random_small_stable(rng: random.Random) -> DualGraph:
+    """A stable graph of genus >= 2 on 2-9 vertices: a random tree with up
+    to three nodes per edge plus a few extra pairs."""
+    while True:
+        n = rng.randint(2, 9)
+        ids = [f"u{i}" for i in range(n)]
+        edges = {(ids[i], ids[rng.randrange(i)]): rng.randint(1, 3) for i in range(1, n)}
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.sample(ids, 2)
+            if (u, v) not in edges and (v, u) not in edges:
+                edges[(u, v)] = rng.randint(1, 2)
+        contact = dict.fromkeys(ids, 0)
+        for (u, v), m in edges.items():
+            contact[u] += m
+            contact[v] += m
+        pas = [rng.randint(1 if contact[v] < 3 else 0, 2) for v in ids]
+        graph = DualGraph(list(zip(ids, pas)), edges)
+        if graph.genus >= 2:
+            return graph
+
+
+def _near_center(graph: DualGraph, d: int, rng: random.Random) -> list[int]:
+    """A vector of total d near d * w_i / (2g - 2), the middle of the
+    singleton windows, with a few units moved between random vertices."""
+    w = [2 * graph.pa(v) - 2 + graph.contact(v) for v in graph.ids]
+    values = [d * x // (2 * graph.genus - 2) for x in w]
+    values[0] += d - sum(values)
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(graph.n), 2)
+        moved = rng.randint(1, 3)
+        values[i] += moved
+        values[j] -= moved
+    return values
+
+
+def test_kernel_verdict_equals_the_scan_on_random_graphs():
+    """One kernel per (graph, total) decides a run of candidates in turn, as
+    enumeration does; a stuck walk's reached set lies below its window."""
+    rng = random.Random(20261022)
+    verdicts = []
+    for _ in range(400):
+        graph = _random_small_stable(rng)
+        g = graph.genus
+        d = rng.randint(-g, 6 * g)
+        verdict = _bi_verdict(graph, d)
+        for _ in range(5):
+            values = _near_center(graph, d, rng)
+            md = Multidegree.from_values(graph, values)
+            stuck = verdict(values)
+            assert (stuck is None) == basic_inequality(graph, md).satisfied, (graph, md)
+            if stuck is not None:
+                reached = [graph.ids[i] for i in stuck]
+                profile = subcurve_profile(graph, reached, d, md)
+                assert profile.degree < profile.lower, (graph, md, reached)
+            verdicts.append(stuck is None)
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 300

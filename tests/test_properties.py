@@ -1,11 +1,13 @@
-"""Property tests for the spin locus on random stable graphs of 5-40 vertices.
+"""Property tests for the spin locus and the admissible sets on random
+stable graphs of 2-40 vertices.
 
 Components come from random orientations of the nodes, so each one is a fiber
 component the spin locus meets.  The graphs are larger than the exhaustive
 corpora, and from 13 vertices on past the cap of the subcurve scans; the
 checks need no oracle: a witness must reproduce its multidegree, witnesses
 must move with the twist, an overloaded vertex must be rejected with a
-violated subcurve, and the locus must not depend on vertex names.
+violated subcurve, the locus must not depend on vertex names, and the
+admissible set must move with the total.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from spinpicard import (
     DualGraph,
     Multidegree,
     decide_spin_component,
+    enumerate_multidegrees,
     enumerate_spin_multidegrees,
     grouped_multidegree,
     subcurve_profile,
@@ -137,3 +140,18 @@ def test_locus_is_invariant_under_relabeling(graph, t, rng):
         for md in enumerate_spin_multidegrees(graph, t)
     }
     assert relabeled == mapped
+
+
+@PROPERTY_SETTINGS
+@given(stable_graphs(sizes=(2, 8)), st.integers(-20, 80))
+def test_admissible_set_moves_with_the_total(graph, d):
+    """m(Y) grows by w(Y) when the total grows by 2g - 2, where w_i =
+    2pa_i - 2 + c_i is additive over the components of Y, so the admissible
+    set at d + 2g - 2 is the set at d shifted by w."""
+    w = [2 * graph.pa(v) - 2 + graph.contact(v) for v in graph.ids]
+    shifted = [
+        tuple(x + step for x, step in zip(md.values(graph.ids), w))
+        for md in enumerate_multidegrees(graph, d)
+    ]
+    moved = enumerate_multidegrees(graph, d + 2 * graph.genus - 2)
+    assert [md.values(graph.ids) for md in moved] == shifted
