@@ -134,7 +134,7 @@ def cmd_info(args) -> Envelope:
 def cmd_bi(args) -> Envelope:
     graph = _load_graph(args.graph)
     inputs = {"graph": args.graph, "total": args.total}
-    if args.multidegree is not None:
+    if not args.enumerate:
         md = _parse_degree_list(args.multidegree, graph)
         if md.total != args.total:
             raise SpinPicardError(
@@ -278,29 +278,23 @@ def cmd_spin(args) -> Envelope:
             env.lines.append("  (no blow-ups needed)")
         return env
 
-    if args.locus:
-        found = enumerate_spin_multidegrees(
-            graph, t, unsafe_t=unsafe, max_vertices=args.max_vertices
-        )
-        env = Envelope(
-            command="spin",
-            inputs=inputs,
-            result={
-                "mode": "locus",
-                "vertex_order": list(graph.ids),
-                "count": len(found),
-                "multidegrees": [list(md.values(graph.ids)) for md in found],
-            },
-        )
-        env.lines.append(
-            f"the spin locus meets {len(found)} fiber component(s) at t={t}"
-        )
-        env.lines.append(f"vertex order: {', '.join(graph.ids)}")
-        for md in found:
-            env.lines.append("  (" + ", ".join(str(d) for d in md.values(graph.ids)) + ")")
-        return env
-
-    raise SpinPicardError("pick one of --blowups, --locus, --decide, --split-curve")
+    # The mode group is required, so --locus is the one mode left.
+    found = enumerate_spin_multidegrees(graph, t, unsafe_t=unsafe, max_vertices=args.max_vertices)
+    env = Envelope(
+        command="spin",
+        inputs=inputs,
+        result={
+            "mode": "locus",
+            "vertex_order": list(graph.ids),
+            "count": len(found),
+            "multidegrees": [list(md.values(graph.ids)) for md in found],
+        },
+    )
+    env.lines.append(f"the spin locus meets {len(found)} fiber component(s) at t={t}")
+    env.lines.append(f"vertex order: {', '.join(graph.ids)}")
+    for md in found:
+        env.lines.append("  (" + ", ".join(str(d) for d in md.values(graph.ids)) + ")")
+    return env
 
 
 def cmd_numerics(args) -> Envelope:

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError, GraphError, GraphTooLargeError
 
@@ -111,9 +112,9 @@ class DualGraph:
 
         adjacency: dict[str, dict[str, int]] = {i: {} for i in ids}
         seen: dict[frozenset, int] = {}
-        items = edges.items() if isinstance(edges, Mapping) else edges
-        for entry in items:
-            if isinstance(edges, Mapping):
+        mapping = isinstance(edges, Mapping)
+        for entry in edges.items() if mapping else edges:
+            if mapping:
                 (u, v), mult = entry
             else:
                 u, v, mult = entry
@@ -443,19 +444,20 @@ class SubcurveProfile:
         return self.lower + self.contact
 
 
-def _as_subcurve(graph: DualGraph, subcurve: Iterable[str]) -> frozenset:
+def _as_subcurve(graph: DualGraph, subcurve: Iterable[str]) -> tuple[frozenset, int]:
+    """A nonempty subcurve of known ids and its bitmask over the id-sorted
+    vertex order, validated in one pass."""
     Y = frozenset(subcurve)
     if not Y:
         raise GraphError("a subcurve must contain at least one component")
-    for vid in Y:
-        graph.index(vid)
-    return Y
-
-
-def _mask_of(graph: DualGraph, subcurve: Iterable[str]) -> int:
-    """Bitmask of a validated subcurve over the id-sorted vertex order."""
     index = graph._index
-    return sum(1 << index[v] for v in subcurve)
+    mask = 0
+    for vid in Y:
+        try:
+            mask |= 1 << index[vid]
+        except KeyError:
+            raise GraphError(f"unknown vertex id {vid!r}") from None
+    return Y, mask
 
 
 def _build_subcurve_table(graph: DualGraph) -> tuple[list[int], list[int], list[int]]:
@@ -482,10 +484,10 @@ def _build_subcurve_table(graph: DualGraph) -> tuple[list[int], list[int], list[
 
 def _subset_sums(values: Sequence, zero=0) -> list:
     """Sum of ``values[i]`` over the bits i of every mask, starting from
-    ``zero``, indexed by mask."""
+    ``zero``, indexed by mask; a zero value only copies the sums."""
     sums = [zero]
     for value in values:
-        sums += [s + value for s in sums]
+        sums += [s + value for s in sums] if value else sums
     return sums
 
 
@@ -537,9 +539,9 @@ def subcurve_profile(
     additive formula as the whole graph.  Requires total genus >= 2, since the
     lower bound divides by g - 1.
     """
-    Y = _as_subcurve(graph, subcurve)
+    Y, mask = _as_subcurve(graph, subcurve)
     g = _require_genus(graph)
-    g_y, k_y, _ = _mask_numbers(graph, _mask_of(graph, Y))
+    g_y, k_y, _ = _mask_numbers(graph, mask)
     lower = Fraction(_scaled_lower(d_total, g, g_y, k_y), 2 * (g - 1))
     degree: Optional[int] = None
     if multidegree is not None:
@@ -590,12 +592,13 @@ def iter_subcurves(
     skipped."""
     _check_cap(graph, max_vertices)
     ids = graph.ids
-    n = graph.n
-    top = (1 << n) - 1
-    for mask in range(1, top + 1):
-        if proper and mask == top:
-            continue
-        yield frozenset(ids[i] for i in range(n) if mask >> i & 1)
+    # Low ten bits' members from a table, the rest once per table block.
+    low = _subset_sums([(vid,) for vid in ids[:10]], ())
+    high: tuple = ()
+    for mask in range(1, (1 << graph.n) - 1 if proper else 1 << graph.n):
+        if not mask % len(low):
+            high = tuple(vid for i, vid in enumerate(ids) if i >= 10 and mask >> i & 1)
+        yield frozenset(low[mask % len(low)] + high)
 
 
 def basic_inequality(

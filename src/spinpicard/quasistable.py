@@ -17,17 +17,20 @@ neighbors.  The halving is why spin parity (every core_contact even) is
 required.
 
 The boundary predicates at the end of the module answer, in two independent
-ways each, whether a subcurve sits at an end of its admissible degree range,
-whether the model is GIT-stable, and whether its orbit is closed.
+ways each (within the subset cap, on every row of one table per model and
+twist, built by whole columns), whether a subcurve sits at an end of its
+admissible degree range, whether the model is GIT-stable, and whether its
+orbit is closed.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import BlowupError, DomainError, GraphError, ParityError
 from .graphs import (
@@ -39,7 +42,6 @@ from .graphs import (
     _check_cap,
     _internal_error,
     _mask_numbers,
-    _mask_of,
     _require_genus,
     _scaled_lower,
     _subset_sums,
@@ -239,7 +241,7 @@ class QuasistableGraph(DualGraph):
         self.source = source
         self.config = config
         self._spin_cache: dict[int, Multidegree] = {}
-        self._row_cache: dict[int, list[tuple]] = {}
+        self._row_cache: dict[int, tuple[list, dict]] = {}
 
         for vid in sorted(self.exceptional):
             vert = self.vertex(vid)
@@ -278,7 +280,7 @@ class QuasistableGraph(DualGraph):
 
     @cached_property
     def _exceptional_mask(self) -> int:
-        return _mask_of(self, self.exceptional)
+        return sum(1 << self._index[vid] for vid in self.exceptional)
 
     def __repr__(self) -> str:
         return (
@@ -463,7 +465,6 @@ class _DirectColumn(dict):
     that must not build the 2^n table."""
 
     def __init__(self, q: QuasistableGraph, field: int) -> None:
-        super().__init__()
         self.q = q
         self.field = field
 
@@ -492,8 +493,7 @@ class ExceptionalProfile:
 
 
 def exceptional_profile(q: QuasistableGraph, subcurve: Iterable[str]) -> ExceptionalProfile:
-    Y = _as_subcurve(q, subcurve)
-    mask = _mask_of(q, Y)
+    Y, mask = _as_subcurve(q, subcurve)
     y_core = mask & ~q._exceptional_mask
     contact, internal = _DirectColumn(q, 1), _DirectColumn(q, 2)
     return ExceptionalProfile(
@@ -530,6 +530,20 @@ class BoundaryCase:
     def upper(self) -> Fraction:
         return self.lower + self.contact
 
+    @classmethod
+    def _trusted(cls, subcurve: frozenset, lower: Fraction, contact: int, row: tuple):
+        """A case built from one boundary row, without the frozen dataclass's
+        per-field assignments."""
+        case = object.__new__(cls)
+        degree, core_contact, inner_ok, outer_ok, at_min, at_max = row
+        object.__setattr__(case, "__dict__", {
+            "subcurve": subcurve, "degree": degree, "lower": lower, "contact": contact,
+            "core_contact": core_contact, "at_min": at_min, "at_max": at_max,
+            "inner_exceptionals_avoid_complement": inner_ok,
+            "outer_exceptionals_avoid_subcurve": outer_ok,
+        })
+        return case
+
 
 def _rows(q: QuasistableGraph, t: int, masks: Iterable[int], table: tuple, degree) -> list[tuple]:
     """Boundary rows (degree, core_contact, inner_ok, outer_ok, at_min,
@@ -565,20 +579,75 @@ def _rows(q: QuasistableGraph, t: int, masks: Iterable[int], table: tuple, degre
     return rows
 
 
-def _table_rows(q: QuasistableGraph, t: int) -> list:
-    """Boundary rows of every nonempty mask at twist t, cached on the model
-    for the latest twist only (one 2^n table, whatever the t sweep); index 0,
-    the empty subcurve, is a placeholder no scan reads.
+def _node_columns(q: QuasistableGraph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Node counts of every mask, doubled over the id-sorted vertices from the
+    node matrix alone: core contact (core-to-core nodes across Y), nodes in
+    Y's core, inner nodes (from Y's exceptional components to the rest's
+    core) and 2 slots per exceptional vertex in Y.  Outer nodes (from the
+    rest's exceptional components to Y's core) are the inner column reversed."""
+    exc = q._exceptional_mask
+    core_contact, core_internal, inner, slots = [0], [0], [0], [0]
+    for h, row in enumerate(q._matrix):
+        to_core = [0 if exc >> j & 1 else m for j, m in enumerate(row)]
+        c_h = sum(to_core)
+        # Nodes joining h to the core of each smaller mask.
+        cross = _subset_sums(to_core[:h])
+        if exc >> h & 1:
+            inner += [i + c_h - x for i, x in zip(inner, cross)]
+            slots += [s + 2 for s in slots]
+            core_contact += core_contact
+            core_internal += core_internal
+        else:
+            core_contact += [c + c_h - 2 * x for c, x in zip(core_contact, cross)]
+            core_internal += [e + x for e, x in zip(core_internal, cross)]
+            cross = _subset_sums([m - c for m, c in zip(row[:h], to_core)])
+            inner += [i - x for i, x in zip(inner, cross)]
+            slots += slots
+    return core_contact, core_internal, inner, slots
 
-    Callers validate t and the spin structure through spin_multidegree first.
+
+def _table_rows(q: QuasistableGraph, t: int) -> list:
+    """Boundary rows of every mask at twist t (index 0 a placeholder), built
+    by whole columns and cached on the model for the latest twist only,
+    beside the ``lower`` bounds boundary_case builds per (genus, contact).
+
+    The exact route is one subset sum of the singleton bounds minus
+    2(g-1) internal(Y).  Compared with the subcurve table on every mask: the
+    node slots, k(Y) = core contact + inner + outer, and 2(g-1)(d(Y) - m(Y))
+    = (g-1)(core contact + 2 inner); with non-negative counts these imply
+    both slot bounds and both structural clauses.  Any failure reruns the
+    per-mask `_rows`, which raises naming the first failing mask.  Callers
+    validate t and the spin structure through spin_multidegree first.
     """
-    rows = q._row_cache.get(t)
-    if rows is None:
-        _require_genus(q)
-        degree = _subset_sums(q._spin_cache[t].values(q.ids))
-        rows = [None, *_rows(q, t, range(1, 1 << q.n), q._subcurve_table, degree)]
-        q._row_cache = {t: rows}
-    return rows
+    cached = q._row_cache.get(t)
+    if cached is None:
+        g = _require_genus(q)
+        scale = 2 * (g - 1)
+        table = _, contact, internal = q._subcurve_table
+        values = q._spin_cache[t].values(q.ids)
+        degree = _subset_sums(values)
+        exact = _subset_sums([
+            scale * d - _scaled_lower((2 * t + 1) * (g - 1), g, v.pa, c)
+            for d, v, c in zip(values, q.vertices, q._contacts)
+        ])
+        offset = [x - scale * e for x, e in zip(exact, internal)]
+        core_contact, core_internal, inner, slots = _node_columns(q)
+        if (
+            min(core_contact + inner) >= 0
+            and [e - c + i for e, c, i in zip(internal, core_internal, inner)] == slots
+            and [c + i + o for c, i, o in zip(core_contact, inner, reversed(inner))] == contact
+            and [(g - 1) * (c + 2 * i) for c, i in zip(core_contact, inner)] == offset
+        ):
+            inner_ok = [not i for i in inner]
+            at_min = [not x for x in offset]
+            at_max = [x == scale * k for x, k in zip(offset, contact)]
+            rows = list(zip(degree, core_contact, inner_ok, inner_ok[::-1], at_min, at_max))
+            rows[0] = None
+        else:
+            rows = [None, *_rows(q, t, range(1, 1 << q.n), table, degree)]
+        cached = (rows, {})
+        q._row_cache = {t: cached}
+    return cached[0]
 
 
 def _direct_row(q: QuasistableGraph, t: int, mask: int) -> tuple[int, int, tuple]:
@@ -603,31 +672,25 @@ def boundary_case(
     characterization (core_contact zero plus the appropriate exceptional
     clause).  The routes must agree; disagreement raises RuntimeError, since it
     would mean the degree formulas and the combinatorics have come apart.
-    Models within MAX_SUBSET_VERTICES read the model's cached row table for
-    t; larger ones compute the one row directly.
+    Within MAX_SUBSET_VERTICES this is a lookup in the model's row table for
+    t, where both routes ran on every mask; larger models compute the one
+    row directly.
     """
     spin_multidegree(q, t, unsafe_t=unsafe_t)
-    Y = _as_subcurve(q, subcurve)
+    Y, mask = _as_subcurve(q, subcurve)
     g = _require_genus(q)
-    mask = _mask_of(q, Y)
-    if q.n <= MAX_SUBSET_VERTICES:
-        genus, contact, _ = q._subcurve_table
-        g_y, k_y, row = genus[mask], contact[mask], _table_rows(q, t)[mask]
-    else:
+    if q.n > MAX_SUBSET_VERTICES:
         g_y, k_y, row = _direct_row(q, t, mask)
-    degree, core_contact, inner_ok, outer_ok, at_min, at_max = row
-    lower = Fraction(_scaled_lower((2 * t + 1) * (g - 1), g, g_y, k_y), 2 * (g - 1))
-    return BoundaryCase(
-        subcurve=Y,
-        degree=degree,
-        lower=lower,
-        contact=k_y,
-        core_contact=core_contact,
-        at_min=at_min,
-        at_max=at_max,
-        inner_exceptionals_avoid_complement=inner_ok,
-        outer_exceptionals_avoid_subcurve=outer_ok,
-    )
+        windows = {}
+    else:
+        row = _table_rows(q, t)[mask]
+        windows = q._row_cache[t][1]
+        genus, contact, _ = q._subcurve_table
+        g_y, k_y = genus[mask], contact[mask]
+    key = g_y, k_y
+    if key not in windows:
+        windows[key] = Fraction(_scaled_lower((2 * t + 1) * (g - 1), g, *key), 2 * (g - 1))
+    return BoundaryCase._trusted(Y, windows[key], k_y, row)
 
 
 def git_stable(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> bool:
@@ -670,9 +733,7 @@ def git_stable_exhaustive(
     spin_multidegree(q, t, unsafe_t=unsafe_t)
     rows = _table_rows(q, t)
     exc = q._exceptional_mask
-    return not any(
-        at_max for mask, (*_, at_max) in enumerate(rows[1:-1], start=1) if mask & ~exc
-    )
+    return not any(row[5] for mask, row in enumerate(rows[1:-1], start=1) if mask & ~exc)
 
 
 def orbit_closed_check(

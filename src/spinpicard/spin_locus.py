@@ -29,8 +29,9 @@ the vertices it reached violate the inequality.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .errors import BasicInequalityError, DomainError, WitnessError
 from .graphs import (

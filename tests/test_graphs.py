@@ -361,3 +361,27 @@ def test_subset_cap():
         basic_inequality(big, md)
     # explicit override lifts the cap
     assert len(list(iter_subcurves(big, max_vertices=13))) == 2**13 - 1
+
+
+@pytest.mark.parametrize("proper", [False, True])
+def test_iter_subcurves_follows_the_bitmask_order(proper):
+    """Subcurves come from a table of id tuples over the low bits and the
+    high members once per block of it; they must be the bitmask formula's
+    sets, in ascending mask order, at every size and across blocks."""
+    for n in range(1, 14):
+        graph = DualGraph(
+            [(f"v{i:02d}", 1) for i in range(n)],
+            {(f"v{i:02d}", f"v{i + 1:02d}"): 1 for i in range(n - 1)},
+        )
+        ids = graph.ids
+        top = (1 << n) - 1
+        expected = [
+            frozenset(ids[i] for i in range(n) if mask >> i & 1)
+            for mask in range(1, top + 1)
+            if not (proper and mask == top)
+        ]
+        assert list(iter_subcurves(graph, proper=proper, max_vertices=13)) == expected
+    # Lazy past any cap: the first subcurve of a 60-vertex chain costs no 2^n work.
+    chain = DualGraph([(f"v{i:02d}", 1) for i in range(60)],
+                      {(f"v{i:02d}", f"v{i + 1:02d}"): 1 for i in range(59)})
+    assert next(iter_subcurves(chain, proper=proper, max_vertices=60)) == {"v00"}

@@ -327,6 +327,42 @@ def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
     assert payload["subcurve"] == ["C1", "E(C1|C2)#2"] and "t" not in payload
 
 
+def _first_failing_mask(q, t: int) -> tuple[int, int]:
+    """The smallest mask whose per-mask row raises, and how many masks do."""
+    degree = spin_multidegree(q, t).values(q.ids)
+    failing = []
+    for mask in range(1, 1 << q.n):
+        sums = {mask: sum(d for i, d in enumerate(degree) if mask >> i & 1)}
+        try:
+            quasistable._rows(q, t, [mask], q._subcurve_table, sums)
+        except RuntimeError:
+            failing.append(mask)
+    return failing[0], len(failing)
+
+
+@pytest.mark.parametrize("fault", ["degree", "internal"])
+def test_column_failure_names_the_first_failing_mask(fault):
+    """The whole-column checks find a fault without knowing where; the rerun
+    must name the smallest failing mask, not a later one."""
+    split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
+    q = expand(split, BlowupConfig({("C1", "C2"): 4}))
+    md = spin_multidegree(q, 10)
+    third, fourth = sorted(q.exceptional)[2:]
+    if fault == "degree":
+        # One exceptional component of degree 2 moves every subcurve holding it.
+        q._spin_cache[10] = Multidegree.of({**md.as_dict(), third: 2})
+    else:
+        # Five extra internal nodes break a slot bound on both masks.
+        genus, contact, internal = q._subcurve_table
+        bad = {mask_of(q, {third, fourth}), mask_of(q, {"C2", fourth})}
+        q._subcurve_table = (genus, contact, [e + 5 * (m in bad) for m, e in enumerate(internal)])
+    first, count = _first_failing_mask(q, 10)
+    assert count > 1
+    with pytest.raises(RuntimeError) as err:
+        orbit_closed_check(q, 10)
+    assert replay_payload(err)["subcurve"] == [v for i, v in enumerate(q.ids) if first >> i & 1]
+
+
 def test_witness_check_raises_a_replayable_payload(monkeypatch):
     graph = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
     md = Multidegree.of({"C1": 20, "C2": 22})

@@ -7,24 +7,34 @@ corpora, and from 13 vertices on past the cap of the subcurve scans; the
 checks need no oracle: a witness must reproduce its multidegree, witnesses
 must move with the twist, an overloaded vertex must be rejected with a
 violated subcurve, the locus must not depend on vertex names, and the
-admissible set must move with the total.
+admissible set must move with the total.  On random spin blow-up models the
+row table built by whole columns must match the O(n^2) direct row on every
+mask.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spinpicard.quasistable as quasistable
 from spin_oracles import named_violation
 from spinpicard import (
     BasicInequalityError,
+    BlowupConfig,
     DualGraph,
     Multidegree,
+    Vertex,
     decide_spin_component,
     enumerate_multidegrees,
     enumerate_spin_multidegrees,
+    expand,
     grouped_multidegree,
+    spin_multidegree,
+    spin_parity,
     subcurve_profile,
 )
 
@@ -155,3 +165,39 @@ def test_admissible_set_moves_with_the_total(graph, d):
     ]
     moved = enumerate_multidegrees(graph, d + 2 * graph.genus - 2)
     assert [md.values(graph.ids) for md in moved] == shifted
+
+
+@st.composite
+def spin_models(draw):
+    """A spin blow-up model of at most 12 vertices of a random stable graph
+    with 2-5 vertices (self-nodes on some positive-genus components), and a
+    twist: 10..30, or 0..9 in unsafe mode."""
+    base = draw(stable_graphs(sizes=(2, 5)))
+    graph = DualGraph(
+        [Vertex(v.id, v.pa, draw(st.integers(0, min(v.pa, 1)))) for v in base.vertices],
+        [(u, v, k) for u, v, k in base.pairs()],
+    )
+    # Leaving an even number of a pair's nodes unblown keeps spin parity.
+    even = draw(st.booleans())
+    s = {}
+    for u, v, k in graph.pairs():
+        s[(u, v)] = k - 2 * draw(st.integers(0, k // 2)) if even else draw(st.integers(0, k))
+    r = {v.id: draw(st.integers(0, v.self_nodes)) for v in graph.vertices}
+    config = BlowupConfig(s, r)
+    assume(graph.n + config.total <= 12 and spin_parity(graph, config))
+    unsafe = draw(st.booleans())
+    t = draw(st.integers(0, 9) if unsafe else st.integers(10, 30))
+    return expand(graph, config), t, unsafe
+
+
+@PROPERTY_SETTINGS
+@given(spin_models())
+def test_column_rows_match_the_direct_row_on_every_mask(case):
+    q, t, unsafe = case
+    spin_multidegree(q, t, unsafe_t=unsafe)
+    # Valid models never fall back to the per-mask rows.
+    with mock.patch.object(quasistable, "_rows", side_effect=AssertionError("per-mask rerun")):
+        rows = quasistable._table_rows(q, t)
+    assert len(rows) == 1 << q.n
+    for mask in range(1, 1 << q.n):
+        assert rows[mask] == quasistable._direct_row(q, t, mask)[2], (q, t, mask)

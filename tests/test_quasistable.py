@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import spinpicard.quasistable as quasistable
 from spinpicard import (
     BlowupConfig,
     BlowupError,
+    BoundaryCase,
     DomainError,
     DualGraph,
     GraphError,
@@ -283,6 +286,38 @@ def test_boundary_case_strict_interior():
 
 
 # -- GIT stability and orbit closure ----------------------------------------
+
+
+def test_trusted_boundary_cases_equal_dataclass_built_ones():
+    """boundary_case builds its reports from table rows without the dataclass
+    constructor; they must be the objects the constructor builds from the
+    same row, in every respect callers can see, and stay frozen."""
+    q = expand(TWO_ELLIPTIC, BlowupConfig({("A", "B"): 1}))
+    cases = []
+    for t in (10, 13):
+        spin_multidegree(q, t)
+        rows = quasistable._table_rows(q, t)
+        for mask, Y in enumerate(iter_subcurves(q), start=1):
+            degree, core_contact, inner_ok, outer_ok, at_min, at_max = rows[mask]
+            profile = subcurve_profile(q, Y, (2 * t + 1) * (q.genus - 1))
+            built = BoundaryCase(
+                subcurve=Y, degree=degree, lower=profile.lower, contact=profile.contact,
+                core_contact=core_contact, at_min=at_min, at_max=at_max,
+                inner_exceptionals_avoid_complement=inner_ok,
+                outer_exceptionals_avoid_subcurve=outer_ok,
+            )
+            case = boundary_case(q, t, Y)
+            assert case == built and hash(case) == hash(built)
+            assert repr(case) == repr(built)
+            assert case.upper == built.upper == profile.upper
+            assert dataclasses.asdict(case) == dataclasses.asdict(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                case.at_min = not case.at_min
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del case.degree
+            cases.append(case)
+    assert len(cases) == 14
+    assert any(c.at_min for c in cases) and any(c.at_max for c in cases)
 
 
 def test_git_stable_examples():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
+
+from spinpicard.cli import build_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinpicard"
 
@@ -40,3 +43,55 @@ def test_every_max_vertices_parameter_is_read():
             ):
                 unread.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unread, f"max_vertices accepted but never read: {', '.join(unread)}"
+
+
+def test_no_isinstance_against_typing_names():
+    """typing's aliases answer isinstance through Python-level
+    __instancecheck__ code, several times slower than the collections.abc
+    classes they stand for: runtime checks use those classes."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names, modules = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "typing":
+                names |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                modules |= {
+                    alias.asname or alias.name for alias in node.names if alias.name == "typing"
+                }
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+            ):
+                continue
+            classes = node.args[1]
+            for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+                if (isinstance(cls, ast.Name) and cls.id in names) or (
+                    isinstance(cls, ast.Attribute) and isinstance(cls.value, ast.Name)
+                    and cls.value.id in modules
+                ):
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(cls)}")
+    assert not found, f"isinstance against a typing name: {', '.join(found)}"
+
+
+def test_every_cli_option_is_read():
+    """An option the parser registers but no handler reads is accepted and
+    silently ignored, so every option's dest is read as args.<dest>."""
+    dests = set()
+    parsers = [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                dests.add(action.dest)
+    tree = ast.parse((SRC / "cli.py").read_text())
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "args" and isinstance(node.ctx, ast.Load)
+    }
+    assert "max_vertices" in dests
+    assert not dests - read, f"options never read: {', '.join(sorted(dests - read))}"
