@@ -95,7 +95,8 @@ class DualGraph:
     """Weighted dual graph of a connected nodal curve.
 
     Instances are immutable by convention: no method mutates the graph after
-    construction, and derived data is memoized on first use.
+    construction.  The genus and per-vertex contacts are set on construction;
+    the node matrix and the 2^n subcurve table are memoized on first use.
     """
 
     def __init__(self, vertices: Iterable[VertexLike], edges: EdgeTable = ()) -> None:
@@ -145,6 +146,9 @@ class DualGraph:
         self._ids: tuple[str, ...] = ids
         self._index: dict[str, int] = {vid: i for i, vid in enumerate(ids)}
         self._adjacency = adjacency
+        self._contacts: tuple[int, ...] = tuple(sum(adjacency[vid].values()) for vid in ids)
+        #: Arithmetic genus: sum(pa_i) + sum(k_ij over pairs) - n + 1.
+        self.genus: int = sum(v.pa for v in vs) + sum(self._contacts) // 2 - len(ids) + 1
         self._check_connected()
 
     # -- structure ---------------------------------------------------------
@@ -220,21 +224,11 @@ class DualGraph:
         )
 
     @cached_property
-    def _contacts(self) -> tuple[int, ...]:
-        return tuple(self.contact(v) for v in self._ids)
-
-    @cached_property
     def _subcurve_table(self) -> tuple[list[int], list[int], list[int]]:
         """Genus, contact and internal-node count of every subcurve, as three
         lists indexed by bitmask: bit i selects the i-th id in sorted order,
         and entry 0 is the empty subcurve (genus 1, no nodes)."""
         return _build_subcurve_table(self)
-
-    @cached_property
-    def genus(self) -> int:
-        """Arithmetic genus: sum(pa_i) + sum(k_ij over pairs) - n + 1."""
-        nodes = sum(m for _, _, m in self.pairs())
-        return sum(v.pa for v in self._vertices) + nodes - self.n + 1
 
     # -- conversions -------------------------------------------------------
 
@@ -339,7 +333,7 @@ def is_stable(graph: DualGraph) -> bool:
     formula covers both the rational case (needs at least 3 contact points) and
     the genus-one case (needs at least 1).
     """
-    return all(2 * v.pa - 2 + graph.contact(v.id) > 0 for v in graph.vertices)
+    return all(2 * v.pa - 2 + c > 0 for v, c in zip(graph.vertices, graph._contacts))
 
 
 # -- multidegrees ----------------------------------------------------------
@@ -679,23 +673,21 @@ class _Orientation:
                 self.incident[i].append(p)
                 self.incident[j].append(p)
 
-    def _room(self, p: int, x: int) -> tuple[int, int]:
-        """The other end of pair p and how many units can move off x along it."""
-        i, j = self.ends[p]
-        return (j, self.a[p] - self.lo[p]) if x == i else (i, self.hi[p] - self.a[p])
-
     def _path(
         self, sources: Sequence[int], targets, skip: int = -1
     ) -> tuple[list[tuple[int, int]], int, int] | set[int]:
         """(moves, start, end) of one shortest path from a source to a target,
-        never along pair ``skip``, each move a (vertex, pair); the set of
-        vertices reached when no target is."""
+        never along pair ``skip``, each move a (vertex, pair) with room to
+        move units off the vertex; the set of vertices reached when no target
+        is."""
+        ends, a, lo, hi, incident = self.ends, self.a, self.lo, self.hi, self.incident
         parent = dict.fromkeys(sources)
         queue = deque(sources)
         while queue:
             x = queue.popleft()
-            for p in self.incident[x]:
-                y, room = self._room(p, x)
+            for p in incident[x]:
+                i, j = ends[p]
+                y, room = (j, a[p] - lo[p]) if x == i else (i, hi[p] - a[p])
                 if p == skip or room <= 0 or y in parent:
                     continue
                 parent[y] = (x, p)
@@ -709,9 +701,12 @@ class _Orientation:
         return set(parent)
 
     def _send(self, moves: list, limit: int) -> int:
-        amount = min([limit] + [self._room(p, x)[1] for x, p in moves])
+        ends, a, lo, hi = self.ends, self.a, self.lo, self.hi
+        amount = min(
+            [limit] + [a[p] - lo[p] if x == ends[p][0] else hi[p] - a[p] for x, p in moves]
+        )
         for x, p in moves:
-            self.a[p] += -amount if x == self.ends[p][0] else amount
+            a[p] += -amount if x == ends[p][0] else amount
         return amount
 
     def meet(self, quota: Sequence[int]) -> Optional[set[int]]:

@@ -116,13 +116,15 @@ def _pair_counts(entries, error: type, loop_message: str) -> dict[tuple[str, str
 
 def _odd_vertex(graph: DualGraph, blown) -> Optional[tuple[str, int]]:
     """The first vertex, in id order, left with an odd number of unblown
-    nodes with other components, and that number; ``blown.s(u, v)`` counts
-    the blown nodes of each pair.  None when every count is even."""
-    for vid in graph.ids:
-        left = graph.contact(vid) - sum(blown.s(vid, u) for u in graph.neighbors(vid))
-        if left % 2:
-            return vid, left
-    return None
+    nodes with other components, and that number; ``blown._s`` counts the
+    blown nodes of each pair, every pair already checked against the graph.
+    None when every count is even."""
+    left = list(graph._contacts)
+    index = graph._index
+    for (u, v), count in blown._s.items():
+        left[index[u]] -= count
+        left[index[v]] -= count
+    return next(((vid, x) for vid, x in zip(graph.ids, left) if x % 2), None)
 
 
 class BlowupConfig:
@@ -459,18 +461,19 @@ def _structure(q: QuasistableGraph, mask: int, contact, internal, t=None) -> tup
     return core_contact, inner_ok, outer_ok
 
 
-class _DirectColumn(dict):
+class _DirectColumn:
     """One column (0 genus, 1 contact, 2 internal nodes) of the subcurve
-    table, filled per mask on first read in O(n^2), for single-subcurve calls
-    that must not build the 2^n table."""
+    table for single-subcurve calls that must not build the 2^n table: a view
+    of ``memo``, which the columns of one call share and which holds
+    `_mask_numbers` of each mask read, computed in O(n^2) on first read."""
 
-    def __init__(self, q: QuasistableGraph, field: int) -> None:
-        self.q = q
-        self.field = field
+    def __init__(self, q: QuasistableGraph, memo: dict, field: int) -> None:
+        self.q, self.memo, self.field = q, memo, field
 
-    def __missing__(self, mask: int) -> int:
-        value = self[mask] = _mask_numbers(self.q, mask)[self.field]
-        return value
+    def __getitem__(self, mask: int) -> int:
+        if mask not in self.memo:
+            self.memo[mask] = _mask_numbers(self.q, mask)
+        return self.memo[mask][self.field]
 
 
 @dataclass(frozen=True)
@@ -495,7 +498,8 @@ class ExceptionalProfile:
 def exceptional_profile(q: QuasistableGraph, subcurve: Iterable[str]) -> ExceptionalProfile:
     Y, mask = _as_subcurve(q, subcurve)
     y_core = mask & ~q._exceptional_mask
-    contact, internal = _DirectColumn(q, 1), _DirectColumn(q, 2)
+    memo: dict = {}
+    contact, internal = _DirectColumn(q, memo, 1), _DirectColumn(q, memo, 2)
     return ExceptionalProfile(
         subcurve=Y,
         components=mask.bit_count(),
@@ -652,7 +656,8 @@ def _table_rows(q: QuasistableGraph, t: int) -> list:
 
 def _direct_row(q: QuasistableGraph, t: int, mask: int) -> tuple[int, int, tuple]:
     """(genus, contact, row) of one mask in O(n^2), for models over the cap."""
-    table = tuple(_DirectColumn(q, field) for field in range(3))
+    memo: dict = {}
+    table = tuple(_DirectColumn(q, memo, field) for field in range(3))
     degrees = q._spin_cache[t].values(q.ids)
     degree = {mask: sum(d for i, d in enumerate(degrees) if mask >> i & 1)}
     (row,) = _rows(q, t, [mask], table, degree)

@@ -96,6 +96,15 @@ class SpinWitness:
             if count:
                 raise WitnessError(f"sigma[{u}, {v}] = {count} but s[{u}, {v}] = 0")
 
+    @classmethod
+    def _trusted(cls, s: dict, sigma: dict) -> "SpinWitness":
+        """A witness the library built itself, without re-validation: ``s``
+        keyed by sorted pair with no zero counts, ``sigma`` holding both
+        directions of every blown pair, in the constructor's order."""
+        witness = object.__new__(cls)
+        witness._s, witness._sigma = s, sigma
+        return witness
+
     def s(self, u: str, v: str) -> int:
         return self._s.get(_pair(u, v), 0)
 
@@ -158,26 +167,31 @@ def _require_spin_graph(graph: DualGraph) -> None:
 
 
 def _spin_base(graph: DualGraph, t: int) -> list[int]:
-    """(2t+1)(pa - 1) + t * contact per vertex, in id order: the degree every
-    witness starts from before the nodes are shared out."""
-    return [
-        (2 * t + 1) * (graph.pa(vid) - 1) + t * graph.contact(vid) for vid in graph.ids
-    ]
+    """(2t+1)(pa - 1) + t * contact per vertex, in id order, from the vertex
+    and contact columns: the degree every witness starts from."""
+    return [(2 * t + 1) * (v.pa - 1) + t * c for v, c in zip(graph.vertices, graph._contacts)]
 
 
 def grouped_multidegree(
     graph: DualGraph, witness: SpinWitness, t: int, *, unsafe_t: bool = False
 ) -> Multidegree:
-    """Degree vector on the stable graph cut out by a witness at twist t."""
+    """Degree vector on the stable graph cut out by a witness at twist t.
+
+    Once the witness passes its checks (s within k, then parity), one pass
+    over its pairs replays the doubled degree 2 base + contact - s at both
+    ends of each blown pair + 2 sigma at the end it credits.
+    """
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
     witness.validate(graph)
-    degrees = {}
-    for vid, base in zip(graph.ids, _spin_base(graph, t)):
-        blown = sum(witness.s(vid, u) for u in graph.neighbors(vid))
-        credited = sum(witness.sigma(vid, u) for u in graph.neighbors(vid))
-        degrees[vid] = base + (graph.contact(vid) - blown) // 2 + credited
-    md = Multidegree.of(degrees)
+    index = graph._index
+    doubled = [2 * b + c for b, c in zip(_spin_base(graph, t), graph._contacts)]
+    for (u, v), count in witness._s.items():
+        doubled[index[u]] -= count
+        doubled[index[v]] -= count
+    for (u, _), share in witness._sigma.items():
+        doubled[index[u]] += 2 * share
+    md = Multidegree._trusted(graph.ids, [x // 2 for x in doubled])
     expected = (2 * t + 1) * (graph.genus - 1)
     if md.total != expected:
         raise _internal_error(
@@ -223,7 +237,10 @@ def decide_spin_component(
     walk is the certificate either way: it meets the quotas exactly when the
     basic inequality holds (Hakimi), so the spin locus never misses a
     component, and when it is stuck the vertices it reached form a subcurve
-    whose degree falls below its window, which the error names.
+    whose degree falls below its window, which the error names.  The witness
+    is read off the settled kernel without the constructor's re-validation,
+    then replayed through `grouped_multidegree`, which checks it against the
+    graph and must give back the multidegree.
     """
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
@@ -236,11 +253,11 @@ def decide_spin_component(
         )
 
     ids = graph.ids
-    index = {vid: i for i, vid in enumerate(ids)}
+    index = graph._index
     pairs = list(graph.pairs())
     kernel = _Orientation(len(ids), [(index[u], index[v], 2 * k) for u, v, k in pairs])
     stuck = kernel.meet(
-        [2 * (multidegree[vid] - b) for vid, b in zip(ids, _spin_base(graph, t))]
+        [2 * (d - b) for d, b in zip(multidegree.values(ids), _spin_base(graph, t))]
     )
     if stuck is not None:
         worst = subcurve_profile(graph, [ids[i] for i in stuck], d_total, multidegree)
@@ -263,7 +280,8 @@ def decide_spin_component(
         if shift:
             s[(u, v)] = abs(shift)
             sigma[(u, v)] = max(shift, 0)
-    witness = SpinWitness(s, sigma)
+            sigma[(v, u)] = max(-shift, 0)
+    witness = SpinWitness._trusted(s, sigma)
     if grouped_multidegree(graph, witness, t, unsafe_t=unsafe_t) != multidegree:
         raise _internal_error(
             "witness does not reproduce the multidegree",
@@ -291,7 +309,7 @@ def enumerate_spin_multidegrees(
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
     _check_cap(graph, max_vertices)
-    index = {vid: i for i, vid in enumerate(graph.ids)}
+    index = graph._index
     reached = {tuple(_spin_base(graph, t))}
     for u, v, k in graph.pairs():
         i, j = index[u], index[v]
@@ -335,6 +353,15 @@ class SplitCurveRow:
         if self.d1 + self.d2 != (2 * self.t + 1) * (self.genus - 1):
             raise WitnessError("split-curve row total is not (2t+1)(g-1)")
 
+    @classmethod
+    def _trusted(cls, genus: int, t: int, s: int, sigma: int, d1: int, d2: int):
+        """A row `split_curve_table` built in range, without the frozen
+        dataclass's per-field assignments and checks."""
+        row = object.__new__(cls)
+        fields = {"genus": genus, "t": t, "s": s, "sigma": sigma, "d1": d1, "d2": d2}
+        object.__setattr__(row, "__dict__", fields)
+        return row
+
 
 def split_curve_table(genus: int, t: int, *, unsafe_t: bool = False) -> list[SplitCurveRow]:
     """Closed-form bidegrees on the split curve, one row per (s, sigma).
@@ -353,7 +380,7 @@ def split_curve_table(genus: int, t: int, *, unsafe_t: bool = False) -> list[Spl
     for s in range((genus + 1) % 2, genus + 2, 2):
         low = t * (genus + 1) + (genus + 1 - s) // 2 - (2 * t + 1)
         rows += [
-            SplitCurveRow(genus=genus, t=t, s=s, sigma=sigma, d1=low + sigma, d2=total - low - sigma)
+            SplitCurveRow._trusted(genus, t, s, sigma, low + sigma, total - low - sigma)
             for sigma in range(s + 1)
         ]
     return rows

@@ -10,7 +10,9 @@ the singleton boxes filtered through the basic-inequality scan.  All of them
 take exponential time; keep inputs at desk scale.  ``spanning_trees`` is
 Kirchhoff's count, which the enumeration must reach at coprime totals, and
 ``named_violation`` reads back the subcurve a decide rejection names, for
-comparison with the scan.
+comparison with the scan.  ``neighbor_sum_grouped`` and
+``neighbor_sum_odd_vertex`` are the per-vertex neighbor sums the library
+replaced by one pass over a witness's pairs.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from spinpicard import (
     BasicInequalityError,
+    DomainError,
     DualGraph,
     Multidegree,
     SpinWitness,
+    WitnessError,
     basic_inequality,
     subcurve_profile,
 )
+from spinpicard.quasistable import check_t
 
 _NAMED = re.compile(r"degree (-?\d+) on Y=\{(.*)\} falls outside \[(\S+), (\S+)\]$")
 
@@ -225,3 +230,44 @@ def spanning_trees(graph: DualGraph) -> int:
                 rows[r][c] = (rows[r][c] * rows[col][col] - rows[r][col] * rows[col][c]) // prev
         prev = rows[col][col]
     return sign * prev if size else 1
+
+
+def neighbor_sum_odd_vertex(graph: DualGraph, blown) -> Optional[tuple[str, int]]:
+    """The first vertex in id order left with an odd number of unblown nodes
+    with other components, and that number, summing ``blown.s`` over each
+    vertex's neighbors; None when every count is even."""
+    for vid in graph.ids:
+        left = graph.contact(vid) - sum(blown.s(vid, u) for u in graph.neighbors(vid))
+        if left % 2:
+            return vid, left
+    return None
+
+
+def neighbor_sum_grouped(
+    graph: DualGraph, witness: SpinWitness, t: int, *, unsafe_t: bool = False
+) -> Multidegree:
+    """`grouped_multidegree` by per-vertex sums over the neighbors, after the
+    same checks in the same order, raising the same errors."""
+    check_t(t, unsafe_t=unsafe_t)
+    if graph.genus < 3:
+        raise DomainError(f"spin-locus operations need genus >= 3, got {graph.genus}")
+    if not all(2 * v.pa - 2 + graph.contact(v.id) > 0 for v in graph.vertices):
+        raise DomainError("spin-locus operations expect a stable graph")
+    for u, v, count in witness.s_items():
+        if count > graph.k(u, v):
+            raise WitnessError(
+                f"s[{u}, {v}] = {count} exceeds the {graph.k(u, v)} nodes "
+                f"joining {u} and {v}"
+            )
+    odd = neighbor_sum_odd_vertex(graph, witness)
+    if odd:
+        raise WitnessError(
+            f"parity fails at {odd[0]!r}: {odd[1]} unblown nodes with other "
+            f"components (odd)"
+        )
+    degrees = {}
+    for vid, base in _base(graph, t).items():
+        blown = sum(witness.s(vid, u) for u in graph.neighbors(vid))
+        credited = sum(witness.sigma(vid, u) for u in graph.neighbors(vid))
+        degrees[vid] = base + (graph.contact(vid) - blown) // 2 + credited
+    return Multidegree.of(degrees)

@@ -17,9 +17,13 @@ from spinpicard import (
     Vertex,
     arithmetic_genus,
     basic_inequality,
+    decide_spin_component,
     enumerate_multidegrees,
     enumerate_spin_multidegrees,
+    expand,
+    grouped_multidegree,
     is_stable,
+    iter_blowup_configs,
     iter_subcurves,
     subcurve_profile,
     validate_graph,
@@ -385,3 +389,44 @@ def test_iter_subcurves_follows_the_bitmask_order(proper):
     chain = DualGraph([(f"v{i:02d}", 1) for i in range(60)],
                       {(f"v{i:02d}", f"v{i + 1:02d}"): 1 for i in range(59)})
     assert next(iter_subcurves(chain, proper=proper, max_vertices=60)) == {"v00"}
+
+
+# -- derived columns ---------------------------------------------------------
+
+
+def _pair_columns(graph: DualGraph) -> tuple[int, tuple[int, ...]]:
+    """Genus and per-vertex contacts summed over ``pairs()``."""
+    pairs = list(graph.pairs())
+    contacts = tuple(sum(m for u, v, m in pairs if vid in (u, v)) for vid in graph.ids)
+    genus = sum(v.pa for v in graph.vertices) + sum(m for _, _, m in pairs) - graph.n + 1
+    return genus, contacts
+
+
+def test_columns_set_on_construction_match_the_pair_formulas(quasistable_corpus):
+    checked = 0
+    for graph in quasistable_corpus[::5]:
+        configs = list(iter_blowup_configs(graph))
+        models = [expand(graph, configs[0]), expand(graph, configs[-1])]
+        for g in [graph, *models]:
+            reversed_ids = dict(zip(g.ids, reversed(g.ids)))
+            for copy in (g, g.relabeled(reversed_ids)):
+                assert (copy.genus, copy._contacts) == _pair_columns(copy)
+                assert copy._contacts == tuple(copy.contact(v) for v in copy.ids)
+                checked += 1
+    assert checked > 300
+
+
+def test_decide_builds_neither_the_node_matrix_nor_the_subcurve_table():
+    """A 40-cycle of elliptic components, two nodes per link: the witness
+    search reads the contact column and the pairs, never the O(n^2) matrix
+    or the 2^n table."""
+    ids = [f"c{i:02d}" for i in range(40)]
+    links = {(u, v): 2 for u, v in zip(ids, ids[1:] + ids[:1])}
+    graph = DualGraph([(vid, 1) for vid in ids], links)
+    t = 10
+    # Base degree t * contact on genus-one components, plus one node of each
+    # of the vertex's two links.
+    md = Multidegree.of({vid: t * 4 + 2 for vid in ids})
+    witness = decide_spin_component(graph, t, md)
+    assert grouped_multidegree(graph, witness, t) == md
+    assert "_matrix" not in vars(graph) and "_subcurve_table" not in vars(graph)

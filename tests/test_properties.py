@@ -9,7 +9,9 @@ must move with the twist, an overloaded vertex must be rejected with a
 violated subcurve, the locus must not depend on vertex names, and the
 admissible set must move with the total.  On random spin blow-up models the
 row table built by whole columns must match the O(n^2) direct row on every
-mask.
+mask.  On random witnesses and blow-up configurations, valid or not, the
+pair-space grouping and parity check must match the per-vertex neighbor sums
+they replaced, errors included.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinpicard.quasistable as quasistable
-from spin_oracles import named_violation
+from spin_oracles import named_violation, neighbor_sum_grouped, neighbor_sum_odd_vertex
 from spinpicard import (
     BasicInequalityError,
     BlowupConfig,
     DualGraph,
     Multidegree,
+    SpinPicardError,
+    SpinWitness,
     Vertex,
     decide_spin_component,
     enumerate_multidegrees,
@@ -201,3 +205,62 @@ def test_column_rows_match_the_direct_row_on_every_mask(case):
     assert len(rows) == 1 << q.n
     for mask in range(1, 1 << q.n):
         assert rows[mask] == quasistable._direct_row(q, t, mask)[2], (q, t, mask)
+
+
+@st.composite
+def blown_tables(draw):
+    """A stable graph on 2-6 vertices with self-nodes on some components,
+    per-pair blown counts s and shares sigma, self-node counts r, and a
+    twist.  The counts keep spin parity, break it at random, or exceed k by
+    one; some tables name an unknown vertex, some r exceed the self-nodes,
+    and some twists fall below the supported range."""
+    base = draw(stable_graphs(sizes=(2, 6)))
+    graph = DualGraph(
+        [Vertex(v.id, v.pa, draw(st.integers(0, min(v.pa, 1)))) for v in base.vertices],
+        [(u, v, k) for u, v, k in base.pairs()],
+    )
+    mode = draw(st.sampled_from(["even", "any", "over"]))
+    s, sigma = {}, {}
+    for u, v, k in graph.pairs():
+        if mode == "even":
+            count = k - 2 * draw(st.integers(0, k // 2))
+        else:
+            count = draw(st.integers(0, k + (mode == "over")))
+        if count:
+            s[(u, v)] = count
+            sigma[(u, v)] = draw(st.integers(0, count))
+    if draw(st.sampled_from(["known"] * 5 + ["unknown"])) == "unknown":
+        vid = draw(st.sampled_from(graph.ids))
+        s[(vid, "zz")] = sigma[(vid, "zz")] = 1
+    r = {v.id: draw(st.sampled_from([*range(v.self_nodes + 1)] * 3 + [v.self_nodes + 1]))
+         for v in graph.vertices}
+    return graph, s, sigma, r, draw(st.sampled_from([*range(10, 31), 9]))
+
+
+def _outcome(call):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return "ok", call()
+    except SpinPicardError as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_parity(graph, config):
+    config.validate(graph)
+    return neighbor_sum_odd_vertex(graph, config) is None
+
+
+@PROPERTY_SETTINGS
+@given(blown_tables())
+def test_pair_space_grouping_matches_the_neighbor_sums(case):
+    graph, s, sigma, r, t = case
+    witness, config = SpinWitness(s, sigma), BlowupConfig(s, r)
+    assert _outcome(lambda: grouped_multidegree(graph, witness, t)) == _outcome(
+        lambda: neighbor_sum_grouped(graph, witness, t)
+    )
+    assert _outcome(lambda: spin_parity(graph, config)) == _outcome(
+        lambda: _oracle_parity(graph, config)
+    )
+    for blown in (witness, config):
+        if _outcome(lambda: BlowupConfig(blown._s).validate(graph))[0] == "ok":
+            assert quasistable._odd_vertex(graph, blown) == neighbor_sum_odd_vertex(graph, blown)

@@ -7,6 +7,7 @@ import ast
 from pathlib import Path
 
 from spinpicard.cli import build_parser
+from test_trusted import TRUSTED
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinpicard"
 
@@ -95,3 +96,20 @@ def test_every_cli_option_is_read():
     }
     assert "max_vertices" in dests
     assert not dests - read, f"options never read: {', '.join(sorted(dests - read))}"
+
+
+def test_every_trusted_constructor_has_an_equality_check():
+    """A ``_trusted`` constructor skips validation, so every class defining
+    one must appear in the parametrization of the test holding its objects
+    equal to validated ones."""
+    defining = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "_trusted"
+                for item in node.body
+            ):
+                defining.add(node.name)
+    assert defining == set(TRUSTED), (
+        f"classes defining _trusted {sorted(defining)} vs checked {sorted(TRUSTED)}"
+    )

@@ -1,0 +1,144 @@
+"""Objects the library builds without re-validation, against the objects its
+validating constructors build from the same data.
+
+Every class of `spinpicard` that defines a ``_trusted`` constructor has an
+entry in ``TRUSTED`` (`tests/test_source_rules.py` holds the library to
+that).  Each entry yields batches (trusted, validated, view, layout): two
+lists of objects built from the same data, a function reading every accessor
+callers use, and the positions at which to check the layout.  The objects
+must agree on ``==``, ``hash``, ``repr``, ``vars`` and the view.  Equal
+``vars`` on objects of one class fix what ``dataclasses.asdict`` reads and
+how the class guards its fields, so those are checked at the ``layout``
+positions: every object but split-curve rows, whose 212,040 rows get them
+on the first row of each table.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+import spinpicard.quasistable as quasistable
+from conftest import quasistable_graphs, spin_graphs
+from spinpicard import (
+    BlowupConfig,
+    BoundaryCase,
+    DualGraph,
+    Multidegree,
+    SpinWitness,
+    SplitCurveRow,
+    boundary_case,
+    decide_spin_component,
+    enumerate_multidegrees,
+    enumerate_spin_multidegrees,
+    expand,
+    grouped_multidegree,
+    iter_blowup_configs,
+    iter_subcurves,
+    spin_multidegree,
+    split_curve_table,
+    subcurve_profile,
+)
+
+
+def _multidegrees():
+    """Enumeration outputs and replayed witnesses."""
+    graph = DualGraph(
+        [("a", 1), ("b", 0), ("c", 1)], {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 1}
+    )
+    ids = graph.ids
+
+    def view(md):
+        return md.items, md.as_dict(), md.total, md.values(ids), [md[v] for v in ids]
+
+    outputs = [md for d in range(-4, 40) for md in enumerate_multidegrees(graph, d)]
+    for md in enumerate_spin_multidegrees(graph, 10):
+        outputs += [md, grouped_multidegree(graph, decide_spin_component(graph, 10, md), 10)]
+    validated = [Multidegree.from_values(graph, md.values(ids)) for md in outputs]
+    yield outputs, validated, view, range(len(outputs))
+
+
+def _boundary_cases():
+    """Every subcurve of the most blown-up spin model of every hundredth small
+    corpus graph, at t = 10 and 13."""
+    for graph in quasistable_graphs()[::100]:
+        q = expand(graph, [*iter_blowup_configs(graph, spin_only=True)][-1])
+        for t in (10, 13):
+            spin_multidegree(q, t)
+            rows = quasistable._table_rows(q, t)
+            trusted, validated = [], []
+            for mask, Y in enumerate(iter_subcurves(q), start=1):
+                degree, core_contact, inner_ok, outer_ok, at_min, at_max = rows[mask]
+                profile = subcurve_profile(q, Y, (2 * t + 1) * (q.genus - 1))
+                trusted.append(boundary_case(q, t, Y))
+                validated.append(BoundaryCase(
+                    subcurve=Y, degree=degree, lower=profile.lower, contact=profile.contact,
+                    core_contact=core_contact, at_min=at_min, at_max=at_max,
+                    inner_exceptionals_avoid_complement=inner_ok,
+                    outer_exceptionals_avoid_subcurve=outer_ok,
+                ))
+            yield trusted, validated, lambda case: case.upper, range(len(trusted))
+
+
+def _witnesses():
+    """Every witness decide returns on the spin corpus at t = 10, rebuilt
+    from its public tables by the validating constructor."""
+    for graph in spin_graphs():
+        pairs = [(u, v) for u, v, _ in graph.pairs()]
+
+        def view(w, graph=graph, pairs=pairs):
+            return (
+                w.to_dict(), w.s_items(), w.sigma_items(), w.sort_key(graph),
+                [(w.s(u, v), w.sigma(u, v), w.sigma(v, u)) for u, v in pairs],
+            )
+
+        trusted = [decide_spin_component(graph, 10, md)
+                   for md in enumerate_spin_multidegrees(graph, 10)]
+        validated = [
+            SpinWitness(
+                {(u, v): c for u, v, c in w.s_items()},
+                {(u, v): c for u, v, c in w.sigma_items()},
+            )
+            for w in trusted
+        ]
+        yield trusted, validated, view, ()
+
+
+def _split_rows():
+    """Every split-curve row for genus 3..40 and t in 0..30, each of which
+    must pass the validating constructor."""
+    for genus in range(3, 41):
+        for t in range(31):
+            rows = split_curve_table(genus, t, unsafe_t=True)
+            validated = [SplitCurveRow(**vars(row)) for row in rows]
+            yield rows, validated, lambda row: (), [0]
+
+
+TRUSTED = {
+    "BoundaryCase": _boundary_cases,
+    "Multidegree": _multidegrees,
+    "SpinWitness": _witnesses,
+    "SplitCurveRow": _split_rows,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUSTED))
+def test_trusted_instances_equal_validated_ones(name):
+    count = 0
+    for trusted, validated, view, layout in TRUSTED[name]():
+        assert {type(x).__name__ for x in trusted + validated} == {name}
+        assert trusted == validated
+        assert [hash(x) for x in trusted] == [hash(x) for x in validated]
+        assert [repr(x) for x in trusted] == [repr(x) for x in validated]
+        assert [vars(x) for x in trusted] == [vars(x) for x in validated]
+        assert [view(x) for x in trusted] == [view(x) for x in validated]
+        for i in layout:
+            assert dataclasses.asdict(trusted[i]) == dataclasses.asdict(validated[i])
+            for field in dataclasses.fields(trusted[i]):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(trusted[i], field.name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(trusted[i], field.name)
+        count += len(trusted)
+    assert count >= 100
