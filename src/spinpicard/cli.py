@@ -4,6 +4,9 @@ Human-readable tables by default; ``--json`` switches to a single JSON object
 on stdout with sorted keys, so identical invocations are byte-identical.
 Rationals are printed as exact fractions ("19", "39/2"), never as decimals.
 Diagnostics go to stderr and the exit code is 0 exactly when no error occurred.
+
+Each handler imports the library modules it calls, and only those, so that a
+command compiles no module it does not run.
 """
 
 from __future__ import annotations
@@ -12,33 +15,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
-from . import numerics
 from .errors import SpinPicardError
-from .graphs import (
-    DualGraph,
-    Multidegree,
-    arithmetic_genus,
-    basic_inequality,
-    enumerate_multidegrees,
-    is_stable,
-    validate_graph,
-)
-from .quasistable import (
-    BlowupConfig,
-    expand,
-    git_stable,
-    spin_multidegree,
-    spin_parity,
-)
-from .spin_locus import (
-    decide_spin_component,
-    enumerate_spin_multidegrees,
-    split_curve_graph,
-    split_curve_table,
-)
 
 PROG = "spinpicard"
 
@@ -58,6 +37,8 @@ class Envelope:
 
 def _q(x) -> str:
     """Exact rendering of a rational (Fraction or int) as a string."""
+    from fractions import Fraction
+
     return str(Fraction(x))
 
 
@@ -74,11 +55,15 @@ def _load_json(path: str):
         ) from exc
 
 
-def _load_graph(path: str) -> DualGraph:
+def _load_graph(path: str):
+    from .graphs import validate_graph
+
     return validate_graph(_load_json(path))
 
 
-def _parse_degree_list(text: str, graph: DualGraph) -> Multidegree:
+def _parse_degree_list(text: str, graph):
+    from .graphs import Multidegree
+
     try:
         values = [int(part.strip()) for part in text.split(",")]
     except ValueError:
@@ -88,7 +73,7 @@ def _parse_degree_list(text: str, graph: DualGraph) -> Multidegree:
     return Multidegree.from_values(graph, values)
 
 
-def _md_json(md: Multidegree) -> dict:
+def _md_json(md) -> dict:
     return {vid: deg for vid, deg in md.items}
 
 
@@ -96,6 +81,8 @@ def _md_json(md: Multidegree) -> dict:
 
 
 def cmd_info(args) -> Envelope:
+    from .graphs import arithmetic_genus, is_stable
+
     graph = _load_graph(args.graph)
     genus = arithmetic_genus(graph)
     stable = is_stable(graph)
@@ -132,6 +119,8 @@ def cmd_info(args) -> Envelope:
 
 
 def cmd_bi(args) -> Envelope:
+    from .graphs import basic_inequality, enumerate_multidegrees
+
     graph = _load_graph(args.graph)
     inputs = {"graph": args.graph, "total": args.total}
     if not args.enumerate:
@@ -195,10 +184,14 @@ def cmd_bi(args) -> Envelope:
 def cmd_spin(args) -> Envelope:
     if args.max_vertices is not None and not args.locus:
         args.usage_error("argument --max-vertices: only --locus reads it")
+    if args.genus is not None and not args.split_curve:
+        args.usage_error("argument -g/--genus: only --split-curve reads it")
     t = args.t
     unsafe = args.unsafe_t
 
     if args.split_curve:
+        from .spin_locus import split_curve_table
+
         if args.genus is None:
             raise SpinPicardError("--split-curve needs -g/--genus")
         rows = split_curve_table(args.genus, t, unsafe_t=unsafe)
@@ -229,6 +222,8 @@ def cmd_spin(args) -> Envelope:
     inputs = {"graph": args.graph, "t": t}
 
     if args.blowups is not None:
+        from .quasistable import BlowupConfig, expand, git_stable, spin_multidegree, spin_parity
+
         config = BlowupConfig.from_dict(_load_json(args.blowups))
         parity = spin_parity(graph, config)
         inputs["blowups"] = args.blowups
@@ -263,6 +258,8 @@ def cmd_spin(args) -> Envelope:
         return env
 
     if args.decide is not None:
+        from .spin_locus import decide_spin_component
+
         md = _parse_degree_list(args.decide, graph)
         # A witness or BasicInequalityError: the locus meets every component.
         witness = decide_spin_component(graph, t, md, unsafe_t=unsafe)
@@ -279,6 +276,8 @@ def cmd_spin(args) -> Envelope:
         return env
 
     # The mode group is required, so --locus is the one mode left.
+    from .spin_locus import enumerate_spin_multidegrees
+
     found = enumerate_spin_multidegrees(graph, t, unsafe_t=unsafe, max_vertices=args.max_vertices)
     env = Envelope(
         command="spin",
@@ -298,10 +297,12 @@ def cmd_spin(args) -> Envelope:
 
 
 def cmd_numerics(args) -> Envelope:
+    from . import numerics
+
     g = args.genus
-    if g is None:
-        raise SpinPicardError("-g/--genus is required")
     verb = args.verb
+    if verb == "rank" and args.degree is not None:
+        args.usage_error("argument -d/--degree: 'rank' reads no degree")
     needs_d = verb in {"kdg", "coarse", "normalize"}
     if needs_d and args.degree is None:
         raise SpinPicardError(f"'{verb}' needs -d/--degree")
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_num.add_argument("-g", "--genus", type=int, required=True)
     p_num.add_argument("-d", "--degree", type=int)
     add_common(p_num, max_vertices=False)
-    p_num.set_defaults(handler=cmd_numerics)
+    p_num.set_defaults(handler=cmd_numerics, usage_error=p_num.error)
 
     return parser
 

@@ -16,6 +16,10 @@ paths over such splits, decides it in polynomial time; the multidegree
 enumerator and the spin-locus questions run on it, while `basic_inequality`
 keeps the exhaustive scan because it reports every violated subcurve.
 
+The twist check and the per-pair count tables that blow-up configurations
+and spin witnesses share live here as well, so :mod:`spinpicard.spin_locus`
+imports this module alone and never :mod:`spinpicard.quasistable`.
+
 All classes are immutable (or immutable by convention) and all operations are
 pure functions of their arguments, so values can be shared freely across
 threads.
@@ -646,6 +650,71 @@ def basic_inequality(
             )
         )
     return BIReport(satisfied=not violations, violations=tuple(violations))
+
+
+# -- twists and per-pair counts, shared by blow-ups and witnesses ----------
+
+
+#: Twists below this bound are outside the supported regime; reachable only
+#: through unsafe_t=True (the CLI's --unsafe-t), and then still >= 0.
+MIN_T = 10
+
+
+def check_t(t: int, *, unsafe_t: bool = False) -> None:
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise DomainError(f"twist t must be an integer, got {t!r}")
+    if unsafe_t:
+        if t < 0:
+            raise DomainError(f"twist t must be non-negative even in unsafe mode, got {t}")
+        return
+    if t < MIN_T:
+        raise DomainError(
+            f"twist t must be at least {MIN_T} (got {t}); "
+            f"pass unsafe_t=True / --unsafe-t to explore smaller values"
+        )
+
+
+def _pair(u: str, v: str) -> tuple[str, str]:
+    return (u, v) if u <= v else (v, u)
+
+
+def _record(
+    table: dict, key, count, label: str, error: type, *, keep_zero: bool = False
+) -> None:
+    """Store one count under key: a non-negative integer, never given twice.
+    Zero counts are dropped unless ``keep_zero``; faults raise ``error``."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise error(f"{label}: count must be a non-negative integer")
+    if key in table:
+        raise error(f"{label}: duplicate entry")
+    if count or keep_zero:
+        table[key] = count
+
+
+def _pair_counts(entries, error: type, loop_message: str) -> dict[tuple[str, str], int]:
+    """Nonzero per-pair counts ``s`` from a mapping or ((u, v), count) items,
+    keyed by sorted pair; a pair of a vertex with itself raises ``error``
+    with ``loop_message``."""
+    table: dict[tuple[str, str], int] = {}
+    if entries:
+        for (u, v), count in entries.items() if isinstance(entries, Mapping) else entries:
+            _record(table, _pair(u, v), count, f"s[{u}, {v}]", error)
+            if u == v:
+                raise error(f"s[{u}, {v}]: {loop_message}")
+    return table
+
+
+def _odd_vertex(graph: DualGraph, blown) -> Optional[tuple[str, int]]:
+    """The first vertex, in id order, left with an odd number of unblown
+    nodes with other components, and that number; ``blown._s`` counts the
+    blown nodes of each pair, every pair already checked against the graph.
+    None when every count is even."""
+    left = list(graph._contacts)
+    index = graph._index
+    for (u, v), count in blown._s.items():
+        left[index[u]] -= count
+        left[index[v]] -= count
+    return next(((vid, x) for vid, x in zip(graph.ids, left) if x % 2), None)
 
 
 # -- the orientation kernel ------------------------------------------------

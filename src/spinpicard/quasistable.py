@@ -21,6 +21,10 @@ ways each (within the subset cap, on every row of one table per model and
 twist, built by whole columns), whether a subcurve sits at an end of its
 admissible degree range, whether the model is GIT-stable, and whether its
 orbit is closed.
+
+The twist check ``check_t``, which this module exports, and the per-pair
+count helpers are defined in :mod:`spinpicard.graphs`, which shares them
+with :mod:`spinpicard.spin_locus`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .errors import BlowupError, DomainError, GraphError, ParityError
+from .errors import BlowupError, GraphError, ParityError
 from .graphs import (
     MAX_SUBSET_VERTICES,
     DualGraph,
@@ -42,9 +46,14 @@ from .graphs import (
     _check_cap,
     _internal_error,
     _mask_numbers,
+    _odd_vertex,
+    _pair,
+    _pair_counts,
+    _record,
     _require_genus,
     _scaled_lower,
     _subset_sums,
+    check_t,
 )
 
 __all__ = [
@@ -64,67 +73,6 @@ __all__ = [
     "iter_blowup_configs",
     "check_t",
 ]
-
-#: Twists below this bound are outside the supported regime; reachable only
-#: through unsafe_t=True (the CLI's --unsafe-t), and then still >= 0.
-MIN_T = 10
-
-
-def check_t(t: int, *, unsafe_t: bool = False) -> None:
-    if isinstance(t, bool) or not isinstance(t, int):
-        raise DomainError(f"twist t must be an integer, got {t!r}")
-    if unsafe_t:
-        if t < 0:
-            raise DomainError(f"twist t must be non-negative even in unsafe mode, got {t}")
-        return
-    if t < MIN_T:
-        raise DomainError(
-            f"twist t must be at least {MIN_T} (got {t}); "
-            f"pass unsafe_t=True / --unsafe-t to explore smaller values"
-        )
-
-
-def _pair(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
-
-
-def _record(
-    table: dict, key, count, label: str, error: type, *, keep_zero: bool = False
-) -> None:
-    """Store one count under key: a non-negative integer, never given twice.
-    Zero counts are dropped unless ``keep_zero``; faults raise ``error``."""
-    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-        raise error(f"{label}: count must be a non-negative integer")
-    if key in table:
-        raise error(f"{label}: duplicate entry")
-    if count or keep_zero:
-        table[key] = count
-
-
-def _pair_counts(entries, error: type, loop_message: str) -> dict[tuple[str, str], int]:
-    """Nonzero per-pair counts ``s`` from a mapping or ((u, v), count) items,
-    keyed by sorted pair; a pair of a vertex with itself raises ``error``
-    with ``loop_message``."""
-    table: dict[tuple[str, str], int] = {}
-    if entries:
-        for (u, v), count in entries.items() if isinstance(entries, Mapping) else entries:
-            _record(table, _pair(u, v), count, f"s[{u}, {v}]", error)
-            if u == v:
-                raise error(f"s[{u}, {v}]: {loop_message}")
-    return table
-
-
-def _odd_vertex(graph: DualGraph, blown) -> Optional[tuple[str, int]]:
-    """The first vertex, in id order, left with an odd number of unblown
-    nodes with other components, and that number; ``blown._s`` counts the
-    blown nodes of each pair, every pair already checked against the graph.
-    None when every count is even."""
-    left = list(graph._contacts)
-    index = graph._index
-    for (u, v), count in blown._s.items():
-        left[index[u]] -= count
-        left[index[v]] -= count
-    return next(((vid, x) for vid, x in zip(graph.ids, left) if x % 2), None)
 
 
 class BlowupConfig:

@@ -41,10 +41,14 @@ from .graphs import (
     _check_cap,
     _check_multidegree,
     _internal_error,
+    _odd_vertex,
+    _pair,
+    _pair_counts,
+    _record,
+    check_t,
     is_stable,
     subcurve_profile,
 )
-from .quasistable import _odd_vertex, _pair, _pair_counts, _record, check_t
 
 __all__ = [
     "SpinWitness",

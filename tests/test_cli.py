@@ -46,6 +46,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv) -> str:
+    """The stderr of a command argparse refuses, which exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 # -- info --------------------------------------------------------------------
 
 
@@ -362,14 +370,21 @@ def test_max_vertices_guard(tmp_path, capsys):
 def test_spin_max_vertices_is_refused_where_unread(split3, blow_all, capsys):
     """Only --locus runs a capped scan; the other modes refuse the flag."""
     for mode in (["--decide", "21,21"], ["--blowups", blow_all], ["--split-curve", "-g", "3"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["spin", split3, "-t", "10", *mode, "--max-vertices", "16"])
-        assert exc.value.code == 2
-        _, err = capsys.readouterr()
+        err = usage_error(capsys, "spin", split3, "-t", "10", *mode, "--max-vertices", "16")
         assert "--max-vertices: only --locus reads it" in err
     code, _, err = run_cli(capsys, "spin", split3, "-t", "10", "--locus", "--max-vertices", "1")
     assert code == 1
     assert "capped at 1" in err
+
+
+def test_spin_genus_is_refused_where_unread(split3, blow_all, capsys):
+    """Only --split-curve reads -g; the other modes used to ignore it."""
+    for mode in (["--decide", "19,23"], ["--blowups", blow_all], ["--locus"]):
+        for flag in ("-g", "--genus"):
+            err = usage_error(capsys, "spin", split3, "-t", "10", *mode, flag, "7")
+            assert "argument -g/--genus: only --split-curve reads it" in err
+    code, out, _ = run_cli(capsys, "spin", "-t", "10", "--split-curve", "--genus", "3")
+    assert code == 0 and out.startswith("split curve of genus 3 at t=10")
 
 
 # -- numerics ----------------------------------------------------------------
@@ -393,6 +408,13 @@ def test_numerics_needs_degree(capsys):
     code, _, err = run_cli(capsys, "numerics", "kdg", "-g", "3")
     assert code == 1
     assert "needs -d" in err
+
+
+def test_numerics_flags(capsys):
+    """-g is required by argparse; rank reads no degree and refuses one."""
+    assert "required: -g/--genus" in usage_error(capsys, "numerics", "rank")
+    err = usage_error(capsys, "numerics", "rank", "-g", "9", "-d", "3")
+    assert "argument -d/--degree: 'rank' reads no degree" in err
 
 
 def test_numerics_domain_error(capsys):

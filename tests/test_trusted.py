@@ -43,16 +43,20 @@ from spinpicard import (
 
 
 def _multidegrees():
-    """Enumeration outputs and replayed witnesses."""
+    """Enumeration outputs, at small totals and at 21(g-1), and replayed
+    witnesses; every degree an ``int``, an absent id a ``KeyError``."""
     graph = DualGraph(
         [("a", 1), ("b", 0), ("c", 1)], {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 1}
     )
     ids = graph.ids
 
     def view(md):
-        return md.items, md.as_dict(), md.total, md.values(ids), [md[v] for v in ids]
+        types = [type(d) for _, d in md.items]
+        missing = pytest.raises(KeyError, md.__getitem__, "z").value.args
+        return md.items, md.as_dict(), md.total, md.values(ids), [md[v] for v in ids], types, missing
 
-    outputs = [md for d in range(-4, 40) for md in enumerate_multidegrees(graph, d)]
+    totals = [*range(-4, 40), 21 * (graph.genus - 1)]
+    outputs = [md for d in totals for md in enumerate_multidegrees(graph, d)]
     for md in enumerate_spin_multidegrees(graph, 10):
         outputs += [md, grouped_multidegree(graph, decide_spin_component(graph, 10, md), 10)]
     validated = [Multidegree.from_values(graph, md.values(ids)) for md in outputs]
@@ -60,10 +64,16 @@ def _multidegrees():
 
 
 def _boundary_cases():
-    """Every subcurve of the most blown-up spin model of every hundredth small
-    corpus graph, at t = 10 and 13."""
+    """Every subcurve of two elliptic curves meeting in three nodes, one of
+    them blown up, and of the most blown-up spin model of every hundredth
+    small corpus graph, at t = 10 and 13; ``upper`` is the profile's, and
+    the cases reach both ends of their windows."""
+    two_elliptic = DualGraph([("A", 1), ("B", 1)], {("A", "B"): 3})
+    models = [expand(two_elliptic, BlowupConfig({("A", "B"): 1}))]
     for graph in quasistable_graphs()[::100]:
-        q = expand(graph, [*iter_blowup_configs(graph, spin_only=True)][-1])
+        models.append(expand(graph, [*iter_blowup_configs(graph, spin_only=True)][-1]))
+    cases = []
+    for q in models:
         for t in (10, 13):
             spin_multidegree(q, t)
             rows = quasistable._table_rows(q, t)
@@ -78,7 +88,10 @@ def _boundary_cases():
                     inner_exceptionals_avoid_complement=inner_ok,
                     outer_exceptionals_avoid_subcurve=outer_ok,
                 ))
+                assert trusted[-1].upper == profile.upper
+            cases += trusted
             yield trusted, validated, lambda case: case.upper, range(len(trusted))
+    assert any(c.at_min for c in cases) and any(c.at_max for c in cases)
 
 
 def _witnesses():
