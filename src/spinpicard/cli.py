@@ -73,10 +73,6 @@ def _parse_degree_list(text: str, graph):
     return Multidegree.from_values(graph, values)
 
 
-def _md_json(md) -> dict:
-    return {vid: deg for vid, deg in md.items}
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -130,7 +126,7 @@ def cmd_bi(args) -> Envelope:
                 f"multidegree totals {md.total}, but --total is {args.total}"
             )
         report = basic_inequality(graph, md, max_vertices=args.max_vertices)
-        inputs["multidegree"] = _md_json(md)
+        inputs["multidegree"] = md.as_dict()
         env = Envelope(
             command="bi",
             inputs=inputs,
@@ -240,7 +236,7 @@ def cmd_spin(args) -> Envelope:
             {
                 "exceptional_count": len(q.exceptional),
                 "vertex_count": q.n,
-                "multidegree": _md_json(md),
+                "multidegree": md.as_dict(),
                 "total": md.total,
                 "git_stable": stable,
                 "orbit_closed": True,
@@ -263,7 +259,7 @@ def cmd_spin(args) -> Envelope:
         md = _parse_degree_list(args.decide, graph)
         # A witness or BasicInequalityError: the locus meets every component.
         witness = decide_spin_component(graph, t, md, unsafe_t=unsafe)
-        inputs["multidegree"] = _md_json(md)
+        inputs["multidegree"] = md.as_dict()
         result = {"mode": "decide", "met": True, "witness": witness.to_dict()}
         env = Envelope(command="spin", inputs=inputs, result=result)
         env.lines.append("witness found:")

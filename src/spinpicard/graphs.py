@@ -513,6 +513,11 @@ def _scaled_lower(d_total: int, g: int, genus: int, contact: int) -> int:
     return d_total * (2 * genus - 2 + contact) - (g - 1) * contact
 
 
+def _exact_lower(d_total: int, g: int, genus: int, contact: int) -> Fraction:
+    """m(Y), the lower end of a subcurve's degree window, as an exact rational."""
+    return Fraction(_scaled_lower(d_total, g, genus, contact), 2 * (g - 1))
+
+
 def _internal_error(message: str, graph: DualGraph, **context) -> RuntimeError:
     """RuntimeError for a failed internal cross-check.
 
@@ -540,7 +545,7 @@ def subcurve_profile(
     Y, mask = _as_subcurve(graph, subcurve)
     g = _require_genus(graph)
     g_y, k_y, _ = _mask_numbers(graph, mask)
-    lower = Fraction(_scaled_lower(d_total, g, g_y, k_y), 2 * (g - 1))
+    lower = _exact_lower(d_total, g, g_y, k_y)
     degree: Optional[int] = None
     if multidegree is not None:
         _check_multidegree(graph, multidegree)
@@ -639,7 +644,7 @@ def basic_inequality(
     for mask in bad:
         g_y, k_y = key = genus[mask], contact[mask]
         if key not in windows:
-            lower = Fraction(_scaled_lower(d_total, g, g_y, k_y), 2 * half)
+            lower = _exact_lower(d_total, g, g_y, k_y)
             windows[key] = (lower, lower + k_y)
         violations.append(
             BIViolation(
@@ -702,6 +707,16 @@ def _pair_counts(entries, error: type, loop_message: str) -> dict[tuple[str, str
             if u == v:
                 raise error(f"s[{u}, {v}]: {loop_message}")
     return table
+
+
+def _check_pair_bounds(graph: DualGraph, counts: Mapping, error: type) -> None:
+    """Raise ``error`` at the first pair, in sorted order, whose count in
+    ``counts`` exceeds the nodes joining it; an unknown id raises GraphError."""
+    adjacency = graph._adjacency
+    for (u, v), count in sorted(counts.items()):
+        k = adjacency[u].get(v, 0) if u in adjacency and v in adjacency else graph.k(u, v)
+        if count > k:
+            raise error(f"s[{u}, {v}] = {count} exceeds the {k} nodes joining {u} and {v}")
 
 
 def _odd_vertex(graph: DualGraph, blown) -> Optional[tuple[str, int]]:

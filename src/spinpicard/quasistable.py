@@ -16,11 +16,12 @@ all incident nodes and core_contact only those shared with non-exceptional
 neighbors.  The halving is why spin parity (every core_contact even) is
 required.
 
-The boundary predicates at the end of the module answer, in two independent
-ways each (within the subset cap, on every row of one table per model and
-twist, built by whole columns), whether a subcurve sits at an end of its
-admissible degree range, whether the model is GIT-stable, and whether its
-orbit is closed.
+The boundary predicates at the end of the module answer whether a subcurve
+sits at an end of its admissible degree range, whether the model is
+GIT-stable, and whether its orbit is closed.  One check (`_checked_row`)
+ties exact comparison to node counts: on whole columns of one row table per
+model and twist within the subset cap, and on one subcurve over the cap and
+in exceptional_profile.
 
 The twist check ``check_t``, which this module exports, and the per-pair
 count helpers are defined in :mod:`spinpicard.graphs`, which shares them
@@ -44,6 +45,8 @@ from .graphs import (
     Vertex,
     _as_subcurve,
     _check_cap,
+    _check_pair_bounds,
+    _exact_lower,
     _internal_error,
     _mask_numbers,
     _odd_vertex,
@@ -109,12 +112,7 @@ class BlowupConfig:
         return sum(self._s.values()) + sum(self._r.values())
 
     def validate(self, graph: DualGraph) -> None:
-        for u, v, count in self.s_items():
-            if count > graph.k(u, v):  # also rejects unknown ids via graph.k
-                raise BlowupError(
-                    f"s[{u}, {v}] = {count} exceeds the {graph.k(u, v)} nodes "
-                    f"joining {u} and {v}"
-                )
+        _check_pair_bounds(graph, self._s, BlowupError)
         for vid, count in self.r_items():
             if count > graph.self_nodes(vid):
                 raise BlowupError(
@@ -379,49 +377,65 @@ def _model_error(q: QuasistableGraph, message: str, mask: int = 0, **context) ->
     )
 
 
-def _structure(q: QuasistableGraph, mask: int, contact, internal, t=None) -> tuple[int, bool, bool]:
-    """Core contact and the two exceptional clauses of one subcurve mask,
-    read from contact and internal-node columns indexable by mask.
-
-    Nodes joining disjoint A and B number (k(A) + k(B) - k(A | B)) / 2.  The
-    clauses: no node joins Y's exceptional part to the complement's core
-    (inner), nor the complement's exceptional part to Y's core (outer).  Each
-    exceptional vertex inside Y owns two node slots, split between nodes
-    internal to Y and nodes leaving Y; those structural bounds raise with a
-    replayable payload when they fail.
-    """
+def _node_counts(q: QuasistableGraph, mask: int) -> tuple[int, int, int, int]:
+    """Core contact, core-internal, inner and outer nodes of one mask (the
+    entries of `_node_columns` at mask) in one O(n^2) pass over the core rows
+    of the node matrix, which see every node: exceptionals are never joined."""
     exc = q._exceptional_mask
-    core = ((1 << q.n) - 1) ^ exc
-    inner = mask & exc
-    outer = exc ^ inner
-    y_core = mask ^ inner
-    rest = core ^ y_core
-    core_contact = (contact[y_core] + contact[rest] - contact[core]) // 2
-    excess = internal[mask] - internal[y_core]
-    slots = 2 * inner.bit_count()
-    if not excess <= slots <= excess + contact[mask] - core_contact:
-        context = {} if t is None else {"t": t}
-        if excess > slots:
-            raise _model_error(q, "exceptional node count exceeds its bound", mask, **context)
+    core_contact = core_internal = inner = outer = 0
+    for i, row in enumerate(q._matrix):
+        if exc >> i & 1:
+            continue
+        in_y = mask >> i & 1
+        for j, m in enumerate(row):
+            if not m:
+                continue
+            if (mask >> j & 1) == in_y:
+                if in_y and j > i and not exc >> j & 1:
+                    core_internal += m
+            elif exc >> j & 1:
+                if in_y:
+                    outer += m
+                else:
+                    inner += m
+            elif in_y:
+                core_contact += m
+    return core_contact, core_internal, inner, outer
+
+
+def _checked_row(
+    q: QuasistableGraph, mask: int, k_y: int, internal: int, counts: tuple,
+    t: Optional[int] = None, degree: int = 0, offset: int = 0,
+) -> Optional[tuple]:
+    """The boundary row (degree, core_contact, inner_ok, outer_ok, at_min,
+    at_max) of one mask with contact k_y, ``internal`` nodes, `_node_counts`
+    ``counts`` and offset 2(g-1)(d(Y) - m(Y)); without ``t``, only the t-free
+    identities.  They are those `_table_rows` checks by whole columns: each
+    exceptional vertex of Y owns two node slots, filled by its nodes in Y and
+    the inner ones; k(Y) = core contact + inner + outer, none negative; and
+    offset = (g-1)(core contact + 2 inner), so the exact ends and the
+    structural clauses agree.  A failure raises with a replayable payload.
+    """
+    core_contact, core_internal, inner, outer = counts
+    taken = internal - core_internal + inner
+    slots = 2 * (mask & q._exceptional_mask).bit_count()
+    context = {} if t is None else {"t": t}
+    if taken > slots:
+        raise _model_error(q, "exceptional node count exceeds its bound", mask, **context)
+    if taken < slots or min(core_contact, inner, outer) < 0 or core_contact + inner + outer != k_y:
         raise _model_error(q, "exceptional node slots unaccounted for", mask, **context)
-    inner_ok = contact[inner] + contact[rest] == contact[inner | rest]
-    outer_ok = contact[outer] + contact[y_core] == contact[outer | y_core]
-    return core_contact, inner_ok, outer_ok
-
-
-class _DirectColumn:
-    """One column (0 genus, 1 contact, 2 internal nodes) of the subcurve
-    table for single-subcurve calls that must not build the 2^n table: a view
-    of ``memo``, which the columns of one call share and which holds
-    `_mask_numbers` of each mask read, computed in O(n^2) on first read."""
-
-    def __init__(self, q: QuasistableGraph, memo: dict, field: int) -> None:
-        self.q, self.memo, self.field = q, memo, field
-
-    def __getitem__(self, mask: int) -> int:
-        if mask not in self.memo:
-            self.memo[mask] = _mask_numbers(self.q, mask)
-        return self.memo[mask][self.field]
+    if t is None:
+        return None
+    g = q.genus
+    at_min, at_max = offset == 0, offset == 2 * (g - 1) * k_y
+    if offset != (g - 1) * (core_contact + 2 * inner):
+        raise _model_error(
+            q,
+            f"boundary predicates disagree (direct min/max {at_min}/{at_max}, "
+            f"structural {not core_contact and not inner}/{not core_contact and not outer})",
+            mask, t=t,
+        )
+    return degree, core_contact, not inner, not outer, at_min, at_max
 
 
 @dataclass(frozen=True)
@@ -445,16 +459,16 @@ class ExceptionalProfile:
 
 def exceptional_profile(q: QuasistableGraph, subcurve: Iterable[str]) -> ExceptionalProfile:
     Y, mask = _as_subcurve(q, subcurve)
-    y_core = mask & ~q._exceptional_mask
-    memo: dict = {}
-    contact, internal = _DirectColumn(q, memo, 1), _DirectColumn(q, memo, 2)
+    _, k_y, internal = _mask_numbers(q, mask)
+    counts = _node_counts(q, mask)
+    _checked_row(q, mask, k_y, internal, counts)
     return ExceptionalProfile(
         subcurve=Y,
         components=mask.bit_count(),
-        core_components=y_core.bit_count(),
-        internal_nodes=internal[mask],
-        core_internal_nodes=internal[y_core],
-        core_contact=_structure(q, mask, contact, internal)[0],
+        core_components=(mask & ~q._exceptional_mask).bit_count(),
+        internal_nodes=internal,
+        core_internal_nodes=counts[1],
+        core_contact=counts[0],
     )
 
 
@@ -497,40 +511,6 @@ class BoundaryCase:
         return case
 
 
-def _rows(q: QuasistableGraph, t: int, masks: Iterable[int], table: tuple, degree) -> list[tuple]:
-    """Boundary rows (degree, core_contact, inner_ok, outer_ok, at_min,
-    at_max) of the given masks, each decided twice.
-
-    ``table`` holds the genus, contact and internal-node columns and
-    ``degree`` the spin degree, each indexable by mask: full 2^n lists for a
-    scan, or mappings filled on demand for one direct row.  Every mask runs
-    the node-slot bounds and the comparison of the exact range ends with the
-    structural clauses; a failure raises with a replayable payload.
-    """
-    genus, contact, internal = table
-    g = q.genus
-    d_total = (2 * t + 1) * (g - 1)
-    scale = 2 * (g - 1)
-    rows = []
-    for mask in masks:
-        core_contact, inner_ok, outer_ok = _structure(q, mask, contact, internal, t)
-        k_y = contact[mask]
-        offset = scale * degree[mask] - _scaled_lower(d_total, g, genus[mask], k_y)
-        at_min = offset == 0
-        at_max = offset == scale * k_y
-        struct_min = core_contact == 0 and inner_ok
-        struct_max = core_contact == 0 and outer_ok
-        if at_min != struct_min or at_max != struct_max:
-            raise _model_error(
-                q,
-                f"boundary predicates disagree (direct min/max {at_min}/{at_max}, "
-                f"structural {struct_min}/{struct_max})",
-                mask, t=t,
-            )
-        rows.append((degree[mask], core_contact, inner_ok, outer_ok, at_min, at_max))
-    return rows
-
-
 def _node_columns(q: QuasistableGraph) -> tuple[list[int], list[int], list[int], list[int]]:
     """Node counts of every mask, doubled over the id-sorted vertices from the
     node matrix alone: core contact (core-to-core nodes across Y), nodes in
@@ -564,18 +544,16 @@ def _table_rows(q: QuasistableGraph, t: int) -> list:
     beside the ``lower`` bounds boundary_case builds per (genus, contact).
 
     The exact route is one subset sum of the singleton bounds minus
-    2(g-1) internal(Y).  Compared with the subcurve table on every mask: the
-    node slots, k(Y) = core contact + inner + outer, and 2(g-1)(d(Y) - m(Y))
-    = (g-1)(core contact + 2 inner); with non-negative counts these imply
-    both slot bounds and both structural clauses.  Any failure reruns the
-    per-mask `_rows`, which raises naming the first failing mask.  Callers
-    validate t and the spin structure through spin_multidegree first.
+    2(g-1) internal(Y).  The identities of `_checked_row` are compared on
+    whole columns; on a failure `_checked_row` runs mask by mask and names
+    the first failing one, else (only the empty mask is off) the model.
+    Callers validate t and the spin structure through spin_multidegree first.
     """
     cached = q._row_cache.get(t)
     if cached is None:
         g = _require_genus(q)
         scale = 2 * (g - 1)
-        table = _, contact, internal = q._subcurve_table
+        _, contact, internal = q._subcurve_table
         values = q._spin_cache[t].values(q.ids)
         degree = _subset_sums(values)
         exact = _subset_sums([
@@ -584,19 +562,24 @@ def _table_rows(q: QuasistableGraph, t: int) -> list:
         ])
         offset = [x - scale * e for x, e in zip(exact, internal)]
         core_contact, core_internal, inner, slots = _node_columns(q)
-        if (
+        if not (
             min(core_contact + inner) >= 0
             and [e - c + i for e, c, i in zip(internal, core_internal, inner)] == slots
             and [c + i + o for c, i, o in zip(core_contact, inner, reversed(inner))] == contact
             and [(g - 1) * (c + 2 * i) for c, i in zip(core_contact, inner)] == offset
         ):
-            inner_ok = [not i for i in inner]
-            at_min = [not x for x in offset]
-            at_max = [x == scale * k for x, k in zip(offset, contact)]
-            rows = list(zip(degree, core_contact, inner_ok, inner_ok[::-1], at_min, at_max))
-            rows[0] = None
-        else:
-            rows = [None, *_rows(q, t, range(1, 1 << q.n), table, degree)]
+            for mask in range(1, 1 << q.n):
+                # Outer nodes are the inner entry of the complement.
+                counts = core_contact[mask], core_internal[mask], inner[mask], inner[-1 - mask]
+                _checked_row(
+                    q, mask, contact[mask], internal[mask], counts, t, degree[mask], offset[mask]
+                )
+            raise _model_error(q, "boundary columns fail on no single subcurve", t=t)
+        inner_ok = [not i for i in inner]
+        at_min = [not x for x in offset]
+        at_max = [x == scale * k for x, k in zip(offset, contact)]
+        rows = list(zip(degree, core_contact, inner_ok, inner_ok[::-1], at_min, at_max))
+        rows[0] = None
         cached = (rows, {})
         q._row_cache = {t: cached}
     return cached[0]
@@ -604,12 +587,12 @@ def _table_rows(q: QuasistableGraph, t: int) -> list:
 
 def _direct_row(q: QuasistableGraph, t: int, mask: int) -> tuple[int, int, tuple]:
     """(genus, contact, row) of one mask in O(n^2), for models over the cap."""
-    memo: dict = {}
-    table = tuple(_DirectColumn(q, memo, field) for field in range(3))
+    g_y, k_y, internal = _mask_numbers(q, mask)
+    g = q.genus
     degrees = q._spin_cache[t].values(q.ids)
-    degree = {mask: sum(d for i, d in enumerate(degrees) if mask >> i & 1)}
-    (row,) = _rows(q, t, [mask], table, degree)
-    return table[0][mask], table[1][mask], row
+    degree = sum(d for i, d in enumerate(degrees) if mask >> i & 1)
+    offset = 2 * (g - 1) * degree - _scaled_lower((2 * t + 1) * (g - 1), g, g_y, k_y)
+    return g_y, k_y, _checked_row(q, mask, k_y, internal, _node_counts(q, mask), t, degree, offset)
 
 
 def boundary_case(
@@ -642,7 +625,7 @@ def boundary_case(
         g_y, k_y = genus[mask], contact[mask]
     key = g_y, k_y
     if key not in windows:
-        windows[key] = Fraction(_scaled_lower((2 * t + 1) * (g - 1), g, *key), 2 * (g - 1))
+        windows[key] = _exact_lower((2 * t + 1) * (g - 1), g, *key)
     return BoundaryCase._trusted(Y, windows[key], k_y, row)
 
 

@@ -40,6 +40,7 @@ from .graphs import (
     _Orientation,
     _check_cap,
     _check_multidegree,
+    _check_pair_bounds,
     _internal_error,
     _odd_vertex,
     _pair,
@@ -123,12 +124,7 @@ class SpinWitness:
 
     def validate(self, graph: DualGraph) -> None:
         """Check bounds against the graph and the per-vertex parity condition."""
-        for u, v, count in self.s_items():
-            if count > graph.k(u, v):
-                raise WitnessError(
-                    f"s[{u}, {v}] = {count} exceeds the {graph.k(u, v)} nodes "
-                    f"joining {u} and {v}"
-                )
+        _check_pair_bounds(graph, self._s, WitnessError)
         odd = _odd_vertex(graph, self)
         if odd:
             raise WitnessError(
@@ -331,10 +327,14 @@ def enumerate_spin_multidegrees(
 # -- the split curve -------------------------------------------------------
 
 
-def split_curve_graph(genus: int) -> DualGraph:
-    """Two rational components joined in genus + 1 nodes."""
+def _check_split_genus(genus: int) -> None:
     if isinstance(genus, bool) or not isinstance(genus, int) or genus < 3:
         raise DomainError(f"split curves need integer genus >= 3, got {genus!r}")
+
+
+def split_curve_graph(genus: int) -> DualGraph:
+    """Two rational components joined in genus + 1 nodes."""
+    _check_split_genus(genus)
     return DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): genus + 1})
 
 
@@ -377,8 +377,7 @@ def split_curve_table(genus: int, t: int, *, unsafe_t: bool = False) -> list[Spl
     deliberately.
     """
     check_t(t, unsafe_t=unsafe_t)
-    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 3:
-        raise DomainError(f"split curves need integer genus >= 3, got {genus!r}")
+    _check_split_genus(genus)
     total = (2 * t + 1) * (genus - 1)
     rows = []
     for s in range((genus + 1) % 2, genus + 2, 2):

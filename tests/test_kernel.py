@@ -327,14 +327,39 @@ def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
     assert payload["subcurve"] == ["C1", "E(C1|C2)#2"] and "t" not in payload
 
 
+@pytest.mark.parametrize("scan", [git_stable_exhaustive, orbit_closed_check])
+@pytest.mark.parametrize("masks", ["every", "empty"])
+def test_inflated_internal_column_raises_a_replayable_payload(scan, masks):
+    """One more internal node on every mask, or on the empty mask alone,
+    breaks the whole-column check; the rerun must raise, not hand back rows,
+    and name the model when no subcurve fails alone."""
+    split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
+    q = expand(split, BlowupConfig({("C1", "C2"): 2}))
+    genus, contact, internal = q._subcurve_table
+    bumped = range(len(internal)) if masks == "every" else [0]
+    q._subcurve_table = (genus, contact, [e + (m in bumped) for m, e in enumerate(internal)])
+    with pytest.raises(RuntimeError) as err:
+        scan(q, 12)
+    payload = replay_payload(err)
+    replayed = expand(validate_graph(payload["source"]), BlowupConfig.from_dict(payload["blowups"]))
+    assert replayed == q and replayed.exceptional == q.exceptional
+    assert payload["t"] == 12 and ("subcurve" in payload) == (masks == "every")
+
+
 def _first_failing_mask(q, t: int) -> tuple[int, int]:
     """The smallest mask whose per-mask row raises, and how many masks do."""
     degree = spin_multidegree(q, t).values(q.ids)
+    genus, contact, internal = q._subcurve_table
+    g = q.genus
     failing = []
     for mask in range(1, 1 << q.n):
-        sums = {mask: sum(d for i, d in enumerate(degree) if mask >> i & 1)}
+        d_y = sum(d for i, d in enumerate(degree) if mask >> i & 1)
+        offset = 2 * (g - 1) * d_y - quasistable._scaled_lower(
+            (2 * t + 1) * (g - 1), g, genus[mask], contact[mask]
+        )
+        counts = quasistable._node_counts(q, mask)
         try:
-            quasistable._rows(q, t, [mask], q._subcurve_table, sums)
+            quasistable._checked_row(q, mask, contact[mask], internal[mask], counts, t, d_y, offset)
         except RuntimeError:
             failing.append(mask)
     return failing[0], len(failing)

@@ -9,9 +9,9 @@ must move with the twist, an overloaded vertex must be rejected with a
 violated subcurve, the locus must not depend on vertex names, and the
 admissible set must move with the total.  On random spin blow-up models the
 row table built by whole columns must match the O(n^2) direct row on every
-mask.  On random witnesses and blow-up configurations, valid or not, the
-pair-space grouping and parity check must match the per-vertex neighbor sums
-they replaced, errors included.
+mask, and exceptional_profile the node columns.  On random witnesses and
+blow-up configurations, valid or not, the pair-space grouping and parity
+check must match the per-vertex neighbor sums they replaced, errors included.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from spinpicard import (
     decide_spin_component,
     enumerate_multidegrees,
     enumerate_spin_multidegrees,
+    exceptional_profile,
     expand,
     grouped_multidegree,
     spin_multidegree,
@@ -200,11 +201,17 @@ def test_column_rows_match_the_direct_row_on_every_mask(case):
     q, t, unsafe = case
     spin_multidegree(q, t, unsafe_t=unsafe)
     # Valid models never fall back to the per-mask rows.
-    with mock.patch.object(quasistable, "_rows", side_effect=AssertionError("per-mask rerun")):
+    with mock.patch.object(quasistable, "_checked_row", side_effect=AssertionError("per-mask rerun")):
         rows = quasistable._table_rows(q, t)
     assert len(rows) == 1 << q.n
+    core_contact, core_internal, _, _ = quasistable._node_columns(q)
+    internal = q._subcurve_table[2]
     for mask in range(1, 1 << q.n):
         assert rows[mask] == quasistable._direct_row(q, t, mask)[2], (q, t, mask)
+        profile = exceptional_profile(q, [v for i, v in enumerate(q.ids) if mask >> i & 1])
+        assert (profile.core_contact, profile.core_internal_nodes, profile.internal_nodes) == (
+            core_contact[mask], core_internal[mask], internal[mask]
+        ), (q, mask)
 
 
 @st.composite
