@@ -57,8 +57,9 @@ for values in sorted(reached):
     print("  " + str(values))
 print()
 
-# On every graph this package has been run against, the two sets coincide;
-# nothing in the solver assumes that, so the comparison above is a real check.
+# The two sets coincide on every stable graph: at the spin total the basic
+# inequality is Hakimi's orientation condition, so both are the spin base
+# plus the in-degree vectors of the node orientations, listed by one route.
 
 # For split curves there is a closed form: with k = g+1 nodes, the reachable
 # bidegrees are exactly those produced by s = g+1 mod 2, 0 <= sigma <= s.

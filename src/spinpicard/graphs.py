@@ -14,7 +14,8 @@ for splitting the nodes of each pair between its two ends with prescribed
 per-vertex quotas (Hakimi 1965).  One orientation kernel, shortest augmenting
 paths over such splits, decides it in polynomial time; the multidegree
 enumerator and the spin-locus questions run on it, while `basic_inequality`
-keeps the exhaustive scan because it reports every violated subcurve.
+keeps the exhaustive scan because it reports every violated subcurve.  Where
+the singleton bounds are integers, enumeration lists orientations instead.
 
 The twist check and the per-pair count tables that blow-up configurations
 and spin witnesses share live here as well, so :mod:`spinpicard.spin_locus`
@@ -27,7 +28,6 @@ threads.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -461,19 +461,11 @@ def _as_subcurve(graph: DualGraph, subcurve: Iterable[str]) -> tuple[frozenset, 
 def _build_subcurve_table(graph: DualGraph) -> tuple[list[int], list[int], list[int]]:
     # Masks in [2^h, 2^(h+1)) are the masks below 2^h plus vertex h, so each
     # block extends the previous one with the nodes joining h to the smaller
-    # mask ("cross"), itself built the same way: O(1) work per mask.
-    genus = [1]
-    contact = [0]
-    internal = [0]
-    matrix = graph._matrix
-    for h, vertex in enumerate(graph.vertices):
-        row = matrix[h]
-        cross = [0]
-        for j in range(h):
-            mult = row[j]
-            cross += [x + mult for x in cross]
+    # mask ("cross"), a subset sum of h's row: O(1) work per mask.
+    genus, contact, internal = [1], [0], [0]
+    for h, (row, vertex, c_h) in enumerate(zip(graph._matrix, graph.vertices, graph._contacts)):
+        cross = _subset_sums(row[:h])
         pa_step = vertex.pa - 1
-        c_h = graph._contacts[h]
         genus += [g_y + pa_step + x for g_y, x in zip(genus, cross)]
         contact += [k_y + c_h - 2 * x for k_y, x in zip(contact, cross)]
         internal += [e_y + x for e_y, x in zip(internal, cross)]
@@ -861,6 +853,24 @@ def _bi_verdict(graph: DualGraph, d_total: int) -> Callable[[Sequence[int]], Opt
     return lambda values: kernel.meet([scale * x - low for x, low in zip(values, lower)])
 
 
+def _score_vectors(graph: DualGraph, base: Sequence[int]) -> list[Multidegree]:
+    """``base`` (id order) plus the in-degree vector of every orientation of
+    the node multigraph, sorted: one sum over pairs, deduplicated per pair."""
+    index = graph._index
+    reached = {tuple(base)}
+    for u, v, k in graph.pairs():
+        i, j = index[u], index[v]
+        grown = set()
+        for vec in reached:
+            for a in range(k + 1):
+                new = list(vec)
+                new[i] += a
+                new[j] += k - a
+                grown.add(tuple(new))
+        reached = grown
+    return [Multidegree._trusted(graph.ids, values) for values in sorted(reached)]
+
+
 def enumerate_multidegrees(
     graph: DualGraph,
     d_total: int,
@@ -870,32 +880,31 @@ def enumerate_multidegrees(
     """All integer multidegrees of the given total that satisfy the basic
     inequality, in lexicographic order over the id-sorted coordinates.
 
-    Per-vertex boxes come from the singleton subcurves; each candidate inside
-    the boxes with the right total is decided by one orientation kernel,
-    warm-started from the previous candidate, in polynomial time.  The output
-    itself can grow exponentially with the vertex count, so the vertex cap
-    (``max_vertices``) stays.  Requires a stable graph of genus >= 2.
+    They are the lattice points of the node multigraph's graphical zonotope
+    shifted by the singleton lower bounds m(v) (Stanley 1991): m plus the
+    in-degree vectors of the node orientations when every m(v) is an integer
+    (at every spin total, say).  Otherwise one orientation kernel decides each
+    candidate of the per-vertex boxes, warm-started from the previous one.
+    The output can grow exponentially with the vertex count, so the vertex
+    cap (``max_vertices``) stays.  Requires a stable graph of genus >= 2.
     """
     if isinstance(d_total, bool) or not isinstance(d_total, int):
         raise DomainError(f"total degree must be an integer, got {d_total!r}")
-    _require_genus(graph)
+    g = _require_genus(graph)
     if not is_stable(graph):
         raise DomainError("multidegree enumeration expects a stable graph")
     _check_cap(graph, max_vertices)
 
-    ids = graph.ids
-    n = graph.n
-    lo = []
-    hi = []
-    for vid in ids:
-        prof = subcurve_profile(graph, {vid}, d_total)
-        lo.append(math.ceil(prof.lower))
-        hi.append(math.floor(prof.upper))
-    suffix_lo = [0] * (n + 1)
-    suffix_hi = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + lo[i]
-        suffix_hi[i] = suffix_hi[i + 1] + hi[i]
+    scale = 2 * (g - 1)
+    contacts = graph._contacts
+    lower = [_scaled_lower(d_total, g, v.pa, c) for v, c in zip(graph.vertices, contacts)]
+    if not any(low % scale for low in lower):
+        return _score_vectors(graph, [low // scale for low in lower])
+
+    ids, n = graph.ids, graph.n
+    lo = [-(-low // scale) for low in lower]
+    hi = [low // scale + c for low, c in zip(lower, contacts)]
+    suffix_lo, suffix_hi = ([sum(box[i:]) for i in range(n + 1)] for box in (lo, hi))
 
     verdict = _bi_verdict(graph, d_total)
     found: list[Multidegree] = []

@@ -20,8 +20,8 @@ in which i has in-degree 2q(i), where q(i) = d(i) - (2t+1)(pa(i) - 1)
 - t * contact(i) (Hakimi 1965), and the parity condition holds by itself.
 The orientation kernel of :mod:`spinpicard.graphs`, shortest augmenting paths
 over such orientations, answers every "does a split exist" question in
-polynomial time: the lexicographically smallest witness, the reachable set,
-and :func:`orientation_feasible`.  At the spin total the basic inequality on
+polynomial time: the lexicographically smallest witness and
+:func:`orientation_feasible`.  At the spin total the basic inequality on
 Y reads q(Y) >= e(Y), with e(Y) the nodes inside Y, which is exactly
 Hakimi's condition: every fiber component is met, and when the walk is stuck
 the vertices it reached violate the inequality.
@@ -46,6 +46,7 @@ from .graphs import (
     _pair,
     _pair_counts,
     _record,
+    _score_vectors,
     check_t,
     is_stable,
     subcurve_profile,
@@ -302,26 +303,13 @@ def enumerate_spin_multidegrees(
 
     Halving the doubled orientations of the witnesses gives every orientation
     of the node multigraph (Hakimi's subset condition halves exactly), so the
-    locus is the base degree plus the in-degree vectors of those
-    orientations: a sum over pairs of {a at u, k - a at v : 0 <= a <= k},
-    deduplicated after each pair.
+    locus is the spin base plus their in-degree vectors: every fiber component,
+    listed as `enumerate_multidegrees` lists them at the spin total.
     """
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
     _check_cap(graph, max_vertices)
-    index = graph._index
-    reached = {tuple(_spin_base(graph, t))}
-    for u, v, k in graph.pairs():
-        i, j = index[u], index[v]
-        grown = set()
-        for vec in reached:
-            for a in range(k + 1):
-                new = list(vec)
-                new[i] += a
-                new[j] += k - a
-                grown.add(tuple(new))
-        reached = grown
-    return [Multidegree._trusted(graph.ids, values) for values in sorted(reached)]
+    return _score_vectors(graph, _spin_base(graph, t))
 
 
 # -- the split curve -------------------------------------------------------

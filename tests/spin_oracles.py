@@ -8,9 +8,10 @@ reachable degree vector, the 2^n subset criterion for splitting pair counts
 to meet per-vertex quotas, and multidegree enumeration as every candidate of
 the singleton boxes filtered through the basic-inequality scan.  All of them
 take exponential time; keep inputs at desk scale.  ``spanning_trees`` is
-Kirchhoff's count, which the enumeration must reach at coprime totals, and
-``named_violation`` reads back the subcurve a decide rejection names, for
-comparison with the scan.  ``neighbor_sum_grouped`` and
+Kirchhoff's count, which the enumeration must reach at coprime totals,
+``forest_count`` is Stanley's, which it must reach where the singleton
+bounds are integers, and ``named_violation`` reads back the subcurve a
+decide rejection names, for comparison with the scan.  ``neighbor_sum_grouped`` and
 ``neighbor_sum_odd_vertex`` are the per-vertex neighbor sums the library
 replaced by one pass over a witness's pairs.
 """
@@ -230,6 +231,34 @@ def spanning_trees(graph: DualGraph) -> int:
                 rows[r][c] = (rows[r][c] * rows[col][col] - rows[r][col] * rows[col][c]) // prev
         prev = rows[col][col]
     return sign * prev if size else 1
+
+
+def forest_count(graph: DualGraph) -> int:
+    """Stanley's count of the lattice points of the graphical zonotope, the
+    sum of k(u, v) segments [e_u, e_v]: the sum over forests F of the
+    underlying simple graph of the product of k(e) over e in F, by brute
+    force over every subset of the joined pairs."""
+    pairs = list(graph.pairs())
+    total = 0
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        root = {vid: vid for vid in graph.ids}
+
+        def find(x: str) -> str:
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        weight = 1
+        for (u, v, k), keep in zip(pairs, chosen):
+            if keep:
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    break  # the subset holds a cycle
+                root[ru] = rv
+                weight *= k
+        else:
+            total += weight
+    return total
 
 
 def neighbor_sum_odd_vertex(graph: DualGraph, blown) -> Optional[tuple[str, int]]:

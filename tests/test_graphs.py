@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import spinpicard.graphs as graphs
 from spinpicard import (
     DomainError,
     DualGraph,
@@ -308,6 +309,23 @@ def test_enumerate_multidegrees_rejects():
         enumerate_multidegrees(unstable, 10)
     with pytest.raises(DomainError):
         enumerate_multidegrees(SPLIT3, "42")
+
+
+def test_enumeration_builds_no_fraction(monkeypatch):
+    """Fraction only at the API edge: both enumeration routes run on integers
+    scaled by 2(g - 1).  Triangle with every pair doubled: every contact is
+    4, genus 6, 12 spanning trees and 1 + 6 + 12 = 19 weighted forests."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"Fraction{args} built during enumeration")
+
+    graph = DualGraph(
+        [("a", 1), ("b", 0), ("c", 1)], {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 2}
+    )
+    monkeypatch.setattr(graphs, "Fraction", refuse)
+    assert len(enumerate_multidegrees(graph, 21 * 5)) == 19  # spin total
+    assert len(enumerate_multidegrees(graph, 8 * 5)) == 19  # 2m(g - 1), contacts even
+    assert len(enumerate_multidegrees(graph, 6)) == 12  # gcd(6 - 5, 10) = 1
+    assert len(enumerate_spin_multidegrees(graph, 10)) == 19
 
 
 def test_enumerate_matches_window_bruteforce():

@@ -1,26 +1,29 @@
 """The orientation kernel against the exhaustive routes it replaced.
 
-`decide_spin_component`, `enumerate_spin_multidegrees`,
-`orientation_feasible` and the leaves of `enumerate_multidegrees` all run on
-one augmenting-path kernel.  The oracles in `spin_oracles` are the exhaustive
+`decide_spin_component`, `orientation_feasible` and the leaves of
+`enumerate_multidegrees` at fractional shifts all run on one augmenting-path
+kernel; at integral shifts, and in `enumerate_spin_multidegrees`, enumeration
+lists orientations instead.  The oracles in `spin_oracles` are the exhaustive
 searches they replaced: the lexicographic s-table sweep with a backtracking
 sigma split, the full (s, sigma) sweep, the 2^n subset criterion, and the
 singleton boxes filtered through the basic-inequality scan.  Answers must be
 equal, witness for witness and output for output.  The basic-inequality scan
 is also the oracle for every rejection, which the stuck walk certifies by
-naming a violated subcurve, and Kirchhoff's count checks enumeration sizes at
-coprime totals.
+naming a violated subcurve.  Kirchhoff's count checks enumeration sizes at
+coprime totals, Stanley's forest count at integral shifts.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from spin_oracles import (
     box_enumeration,
+    forest_count,
     lexmin_witness,
     named_violation,
     spanning_trees,
@@ -225,14 +228,50 @@ def _totals(graph: DualGraph) -> list[int]:
     return [*range(-g, 3 * g + 1), 21 * (g - 1), 21 * (g - 1) + 1]
 
 
+def _integral_shift(graph: DualGraph, d: int) -> bool:
+    """Whether every singleton lower bound m(v) is an integer: the side of
+    the enumeration's dispatch that lists orientations."""
+    return all(subcurve_profile(graph, {v}, d).lower.denominator == 1 for v in graph.ids)
+
+
 def test_enumeration_equals_the_box_scan_route(quasistable_corpus):
+    """Both routes of the enumeration, orientations at integral shifts (spin
+    totals and others) and the kernel over the boxes at fractional ones,
+    give the box scan's list in its order."""
     outputs = 0
+    routes = Counter()
     for graph in quasistable_corpus[::5]:
+        half = graph.genus - 1
         for d in _totals(graph):
             found = enumerate_multidegrees(graph, d)
             assert found == box_enumeration(graph, d), (graph, d)
             outputs += len(found)
+            if not _integral_shift(graph, d):
+                routes["fractional"] += 1
+            elif d % (2 * half) == half:
+                routes["spin"] += 1
+            else:
+                routes["integral, not spin"] += 1
     assert outputs > 10000
+    assert min(routes["spin"], routes["integral, not spin"], routes["fractional"]) > 50, routes
+
+
+def test_enumeration_counts_forests_at_integral_shifts(spin_corpus):
+    """Stanley: where every m(v) is an integer the admissible set is a
+    translate of the graphical zonotope's lattice points, as many as the
+    forests weighted by their node counts; so at the spin total, and at
+    d = 2m(g - 1) when every contact is even."""
+    even = 0
+    for graph in spin_corpus:
+        forests = forest_count(graph)
+        g = graph.genus
+        assert len(enumerate_multidegrees(graph, 21 * (g - 1))) == forests, graph
+        assert len(enumerate_spin_multidegrees(graph, 10)) == forests, graph
+        if all(graph.contact(v) % 2 == 0 for v in graph.ids):
+            assert _integral_shift(graph, 6 * (g - 1))
+            assert len(enumerate_multidegrees(graph, 6 * (g - 1))) == forests, graph
+            even += 1
+    assert even > 50
 
 
 def test_enumeration_counts_spanning_trees_at_coprime_totals(quasistable_corpus):

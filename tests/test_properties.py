@@ -7,15 +7,17 @@ corpora, and from 13 vertices on past the cap of the subcurve scans; the
 checks need no oracle: a witness must reproduce its multidegree, witnesses
 must move with the twist, an overloaded vertex must be rejected with a
 violated subcurve, the locus must not depend on vertex names, and the
-admissible set must move with the total.  On random spin blow-up models the
-row table built by whole columns must match the O(n^2) direct row on every
-mask, and exceptional_profile the node columns.  On random witnesses and
+admissible set must move with the total and, on cycles past the cap, reach
+Stanley's forest count.  On random spin blow-up models the row table built
+by whole columns must match the O(n^2) direct row on every mask, and
+exceptional_profile the node columns.  On random witnesses and
 blow-up configurations, valid or not, the pair-space grouping and parity
 check must match the per-vertex neighbor sums they replaced, errors included.
 """
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import pytest
@@ -170,6 +172,33 @@ def test_admissible_set_moves_with_the_total(graph, d):
     ]
     moved = enumerate_multidegrees(graph, d + 2 * graph.genus - 2)
     assert [md.values(graph.ids) for md in moved] == shifted
+
+
+@st.composite
+def doubled_cycles(draw) -> tuple[DualGraph, list[int]]:
+    """A cycle of 13-14 elliptic components, at most two of its pairs joined
+    twice, and the node count of each pair."""
+    n = draw(st.integers(13, 14))
+    doubled = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    ids = [f"c{i:02d}" for i in range(n)]
+    mult = [2 if i in doubled else 1 for i in range(n)]
+    edges = {(ids[i], ids[(i + 1) % n]): mult[i] for i in range(n)}
+    return DualGraph([(v, 1) for v in ids], edges), mult
+
+
+@settings(PROPERTY_SETTINGS, max_examples=6)
+@given(doubled_cycles(), st.integers(10, 12), st.randoms(use_true_random=False))
+def test_cycle_enumeration_reaches_the_forest_count_past_the_cap(case, t, rng):
+    """Every proper subset of a cycle's pairs is a forest, so at the spin
+    total the admissible set has prod(1 + k) - prod(k) members (Stanley);
+    decide must meet any of them."""
+    graph, mult = case
+    found = enumerate_multidegrees(
+        graph, (2 * t + 1) * (graph.genus - 1), max_vertices=graph.n
+    )
+    assert len(found) == math.prod(1 + k for k in mult) - math.prod(mult)
+    for md in rng.sample(found, 3):
+        assert grouped_multidegree(graph, decide_spin_component(graph, t, md), t) == md
 
 
 @st.composite

@@ -19,7 +19,6 @@ from spinpicard import (
     arithmetic_genus,
     basic_inequality,
     decide_spin_component,
-    enumerate_multidegrees,
     enumerate_spin_multidegrees,
     expand,
     grouped_multidegree,
@@ -29,7 +28,7 @@ from spinpicard import (
     split_curve_graph,
     split_curve_table,
 )
-from spin_oracles import _lexmin_split
+from spin_oracles import _lexmin_split, box_enumeration
 
 SPLIT3 = split_curve_graph(3)
 TWO_ELLIPTIC = DualGraph([("A", 1), ("B", 1)], {("A", "B"): 3})
@@ -142,21 +141,19 @@ def test_decide_rejects_non_components():
 
 
 def test_decide_agrees_with_enumeration(spin_corpus):
-    """decide() must say yes exactly on the enumerated set, with a witness
-    that reproduces the multidegree, and no on every other fiber component."""
+    """At the spin total the enumerated set is every fiber component the
+    box scan finds, and decide() gives each a witness that reproduces it."""
     for graph in spin_corpus[::19]:
         t = 10
         d = 21 * (arithmetic_genus(graph) - 1)
         reachable = {
             md.values(graph.ids) for md in enumerate_spin_multidegrees(graph, t)
         }
-        for md in enumerate_multidegrees(graph, d):
+        components = box_enumeration(graph, d)
+        assert {md.values(graph.ids) for md in components} == reachable, graph
+        for md in components:
             witness = decide_spin_component(graph, t, md)
-            if md.values(graph.ids) in reachable:
-                assert witness is not None
-                assert grouped_multidegree(graph, witness, t) == md
-            else:
-                assert witness is None
+            assert grouped_multidegree(graph, witness, t) == md
 
 
 # -- enumeration -------------------------------------------------------------
@@ -191,7 +188,7 @@ def test_enumerate_triangle():
 def test_enumerate_subset_of_fiber_components(spin_corpus):
     for graph in spin_corpus[::31]:
         d = 21 * (arithmetic_genus(graph) - 1)
-        admissible = {md.values(graph.ids) for md in enumerate_multidegrees(graph, d)}
+        admissible = {md.values(graph.ids) for md in box_enumeration(graph, d)}
         for md in enumerate_spin_multidegrees(graph, 10):
             assert md.total == d
             assert md.values(graph.ids) in admissible
