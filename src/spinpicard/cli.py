@@ -73,6 +73,16 @@ def _parse_degree_list(text: str, graph):
     return Multidegree.from_values(graph, values)
 
 
+def _listing(command: str, inputs: dict, mode: str, graph, found, headline: str) -> Envelope:
+    """A list of multidegrees as id-ordered degree vectors, under a headline."""
+    rows = [list(md.values(graph.ids)) for md in found]
+    result = {"mode": mode, "vertex_order": list(graph.ids), "count": len(rows), "multidegrees": rows}
+    env = Envelope(command=command, inputs=inputs, result=result)
+    env.lines += [headline, f"vertex order: {', '.join(graph.ids)}"]
+    env.lines += ["  (" + ", ".join(map(str, row)) + ")" for row in rows]
+    return env
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -93,13 +103,7 @@ def cmd_info(args) -> Envelope:
             "vertex_count": graph.n,
             "pair_node_count": pair_nodes,
             "self_node_count": self_nodes,
-            "vertices": [
-                {"id": v.id, "pa": v.pa, "self_nodes": v.self_nodes}
-                for v in graph.vertices
-            ],
-            "edges": [
-                {"u": u, "v": v, "multiplicity": m} for u, v, m in graph.pairs()
-            ],
+            **graph.to_dict(),
         },
     )
     env.lines.append(f"genus {genus}, {'stable' if stable else 'NOT stable'}")
@@ -158,23 +162,10 @@ def cmd_bi(args) -> Envelope:
         return env
 
     found = enumerate_multidegrees(graph, args.total, max_vertices=args.max_vertices)
-    env = Envelope(
-        command="bi",
-        inputs=inputs,
-        result={
-            "mode": "enumerate",
-            "vertex_order": list(graph.ids),
-            "count": len(found),
-            "multidegrees": [list(md.values(graph.ids)) for md in found],
-        },
+    return _listing(
+        "bi", inputs, "enumerate", graph, found,
+        f"{len(found)} multidegree(s) of total {args.total} satisfy the basic inequality",
     )
-    env.lines.append(
-        f"{len(found)} multidegree(s) of total {args.total} satisfy the basic inequality"
-    )
-    env.lines.append(f"vertex order: {', '.join(graph.ids)}")
-    for md in found:
-        env.lines.append("  (" + ", ".join(str(d) for d in md.values(graph.ids)) + ")")
-    return env
 
 
 def cmd_spin(args) -> Envelope:
@@ -275,21 +266,10 @@ def cmd_spin(args) -> Envelope:
     from .spin_locus import enumerate_spin_multidegrees
 
     found = enumerate_spin_multidegrees(graph, t, unsafe_t=unsafe, max_vertices=args.max_vertices)
-    env = Envelope(
-        command="spin",
-        inputs=inputs,
-        result={
-            "mode": "locus",
-            "vertex_order": list(graph.ids),
-            "count": len(found),
-            "multidegrees": [list(md.values(graph.ids)) for md in found],
-        },
+    return _listing(
+        "spin", inputs, "locus", graph, found,
+        f"the spin locus meets {len(found)} fiber component(s) at t={t}",
     )
-    env.lines.append(f"the spin locus meets {len(found)} fiber component(s) at t={t}")
-    env.lines.append(f"vertex order: {', '.join(graph.ids)}")
-    for md in found:
-        env.lines.append("  (" + ", ".join(str(d) for d in md.values(graph.ids)) + ")")
-    return env
 
 
 def cmd_numerics(args) -> Envelope:

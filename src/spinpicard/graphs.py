@@ -14,12 +14,15 @@ for splitting the nodes of each pair between its two ends with prescribed
 per-vertex quotas (Hakimi 1965).  One orientation kernel, shortest augmenting
 paths over such splits, decides it in polynomial time; the multidegree
 enumerator and the spin-locus questions run on it, while `basic_inequality`
-keeps the exhaustive scan because it reports every violated subcurve.  Where
-the singleton bounds are integers, enumeration lists orientations instead.
+keeps the exhaustive scan because it reports every violated subcurve.  Every
+kernel on a graph comes from ``_Orientation.on_graph(graph, units)``: 2(g - 1)
+units per node for enumeration, 2 for spin witnesses.  Where the singleton
+bounds are integers, enumeration lists orientations instead.
 
-The twist check and the per-pair count tables that blow-up configurations
-and spin witnesses share live here as well, so :mod:`spinpicard.spin_locus`
-imports this module alone and never :mod:`spinpicard.quasistable`.
+The twist check, the spin base, and the per-pair count tables that blow-up
+models and spin witnesses share live here as well, so
+:mod:`spinpicard.spin_locus` imports this module alone and never
+:mod:`spinpicard.quasistable`.
 
 All classes are immutable (or immutable by convention) and all operations are
 pure functions of their arguments, so values can be shared freely across
@@ -33,7 +36,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError, GraphError, GraphTooLargeError
 
@@ -350,15 +353,19 @@ class Multidegree:
     items: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(sorted(self.items))
-        ids = [vid for vid, _ in norm]
-        if len(set(ids)) != len(ids):
-            raise GraphError("multidegree assigns a vertex id twice")
-        for vid, deg in norm:
+        entries = tuple(self.items)
+        # Every entry is checked before sorting, which would compare them.
+        for entry in entries:
+            if not isinstance(entry, tuple) or len(entry) != 2:
+                raise GraphError(f"multidegree entry must be an (id, degree) pair, got {entry!r}")
+            vid, deg = entry
             if not isinstance(vid, str) or not vid:
                 raise GraphError(f"multidegree key must be a non-empty string, got {vid!r}")
             if isinstance(deg, bool) or not isinstance(deg, int):
                 raise GraphError(f"degree of {vid!r} must be an integer, got {deg!r}")
+        norm = tuple(sorted(entries))
+        if len({vid for vid, _ in norm}) != len(norm):
+            raise GraphError("multidegree assigns a vertex id twice")
         object.__setattr__(self, "items", norm)
         # Not a dataclass field, so eq, hash and repr ignore it.
         object.__setattr__(self, "_lookup", dict(norm))
@@ -503,6 +510,12 @@ def _require_genus(graph: DualGraph) -> int:
 def _scaled_lower(d_total: int, g: int, genus: int, contact: int) -> int:
     """2(g-1) * m(Y): the lower degree bound of a subcurve as an integer."""
     return d_total * (2 * genus - 2 + contact) - (g - 1) * contact
+
+
+def _spin_base(graph: DualGraph, t: int) -> list[int]:
+    """(2t+1)(pa - 1) + t * contact per vertex, in id order: the scaled
+    singleton bounds at the spin total (2t+1)(g-1), divided by 2(g-1)."""
+    return [(2 * t + 1) * (v.pa - 1) + t * c for v, c in zip(graph.vertices, graph._contacts)]
 
 
 def _exact_lower(d_total: int, g: int, genus: int, contact: int) -> Fraction:
@@ -729,7 +742,8 @@ def _odd_vertex(graph: DualGraph, blown) -> Optional[tuple[str, int]]:
 
 class _Orientation:
     """Units of each pair (i, j, total) split between its ends: ``a[p]`` go
-    into i and ``total - a[p]`` into j, with ``lo[p] <= a[p] <= hi[p]``.
+    into i and ``total - a[p]`` into j.  A settled pair leaves both of its
+    incidence lists, so no later search moves its units.
 
     Moving units of in-degree from one end of a pair to the other changes no
     third vertex, so moves along a path shift in-degree from its first vertex
@@ -740,8 +754,6 @@ class _Orientation:
     def __init__(self, n: int, pairs: Sequence[tuple[int, int, int]]) -> None:
         self.ends = [(i, j) for i, j, _ in pairs]
         self.total = [total for _, _, total in pairs]
-        self.lo = [0] * len(pairs)
-        self.hi = list(self.total)
         self.a = [total // 2 for total in self.total]
         self.incident: list[list[int]] = [[] for _ in range(n)]
         for p, (i, j) in enumerate(self.ends):
@@ -749,22 +761,27 @@ class _Orientation:
                 self.incident[i].append(p)
                 self.incident[j].append(p)
 
+    @classmethod
+    def on_graph(cls, graph: DualGraph, units: int) -> "_Orientation":
+        """The kernel splitting ``units`` per node of each pair, in id order."""
+        index = graph._index
+        return cls(graph.n, [(index[u], index[v], units * k) for u, v, k in graph.pairs()])
+
     def _path(
-        self, sources: Sequence[int], targets, skip: int = -1
+        self, sources: Sequence[int], targets
     ) -> tuple[list[tuple[int, int]], int, int] | set[int]:
         """(moves, start, end) of one shortest path from a source to a target,
-        never along pair ``skip``, each move a (vertex, pair) with room to
-        move units off the vertex; the set of vertices reached when no target
-        is."""
-        ends, a, lo, hi, incident = self.ends, self.a, self.lo, self.hi, self.incident
+        each move a (vertex, pair) with room to move units off the vertex;
+        the set of vertices reached when no target is."""
+        ends, a, total, incident = self.ends, self.a, self.total, self.incident
         parent = dict.fromkeys(sources)
         queue = deque(sources)
         while queue:
             x = queue.popleft()
             for p in incident[x]:
                 i, j = ends[p]
-                y, room = (j, a[p] - lo[p]) if x == i else (i, hi[p] - a[p])
-                if p == skip or room <= 0 or y in parent:
+                y, room = (j, a[p]) if x == i else (i, total[p] - a[p])
+                if room <= 0 or y in parent:
                     continue
                 parent[y] = (x, p)
                 if y in targets:
@@ -777,18 +794,16 @@ class _Orientation:
         return set(parent)
 
     def _send(self, moves: list, limit: int) -> int:
-        ends, a, lo, hi = self.ends, self.a, self.lo, self.hi
-        amount = min(
-            [limit] + [a[p] - lo[p] if x == ends[p][0] else hi[p] - a[p] for x, p in moves]
-        )
+        ends, a, total = self.ends, self.a, self.total
+        amount = min([limit] + [a[p] if x == ends[p][0] else total[p] - a[p] for x, p in moves])
         for x, p in moves:
             a[p] += -amount if x == ends[p][0] else amount
         return amount
 
     def meet(self, quota: Sequence[int]) -> Optional[set[int]]:
         """Reshape the split so that vertex x receives quota[x] units and
-        return None; when no split within the bounds does, return the vertex
-        set R the last search reached.
+        return None; when no split does, return the vertex set R the last
+        search reached.
 
         R holds every vertex over its quota and none under it, and no pair can
         move a unit out of R, so its pairs to the rest send them every unit:
@@ -813,44 +828,25 @@ class _Orientation:
         return None
 
     def settle(self, p: int, target: int) -> int:
-        """Walk a[p] toward target while a path avoiding p takes up the change,
-        then fix a[p] there and return it.
+        """Take pair p out of the graph, walk a[p] toward target while a path
+        takes up the change, then return where it stopped.
 
         The values a[p] takes over the splits that meet the quotas form an
         interval, so the walk ends at its point nearest the target.
         """
         i, j = self.ends[p]
+        self.incident[i].remove(p)
+        self.incident[j].remove(p)
         while self.a[p] != target:
             # Lowering a[p] moves in-degree from i to j; a path from j to i
             # moves it back (and the other way round for raising).
             down = self.a[p] > target
-            found = self._path([j if down else i], {i if down else j}, skip=p)
+            found = self._path([j if down else i], {i if down else j})
             if isinstance(found, set):
                 break
             moved = self._send(found[0], abs(self.a[p] - target))
             self.a[p] += -moved if down else moved
-        self.lo[p] = self.hi[p] = self.a[p]
         return self.a[p]
-
-
-def _bi_verdict(graph: DualGraph, d_total: int) -> Callable[[Sequence[int]], Optional[set[int]]]:
-    """Decide the basic inequality for degree vectors (id order) of total
-    d_total without the subset scan: None when it holds, else the vertex
-    indices of a subcurve whose degree falls below its window.
-
-    Scaled by 2(g-1), m(Y) is the sum of the singleton bounds L_i plus
-    2(g-1) e(Y), with e(Y) the nodes between distinct components of Y, and
-    the upper end of a window is the lower end on the complement.  With
-    quotas Q_i = 2(g-1) d_i - L_i the basic inequality is Hakimi's condition
-    Q(Y) >= 2(g-1) e(Y) for splitting 2(g-1) k(i, j) units per pair between
-    its ends.  One kernel serves every call, starting from the last split.
-    """
-    g = _require_genus(graph)
-    scale = 2 * (g - 1)
-    index = graph._index
-    kernel = _Orientation(graph.n, [(index[u], index[v], scale * k) for u, v, k in graph.pairs()])
-    lower = [_scaled_lower(d_total, g, v.pa, c) for v, c in zip(graph.vertices, graph._contacts)]
-    return lambda values: kernel.meet([scale * x - low for x, low in zip(values, lower)])
 
 
 def _score_vectors(graph: DualGraph, base: Sequence[int]) -> list[Multidegree]:
@@ -906,13 +902,20 @@ def enumerate_multidegrees(
     hi = [low // scale + c for low, c in zip(lower, contacts)]
     suffix_lo, suffix_hi = ([sum(box[i:]) for i in range(n + 1)] for box in (lo, hi))
 
-    verdict = _bi_verdict(graph, d_total)
+    # Scaled by 2(g-1), m(Y) is the sum of the singleton bounds L_i = lower[i]
+    # over Y plus 2(g-1) e(Y), with e(Y) the nodes between distinct components
+    # of Y, and the upper end of a window is the lower end on the complement.
+    # With quotas Q_i = 2(g-1) d_i - L_i the basic inequality is Hakimi's
+    # condition Q(Y) >= 2(g-1) e(Y) for splitting 2(g-1) k(i, j) units per
+    # pair between its ends.  One kernel decides every leaf, starting from the
+    # last split.
+    kernel = _Orientation.on_graph(graph, scale)
     found: list[Multidegree] = []
     stack: list[int] = []
 
     def descend(i: int, remaining: int) -> None:
         if i == n:
-            if verdict(stack) is None:
+            if kernel.meet([scale * x - low for x, low in zip(stack, lower)]) is None:
                 found.append(Multidegree._trusted(ids, stack))
             return
         for value in range(lo[i], hi[i] + 1):

@@ -55,6 +55,7 @@ from .graphs import (
     _record,
     _require_genus,
     _scaled_lower,
+    _spin_base,
     _subset_sums,
     check_t,
 )
@@ -347,15 +348,10 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
     if t in q._spin_cache:
         return q._spin_cache[t]
     core = _core_contacts(q)
-    degrees = {}
-    for vid in q.ids:
-        if vid in q.exceptional:
-            degrees[vid] = 1
-        else:
-            degrees[vid] = (
-                (2 * t + 1) * (q.pa(vid) - 1) + t * q.contact(vid) + core[vid] // 2
-            )
-    md = Multidegree.of(degrees)
+    md = Multidegree._trusted(q.ids, [
+        1 if vid in q.exceptional else base + core[vid] // 2
+        for vid, base in zip(q.ids, _spin_base(q, t))
+    ])
     expected = (2 * t + 1) * (q.genus - 1)
     if md.total != expected:
         raise _model_error(

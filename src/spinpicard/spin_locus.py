@@ -17,14 +17,16 @@ exists.  Doubled, pair (i, j) sends a = k - s + 2 sigma(i, j) units to i and
 2k - a to j; every a in 0..2k comes from some (s, sigma), the smallest such s
 being |a - k|.  So a witness is an orientation of the doubled node multigraph
 in which i has in-degree 2q(i), where q(i) = d(i) - (2t+1)(pa(i) - 1)
-- t * contact(i) (Hakimi 1965), and the parity condition holds by itself.
-The orientation kernel of :mod:`spinpicard.graphs`, shortest augmenting paths
-over such orientations, answers every "does a split exist" question in
-polynomial time: the lexicographically smallest witness and
-:func:`orientation_feasible`.  At the spin total the basic inequality on
-Y reads q(Y) >= e(Y), with e(Y) the nodes inside Y, which is exactly
-Hakimi's condition: every fiber component is met, and when the walk is stuck
-the vertices it reached violate the inequality.
+- t * contact(i), d minus the spin base `graphs._spin_base` (Hakimi 1965),
+and the parity condition holds by itself.  The orientation kernel of
+:mod:`spinpicard.graphs`, shortest augmenting paths over such orientations,
+answers every "does a split exist" question in polynomial time: the
+lexicographically smallest witness, settled pair by pair on
+``_Orientation.on_graph(graph, 2)``, and :func:`orientation_feasible`.
+At the spin total the basic inequality on Y reads q(Y) >= e(Y), with e(Y)
+the nodes inside Y, which is exactly Hakimi's condition: every fiber
+component is met, and when the walk is stuck the vertices it reached violate
+the inequality.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .graphs import (
     _pair_counts,
     _record,
     _score_vectors,
+    _spin_base,
     check_t,
     is_stable,
     subcurve_profile,
@@ -167,12 +170,6 @@ def _require_spin_graph(graph: DualGraph) -> None:
         raise DomainError("spin-locus operations expect a stable graph")
 
 
-def _spin_base(graph: DualGraph, t: int) -> list[int]:
-    """(2t+1)(pa - 1) + t * contact per vertex, in id order, from the vertex
-    and contact columns: the degree every witness starts from."""
-    return [(2 * t + 1) * (v.pa - 1) + t * c for v, c in zip(graph.vertices, graph._contacts)]
-
-
 def grouped_multidegree(
     graph: DualGraph, witness: SpinWitness, t: int, *, unsafe_t: bool = False
 ) -> Multidegree:
@@ -254,9 +251,7 @@ def decide_spin_component(
         )
 
     ids = graph.ids
-    index = graph._index
-    pairs = list(graph.pairs())
-    kernel = _Orientation(len(ids), [(index[u], index[v], 2 * k) for u, v, k in pairs])
+    kernel = _Orientation.on_graph(graph, 2)
     stuck = kernel.meet(
         [2 * (d - b) for d, b in zip(multidegree.values(ids), _spin_base(graph, t))]
     )
@@ -273,12 +268,14 @@ def decide_spin_component(
             f"[{worst.lower}, {worst.upper}]"
         )
     s, sigma = {}, {}
-    for p, (u, v, k) in enumerate(pairs):
+    for p, (i, j) in enumerate(kernel.ends):
         # The smallest s_p left by the pairs before p is the distance from k
         # to the interval of doubled units into u; when it is positive the
         # interval lies on one side of k, so the units and sigma are forced.
+        k = kernel.total[p] // 2
         shift = kernel.settle(p, k) - k
         if shift:
+            u, v = ids[i], ids[j]
             s[(u, v)] = abs(shift)
             sigma[(u, v)] = max(shift, 0)
             sigma[(v, u)] = max(-shift, 0)

@@ -246,6 +246,20 @@ def test_multidegree_basics():
         Multidegree.from_values(SPLIT3, [1, 2, 3])
 
 
+def test_multidegree_checks_every_entry_before_sorting():
+    """Sorting compares entries, so each one is checked first: a key that is
+    not a string, a degree that is not an integer, or an entry that is not
+    an (id, degree) pair raises GraphError, not the TypeError or ValueError
+    sorting and unpacking would."""
+    with pytest.raises(GraphError, match="key must be a non-empty string, got 1"):
+        Multidegree(((1, 2), ("a", 3)))
+    with pytest.raises(GraphError, match="degree of 'a' must be an integer, got 'x'"):
+        Multidegree((("a", 1), ("a", "x")))
+    for entry in (("a", 1, 2), ("a",), ["a", 1], "a1"):
+        with pytest.raises(GraphError, match=r"must be an \(id, degree\) pair"):
+            Multidegree((("b", 1), entry))
+
+
 def test_trusted_multidegree_equals_validated():
     """Enumeration outputs skip validation; they must be the objects
     from_values builds, in every respect callers can see."""

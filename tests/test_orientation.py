@@ -2,15 +2,17 @@
 
 `decide_spin_component`, `orientation_feasible` and the leaves of
 `enumerate_multidegrees` at fractional shifts all run on one augmenting-path
-kernel; at integral shifts, and in `enumerate_spin_multidegrees`, enumeration
-lists orientations instead.  The oracles in `spin_oracles` are the exhaustive
-searches they replaced: the lexicographic s-table sweep with a backtracking
-sigma split, the full (s, sigma) sweep, the 2^n subset criterion, and the
-singleton boxes filtered through the basic-inequality scan.  Answers must be
-equal, witness for witness and output for output.  The basic-inequality scan
-is also the oracle for every rejection, which the stuck walk certifies by
-naming a violated subcurve.  Kirchhoff's count checks enumeration sizes at
-coprime totals, Stanley's forest count at integral shifts.
+kernel, which `_Orientation.on_graph` builds for a graph (quotas scaled by
+2(g-1) in enumeration, by 2 in decide); at integral shifts, and in
+`enumerate_spin_multidegrees`, enumeration lists orientations instead.  The
+oracles in `spin_oracles` are the exhaustive searches they replaced: the
+lexicographic s-table sweep with a backtracking sigma split, the full
+(s, sigma) sweep, the 2^n subset criterion, and the singleton boxes filtered
+through the basic-inequality scan.  Answers must be equal, witness for witness
+and output for output.  The basic-inequality scan is also the oracle for every
+rejection, which the stuck walk certifies by naming a violated subcurve.
+Kirchhoff's count checks enumeration sizes at coprime totals, Stanley's
+forest count at integral shifts.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from spinpicard import (
     orientation_feasible,
     subcurve_profile,
 )
-from spinpicard.graphs import _bi_verdict
+from spinpicard.graphs import _Orientation, _scaled_lower
 
 
 def _complete(n: int, m: int) -> DualGraph:
@@ -332,11 +334,13 @@ def test_kernel_verdict_equals_the_scan_on_random_graphs():
         graph = _random_small_stable(rng)
         g = graph.genus
         d = rng.randint(-g, 6 * g)
-        verdict = _bi_verdict(graph, d)
+        scale = 2 * (g - 1)
+        kernel = _Orientation.on_graph(graph, scale)
+        lower = [_scaled_lower(d, g, graph.pa(v), graph.contact(v)) for v in graph.ids]
         for _ in range(5):
             values = _near_center(graph, d, rng)
             md = Multidegree.from_values(graph, values)
-            stuck = verdict(values)
+            stuck = kernel.meet([scale * x - low for x, low in zip(values, lower)])
             assert (stuck is None) == basic_inequality(graph, md).satisfied, (graph, md)
             if stuck is not None:
                 reached = [graph.ids[i] for i in stuck]

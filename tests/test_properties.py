@@ -44,6 +44,7 @@ from spinpicard import (
     spin_parity,
     subcurve_profile,
 )
+from spinpicard.graphs import _Orientation, _spin_base
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -126,6 +127,41 @@ def test_an_overloaded_vertex_is_rejected_with_a_violated_subcurve(case, rng):
     profile = subcurve_profile(graph, subcurve, overloaded.total, overloaded)
     assert (profile.degree, profile.lower, profile.upper) == (degree, lower, upper)
     assert not profile.lower <= profile.degree <= profile.upper
+
+
+def _rejection(graph: DualGraph, t: int, md: Multidegree) -> str:
+    with pytest.raises(BasicInequalityError) as caught:
+        decide_spin_component(graph, t, md)
+    return str(caught.value)
+
+
+@PROPERTY_SETTINGS
+@given(components(sizes=(3, 12)), st.randoms(use_true_random=False))
+def test_a_stuck_walk_reaches_the_same_set_from_every_start(case, rng):
+    """When no split meets the quotas, the vertices `meet` reaches are the
+    smallest subcurve of largest deficiency, which does not depend on the
+    split it starts from; so from random starting splits a[p] in [0, total]
+    it reaches the same set, and decide names the same subcurve in the same
+    message."""
+    graph, t, md = case
+    i, j = rng.sample(list(graph.ids), 2)
+    moved = rng.randint(1, graph.contact(i) + 1)
+    md = Multidegree.of({**md.as_dict(), i: md[i] + moved, j: md[j] - moved})
+    quota = [2 * (md[v] - base) for v, base in zip(graph.ids, _spin_base(graph, t))]
+    reached = _Orientation.on_graph(graph, 2).meet(quota)
+    assume(reached is not None)
+    message = _rejection(graph, t, md)
+    on_graph = _Orientation.on_graph
+
+    def random_start(cls, graph, units):
+        kernel = on_graph(graph, units)
+        kernel.a = [rng.randint(0, total) for total in kernel.total]
+        return kernel
+
+    with mock.patch.object(_Orientation, "on_graph", classmethod(random_start)):
+        for _ in range(5):
+            assert _Orientation.on_graph(graph, 2).meet(quota) == reached
+            assert _rejection(graph, t, md) == message
 
 
 @PROPERTY_SETTINGS

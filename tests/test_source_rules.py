@@ -113,3 +113,26 @@ def test_every_trusted_constructor_has_an_equality_check():
     assert defining == set(TRUSTED), (
         f"classes defining _trusted {sorted(defining)} vs checked {sorted(TRUSTED)}"
     )
+
+
+def test_graph_kernels_come_from_on_graph():
+    """`_Orientation(...)` is called by name only in `orientation_feasible`,
+    whose input is not a graph: every kernel on a graph's pairs comes from
+    `_Orientation.on_graph`, so vertices and pairs are in one order and one
+    place scales nodes into units."""
+    calls = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split(':')[0]}:{node.name}"
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_Orientation"
+        ):
+            calls.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), f"{path.name}:<module>")
+    assert calls == ["spin_locus.py:orientation_feasible"], calls

@@ -43,24 +43,41 @@ from spinpicard import (
 
 
 def _multidegrees():
-    """Enumeration outputs, at small totals and at 21(g-1), and replayed
-    witnesses; every degree an ``int``, an absent id a ``KeyError``."""
+    """Enumeration outputs, at small totals and at 21(g-1), replayed
+    witnesses, and the spin multidegrees of blow-up models at t = 10 and 13,
+    exceptional vertices included; every degree an ``int``, an absent id a
+    ``KeyError``."""
     graph = DualGraph(
         [("a", 1), ("b", 0), ("c", 1)], {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 1}
     )
+
+    def viewer(ids):
+        def view(md):
+            types = [type(d) for _, d in md.items]
+            missing = pytest.raises(KeyError, md.__getitem__, "z").value.args
+            return (
+                md.items, md.as_dict(), md.total, md.values(ids), [md[v] for v in ids],
+                types, missing,
+            )
+        return view
+
     ids = graph.ids
-
-    def view(md):
-        types = [type(d) for _, d in md.items]
-        missing = pytest.raises(KeyError, md.__getitem__, "z").value.args
-        return md.items, md.as_dict(), md.total, md.values(ids), [md[v] for v in ids], types, missing
-
     totals = [*range(-4, 40), 21 * (graph.genus - 1)]
     outputs = [md for d in totals for md in enumerate_multidegrees(graph, d)]
     for md in enumerate_spin_multidegrees(graph, 10):
         outputs += [md, grouped_multidegree(graph, decide_spin_component(graph, 10, md), 10)]
     validated = [Multidegree.from_values(graph, md.values(ids)) for md in outputs]
-    yield outputs, validated, view, range(len(outputs))
+    yield outputs, validated, viewer(ids), range(len(outputs))
+
+    models = [expand(graph, config) for config in iter_blowup_configs(graph, spin_only=True)]
+    for source in quasistable_graphs()[::50]:
+        models += [expand(source, config) for config in iter_blowup_configs(source, spin_only=True)]
+    assert any(origin[0] == "self" for q in models for origin in q.origin.values())
+    assert any(origin[0] == "pair" for q in models for origin in q.origin.values())
+    for q in models:
+        outputs = [spin_multidegree(q, t) for t in (10, 13)]
+        validated = [Multidegree.from_values(q, md.values(q.ids)) for md in outputs]
+        yield outputs, validated, viewer(q.ids), range(len(outputs))
 
 
 def _boundary_cases():
