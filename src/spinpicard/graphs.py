@@ -19,6 +19,11 @@ kernel on a graph comes from ``_Orientation.on_graph(graph, units)``: 2(g - 1)
 units per node for enumeration, 2 for spin witnesses.  Where the singleton
 bounds are integers, enumeration lists orientations instead.
 
+Graphs built from data the library has checked itself (the node rows of
+parsed JSON, a blow-up, a contraction or a relabeling) come from one
+builder, ``DualGraph._trusted``, which skips re-validation but still checks
+connectivity.
+
 The twist check, the spin base, and the per-pair count tables that blow-up
 models and spin witnesses share live here as well, so
 :mod:`spinpicard.spin_locus` imports this module alone and never
@@ -36,6 +41,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError, GraphError, GraphTooLargeError
@@ -79,19 +85,34 @@ class Vertex:
     self_nodes: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise GraphError(f"vertex id must be a non-empty string, got {self.id!r}")
-        for field in ("pa", "self_nodes"):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise GraphError(f"vertex {self.id!r}: {field} must be an integer")
-            if value < 0:
-                raise GraphError(f"vertex {self.id!r}: {field} must be non-negative")
-        if self.pa < self.self_nodes:
-            raise GraphError(
-                f"vertex {self.id!r}: pa={self.pa} is smaller than "
-                f"self_nodes={self.self_nodes} (geometric genus would be negative)"
-            )
+        _check_vertex(self.id, self.pa, self.self_nodes)
+
+    @classmethod
+    def _trusted(cls, vid: str, pa: int, self_nodes: int) -> "Vertex":
+        """A vertex of fields the library has checked or derived itself,
+        without the frozen dataclass's per-field assignments."""
+        vertex = object.__new__(cls)
+        object.__setattr__(vertex, "__dict__", {"id": vid, "pa": pa, "self_nodes": self_nodes})
+        return vertex
+
+
+def _check_vertex(vid, pa, self_nodes) -> None:
+    """Raise GraphError unless the fields make a vertex: a non-empty string
+    id, non-negative integers, and no more self-nodes than pa."""
+    if type(vid) is str and vid and type(pa) is type(self_nodes) is int and 0 <= self_nodes <= pa:
+        return  # the common case; the checks below name the fault
+    if not isinstance(vid, str) or not vid:
+        raise GraphError(f"vertex id must be a non-empty string, got {vid!r}")
+    for field, value in (("pa", pa), ("self_nodes", self_nodes)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise GraphError(f"vertex {vid!r}: {field} must be an integer")
+        if value < 0:
+            raise GraphError(f"vertex {vid!r}: {field} must be non-negative")
+    if pa < self_nodes:
+        raise GraphError(
+            f"vertex {vid!r}: pa={pa} is smaller than "
+            f"self_nodes={self_nodes} (geometric genus would be negative)"
+        )
 
 
 VertexLike = Union[Vertex, tuple]
@@ -103,68 +124,50 @@ class DualGraph:
 
     Instances are immutable by convention: no method mutates the graph after
     construction.  The genus and per-vertex contacts are set on construction;
-    the node matrix and the 2^n subcurve table are memoized on first use.
+    the sorted pairs, the node matrix and the 2^n subcurve table are memoized
+    on first use.
     """
 
     def __init__(self, vertices: Iterable[VertexLike], edges: EdgeTable = ()) -> None:
-        vs = []
-        for v in vertices:
-            vs.append(v if isinstance(v, Vertex) else Vertex(*v))
+        vs = [v if isinstance(v, Vertex) else Vertex(*v) for v in vertices]
         if not vs:
             raise GraphError("a dual graph needs at least one vertex")
-        vs.sort(key=lambda v: v.id)
-        ids = tuple(v.id for v in vs)
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise GraphError(f"duplicate vertex ids: {', '.join(dupes)}")
+        if isinstance(edges, Mapping):
+            edges = ((u, v, mult) for (u, v), mult in edges.items())
+        self._build(vs, _node_rows(_unique_ids(vs), edges))
 
-        adjacency: dict[str, dict[str, int]] = {i: {} for i in ids}
-        seen: dict[frozenset, int] = {}
-        mapping = isinstance(edges, Mapping)
-        for entry in edges.items() if mapping else edges:
-            if mapping:
-                (u, v), mult = entry
-            else:
-                u, v, mult = entry
-            if u not in adjacency or v not in adjacency:
-                missing = u if u not in adjacency else v
-                raise GraphError(f"edge ({u!r}, {v!r}) references unknown vertex {missing!r}")
-            if u == v:
-                raise GraphError(
-                    f"edge ({u!r}, {v!r}): a node of a component with itself "
-                    f"belongs in self_nodes, not in the edge table"
-                )
-            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 0:
-                raise GraphError(f"edge ({u!r}, {v!r}): multiplicity must be a non-negative integer")
-            key = frozenset((u, v))
-            if key in seen:
-                if seen[key] != mult:
-                    raise GraphError(
-                        f"asymmetric multiplicities for pair ({u!r}, {v!r}): "
-                        f"{seen[key]} vs {mult}"
-                    )
-                raise GraphError(f"duplicate edge entry for pair ({u!r}, {v!r})")
-            seen[key] = mult
-            if mult:
-                adjacency[u][v] = mult
-                adjacency[v][u] = mult
+    @classmethod
+    def _trusted(cls, vertices: Iterable[Vertex], adjacency: dict[str, dict[str, int]]):
+        """A graph of data the library has checked or derived itself: distinct
+        vertices in any order, and ``adjacency`` their symmetric node counts,
+        positive entries only, keyed by exactly their ids, which the graph
+        keeps.  Connectivity is still checked."""
+        graph = object.__new__(cls)
+        graph._build(vertices, adjacency)
+        return graph
 
-        self._vertices: tuple[Vertex, ...] = tuple(vs)
+    def _build(self, vertices: Iterable[Vertex], adjacency: dict[str, dict[str, int]]) -> None:
+        """Set the ids, index, contacts and genus, then check connectivity."""
+        vs = tuple(sorted(vertices, key=_vertex_id))
+        ids = tuple(map(_vertex_id, vs))
+        contacts = tuple([sum(adjacency[u].values()) for u in ids])
+        self._vertices: tuple[Vertex, ...] = vs
         self._ids: tuple[str, ...] = ids
         self._index: dict[str, int] = {vid: i for i, vid in enumerate(ids)}
         self._adjacency = adjacency
-        self._contacts: tuple[int, ...] = tuple(sum(adjacency[vid].values()) for vid in ids)
+        self._contacts: tuple[int, ...] = contacts
         #: Arithmetic genus: sum(pa_i) + sum(k_ij over pairs) - n + 1.
-        self.genus: int = sum(v.pa for v in vs) + sum(self._contacts) // 2 - len(ids) + 1
+        self.genus: int = sum(map(_vertex_pa, vs)) + sum(contacts) // 2 - len(ids) + 1
         self._check_connected()
 
     # -- structure ---------------------------------------------------------
 
     def _check_connected(self) -> None:
+        adjacency = self._adjacency
         todo = [self._ids[0]]
-        reached = {self._ids[0]}
-        while todo:
-            for nbr in self._adjacency[todo.pop()]:
+        reached = set(todo)
+        for vid in todo:
+            for nbr in adjacency[vid]:
                 if nbr not in reached:
                     reached.add(nbr)
                     todo.append(nbr)
@@ -218,11 +221,17 @@ class DualGraph:
 
     def pairs(self) -> Iterator[tuple[str, str, int]]:
         """Yield (u, v, multiplicity) with u < v for every joined pair, sorted."""
-        for i, u in enumerate(self._ids):
-            for v in self._ids[i + 1:]:
-                mult = self._adjacency[u].get(v, 0)
-                if mult:
-                    yield u, v, mult
+        return iter(self._pairs)
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[str, str, int], ...]:
+        """Every joined pair (u, v, multiplicity) with u < v, sorted: read off
+        the neighbor rows once, on first use, since many graphs (blow-up
+        models, say) never list their pairs."""
+        adjacency = self._adjacency
+        return tuple(sorted([
+            (u, v, m) for u, row in adjacency.items() for v, m in row.items() if u < v
+        ]))
 
     @cached_property
     def _matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -246,7 +255,7 @@ class DualGraph:
                 {"id": v.id, "pa": v.pa, "self_nodes": v.self_nodes} for v in self._vertices
             ],
             "edges": [
-                {"u": u, "v": v, "multiplicity": m} for u, v, m in self.pairs()
+                {"u": u, "v": v, "multiplicity": m} for u, v, m in self._pairs
             ],
         }
 
@@ -255,11 +264,14 @@ class DualGraph:
         if sorted(mapping) != sorted(self._ids) or len(set(mapping.values())) != self.n:
             raise GraphError("relabeling must be a bijection defined on every vertex id")
         vs = [Vertex(mapping[v.id], v.pa, v.self_nodes) for v in self._vertices]
-        es = [(mapping[u], mapping[v], m) for u, v, m in self.pairs()]
-        return DualGraph(vs, es)
+        adjacency = {
+            mapping[u]: {mapping[v]: m for v, m in row.items()}
+            for u, row in self._adjacency.items()
+        }
+        return DualGraph._trusted(vs, adjacency)
 
     def _canonical(self) -> tuple:
-        return (self._vertices, tuple(self.pairs()))
+        return (self._vertices, self._pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DualGraph):
@@ -271,6 +283,11 @@ class DualGraph:
 
     def __repr__(self) -> str:
         return f"DualGraph({self.n} vertices, genus {self.genus})"
+
+
+_GRAPH_FIELDS = frozenset({"vertices", "edges"})
+_VERTEX_FIELDS = frozenset({"id", "pa", "self_nodes"})
+_EDGE_FIELDS = frozenset({"u", "v", "multiplicity"})
 
 
 def validate_graph(raw) -> DualGraph:
@@ -287,45 +304,94 @@ def validate_graph(raw) -> DualGraph:
     """
     if isinstance(raw, DualGraph):
         return raw
-    if not isinstance(raw, Mapping):
+    if not isinstance(raw, (dict, Mapping)):
         raise GraphError("graph description must be a JSON object")
-    unknown = set(raw) - {"vertices", "edges"}
-    if unknown:
-        raise GraphError(f"unknown top-level fields: {', '.join(sorted(unknown))}")
+    if not _GRAPH_FIELDS.issuperset(raw):
+        unknown = sorted(set(raw) - _GRAPH_FIELDS)
+        raise GraphError(f"unknown top-level fields: {', '.join(unknown)}")
 
     verts_raw = raw.get("vertices")
     if not isinstance(verts_raw, list) or not verts_raw:
         raise GraphError("'vertices' must be a non-empty array")
     vertices = []
     for i, entry in enumerate(verts_raw):
-        if not isinstance(entry, Mapping):
+        if not isinstance(entry, (dict, Mapping)):
             raise GraphError(f"vertices[{i}] must be an object")
-        extra = set(entry) - {"id", "pa", "self_nodes"}
-        if extra:
-            raise GraphError(f"vertices[{i}]: unknown fields: {', '.join(sorted(extra))}")
+        if not _VERTEX_FIELDS.issuperset(entry):
+            extra = sorted(set(entry) - _VERTEX_FIELDS)
+            raise GraphError(f"vertices[{i}]: unknown fields: {', '.join(extra)}")
         if "id" not in entry or "pa" not in entry:
             raise GraphError(f"vertices[{i}]: 'id' and 'pa' are required")
-        vertices.append(Vertex(entry["id"], entry["pa"], entry.get("self_nodes", 0)))
+        vid, pa, self_nodes = entry["id"], entry["pa"], entry.get("self_nodes", 0)
+        _check_vertex(vid, pa, self_nodes)
+        vertices.append(Vertex._trusted(vid, pa, self_nodes))
 
     edges_raw = raw.get("edges", [])
     if not isinstance(edges_raw, list):
         raise GraphError("'edges' must be an array")
     triples = []
     for i, entry in enumerate(edges_raw):
-        if not isinstance(entry, Mapping):
+        if not isinstance(entry, (dict, Mapping)):
             raise GraphError(f"edges[{i}] must be an object")
-        extra = set(entry) - {"u", "v", "multiplicity"}
-        if extra:
-            raise GraphError(f"edges[{i}]: unknown fields: {', '.join(sorted(extra))}")
-        for field in ("u", "v", "multiplicity"):
-            if field not in entry:
-                raise GraphError(f"edges[{i}]: '{field}' is required")
+        if not _EDGE_FIELDS.issuperset(entry):
+            extra = sorted(set(entry) - _EDGE_FIELDS)
+            raise GraphError(f"edges[{i}]: unknown fields: {', '.join(extra)}")
+        if len(entry) < 3:  # a field is missing: name the first
+            for field in ("u", "v", "multiplicity"):
+                if field not in entry:
+                    raise GraphError(f"edges[{i}]: '{field}' is required")
         mult = entry["multiplicity"]
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             raise GraphError(f"edges[{i}]: multiplicity must be a positive integer")
         triples.append((entry["u"], entry["v"], mult))
 
-    return DualGraph(vertices, triples)
+    return DualGraph._trusted(vertices, _node_rows(_unique_ids(vertices), triples))
+
+
+_vertex_id = attrgetter("id")
+_vertex_pa = attrgetter("pa")
+
+
+def _unique_ids(vertices: Sequence[Vertex]) -> list[str]:
+    """The ids of the vertices; a repeated id raises GraphError."""
+    ids = list(map(_vertex_id, vertices))
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise GraphError(f"duplicate vertex ids: {', '.join(dupes)}")
+    return ids
+
+
+def _node_rows(ids: Sequence[str], edges: Iterable[tuple]) -> dict[str, dict[str, int]]:
+    """The symmetric node counts of (u, v, multiplicity) triples over
+    ``ids``, each pair given once, zero multiplicities dropped.  Faults raise
+    GraphError."""
+    adjacency: dict[str, dict[str, int]] = {i: {} for i in ids}
+    zeros = []
+    for u, v, mult in edges:
+        row = adjacency.get(u)
+        back = None if row is None else adjacency.get(v)
+        if back is None:
+            missing = u if row is None else v
+            raise GraphError(f"edge ({u!r}, {v!r}) references unknown vertex {missing!r}")
+        if u == v:
+            raise GraphError(
+                f"edge ({u!r}, {v!r}): a node of a component with itself "
+                f"belongs in self_nodes, not in the edge table"
+            )
+        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 0:
+            raise GraphError(f"edge ({u!r}, {v!r}): multiplicity must be a non-negative integer")
+        if v in row:
+            if row[v] != mult:
+                raise GraphError(
+                    f"asymmetric multiplicities for pair ({u!r}, {v!r}): {row[v]} vs {mult}"
+                )
+            raise GraphError(f"duplicate edge entry for pair ({u!r}, {v!r})")
+        row[v] = back[u] = mult
+        if not mult:
+            zeros.append((u, v))
+    for u, v in zeros:  # kept until now to catch a repeated entry
+        del adjacency[u][v], adjacency[v][u]
+    return adjacency
 
 
 def arithmetic_genus(graph: DualGraph) -> int:

@@ -16,6 +16,12 @@ all incident nodes and core_contact only those shared with non-exceptional
 neighbors.  The halving is why spin parity (every core_contact even) is
 required.
 
+`expand` builds the model from the source's node rows and the validated
+blow-up counts through the trusted graph builder.  The model's invariants
+are checked all the same, its contraction against the source on node
+counts rather than by building a second graph, and a failure raises
+RuntimeError with the source and blow-ups to replay.
+
 The boundary predicates at the end of the module answer whether a subcurve
 sits at an end of its admissible degree range, whether the model is
 GIT-stable, and whether its orbit is closed.  One check (`_checked_row`)
@@ -169,9 +175,14 @@ PairOrigin = tuple  # ("pair", u, v) or ("self", v)
 class QuasistableGraph(DualGraph):
     """Dual graph of a blow-up model, with its exceptional vertices flagged.
 
-    Invariants enforced on construction: every exceptional vertex is rational
-    (pa 0, no self-nodes) with total contact exactly 2, no two exceptional
-    vertices are joined, and contracting them all recovers the source graph.
+    Invariants enforced on construction, in one pass over the exceptional
+    rows: every exceptional vertex is rational (pa 0, no self-nodes) with
+    total contact exactly 2, no two exceptional vertices are joined, and the
+    origin table covers exactly the exceptional vertices.  Then contracting
+    them all must recover the source graph, which is checked on node counts
+    without building it: each core pair keeps its nodes plus one per
+    exceptional vertex with that pair as origin, and each core vertex its pa
+    and self-nodes plus one per blown self-node.
     """
 
     def __init__(
@@ -185,32 +196,57 @@ class QuasistableGraph(DualGraph):
         config: BlowupConfig,
     ) -> None:
         super().__init__(vertices, edges)
-        self.exceptional = frozenset(exceptional)
+        fault = self._flag(exceptional, origin, source, config)
+        if fault is not None:
+            raise GraphError(fault)
+
+    @classmethod
+    def _trusted(cls, vertices, adjacency, *, exceptional, origin, source, config):
+        """A model built by `expand` from a validated source and config.  The
+        invariants are checked as on construction, but a failure is the
+        library's own: it raises RuntimeError whose payload replays through
+        `expand`."""
+        q = super()._trusted(vertices, adjacency)
+        fault = q._flag(exceptional, origin, source, config)
+        if fault is not None:
+            raise _model_error(q, fault)
+        return q
+
+    def _flag(self, exceptional, origin, source, config) -> Optional[str]:
+        """Set the blow-up data and return the first broken invariant's
+        message, or None when all hold."""
+        self.exceptional = exc = frozenset(exceptional)
         self.origin = dict(origin)
         self.source = source
         self.config = config
         self._spin_cache: dict[int, Multidegree] = {}
         self._row_cache: dict[int, tuple[list, dict]] = {}
 
-        for vid in sorted(self.exceptional):
-            vert = self.vertex(vid)
+        for vid in sorted(exc):
+            i = self.index(vid)
+            vert = self._vertices[i]
             if vert.pa != 0 or vert.self_nodes != 0:
-                raise GraphError(f"exceptional vertex {vid!r} must be smooth rational")
-            if self.contact(vid) != 2:
-                raise GraphError(
+                return f"exceptional vertex {vid!r} must be smooth rational"
+            if self._contacts[i] != 2:
+                return (
                     f"exceptional vertex {vid!r} must meet the rest of the curve "
-                    f"in exactly 2 points, found {self.contact(vid)}"
+                    f"in exactly 2 points, found {self._contacts[i]}"
                 )
-            for nbr in self.neighbors(vid):
-                if nbr in self.exceptional:
-                    raise GraphError(
-                        f"exceptional vertices {vid!r} and {nbr!r} are joined; "
-                        f"exceptional components must be pairwise disjoint"
-                    )
-        if set(self.origin) != set(self.exceptional):
-            raise GraphError("origin table must cover exactly the exceptional vertices")
-        if contract(self) != source:
-            raise GraphError("contracting the exceptional vertices does not recover the source graph")
+            if not exc.isdisjoint(self._adjacency[vid]):
+                nbr = min(exc.intersection(self._adjacency[vid]))
+                return (
+                    f"exceptional vertices {vid!r} and {nbr!r} are joined; "
+                    f"exceptional components must be pairwise disjoint"
+                )
+        if self.origin.keys() != exc:
+            return "origin table must cover exactly the exceptional vertices"
+        try:
+            contracted = _contraction(self)
+        except KeyError:  # an origin names no core vertex
+            contracted = None
+        if not isinstance(source, DualGraph) or contracted != (source._vertices, source._adjacency):
+            return "contracting the exceptional vertices does not recover the source graph"
+        return None
 
     @property
     def core_ids(self) -> tuple[str, ...]:
@@ -254,65 +290,63 @@ def expand(graph: DualGraph, config: BlowupConfig) -> QuasistableGraph:
     """
     config.validate(graph)
     taken = set(graph.ids)
-    vertices: list[Vertex] = []
-    for v in graph.vertices:
-        r = config.r(v.id)
-        vertices.append(Vertex(v.id, v.pa - r, v.self_nodes - r))
-
-    edges: dict[tuple[str, str], int] = {}
-    for u, v, mult in graph.pairs():
-        rest = mult - config.s(u, v)
-        if rest:
-            edges[(u, v)] = rest
-
-    exceptional: list[str] = []
+    adjacency = {vid: row.copy() for vid, row in graph._adjacency.items()}
     origin: dict[str, PairOrigin] = {}
     for u, v, count in config.s_items():
+        row_u, row_v = adjacency[u], adjacency[v]
+        rest = row_u[v] - count
+        if rest:
+            row_u[v] = row_v[u] = rest
+        else:
+            del row_u[v], row_v[u]
         for idx in range(1, count + 1):
             eid = _fresh_id(f"E({u}|{v})#{idx}", taken)
-            vertices.append(Vertex(eid, 0, 0))
-            edges[(eid, u)] = 1
-            edges[(eid, v)] = 1
-            exceptional.append(eid)
+            adjacency[eid] = {u: 1, v: 1}
+            row_u[eid] = row_v[eid] = 1
             origin[eid] = ("pair", u, v)
+    vertices = list(graph.vertices)
     for vid, count in config.r_items():
+        i = graph._index[vid]
+        vertices[i] = Vertex._trusted(vid, vertices[i].pa - count, vertices[i].self_nodes - count)
         for idx in range(1, count + 1):
             eid = _fresh_id(f"E({vid}|{vid})#{idx}", taken)
-            vertices.append(Vertex(eid, 0, 0))
-            edges[(eid, vid)] = 2
-            exceptional.append(eid)
+            adjacency[eid] = {vid: 2}
+            adjacency[vid][eid] = 2
             origin[eid] = ("self", vid)
-
-    return QuasistableGraph(
-        vertices,
-        edges,
-        exceptional=exceptional,
-        origin=origin,
-        source=graph,
-        config=config,
+    vertices += [Vertex._trusted(eid, 0, 0) for eid in origin]
+    return QuasistableGraph._trusted(
+        vertices, adjacency, exceptional=origin, origin=origin, source=graph, config=config
     )
+
+
+def _contraction(q: QuasistableGraph) -> tuple[tuple[Vertex, ...], dict[str, dict[str, int]]]:
+    """Vertices and node rows of the graph that contracting every exceptional
+    vertex of q leaves: each exceptional vertex restores the node its origin
+    names.  KeyError when an origin names no core vertex."""
+    exc = q.exceptional
+    adjacency = {
+        vid: {nbr: m for nbr, m in row.items() if nbr not in exc}
+        for vid, row in q._adjacency.items() if vid not in exc
+    }
+    blown = dict.fromkeys(adjacency, 0)
+    for eid in exc:
+        origin = q.origin[eid]
+        if origin[0] == "pair":
+            _, u, v = origin
+            adjacency[u][v] = adjacency[v][u] = adjacency[u].get(v, 0) + 1
+        else:
+            _, v = origin
+            blown[v] += 1
+    vertices = tuple(
+        Vertex._trusted(v.id, v.pa + blown[v.id], v.self_nodes + blown[v.id]) if blown[v.id] else v
+        for v in q._vertices if v.id not in exc
+    )
+    return vertices, adjacency
 
 
 def contract(q: QuasistableGraph) -> DualGraph:
     """Contract every exceptional vertex, restoring the node it replaced."""
-    pa = {v: q.pa(v) for v in q.core_ids}
-    self_nodes = {v: q.self_nodes(v) for v in q.core_ids}
-    edges: dict[tuple[str, str], int] = {}
-    for u, v, mult in q.pairs():
-        if u not in q.exceptional and v not in q.exceptional:
-            edges[(u, v)] = mult
-    for eid in q.exceptional:
-        kind = q.origin[eid][0]
-        if kind == "pair":
-            _, u, v = q.origin[eid]
-            key = _pair(u, v)
-            edges[key] = edges.get(key, 0) + 1
-        else:
-            _, v = q.origin[eid]
-            pa[v] += 1
-            self_nodes[v] += 1
-    vertices = [Vertex(v, pa[v], self_nodes[v]) for v in q.core_ids]
-    return DualGraph(vertices, edges)
+    return DualGraph._trusted(*_contraction(q))
 
 
 def spin_parity(graph: DualGraph, config: BlowupConfig) -> bool:

@@ -6,7 +6,8 @@ component the spin locus meets.  The graphs are larger than the exhaustive
 corpora, and from 13 vertices on past the cap of the subcurve scans; the
 checks need no oracle: a witness must reproduce its multidegree, witnesses
 must move with the twist, an overloaded vertex must be rejected with a
-violated subcurve, the locus must not depend on vertex names, and the
+violated subcurve, the locus must not depend on vertex names, a graph's
+pairs must be every joined id pair however its ids are ordered, and the
 admissible set must move with the total and, on cycles past the cap, reach
 Stanley's forest count.  On random spin blow-up models the row table built
 by whole columns must match the O(n^2) direct row on every mask, and
@@ -193,6 +194,20 @@ def test_locus_is_invariant_under_relabeling(graph, t, rng):
         for md in enumerate_spin_multidegrees(graph, t)
     }
     assert relabeled == mapped
+
+
+@PROPERTY_SETTINGS
+@given(stable_graphs(sizes=(2, 40)), st.randoms(use_true_random=False))
+def test_pairs_are_every_joined_id_pair_in_order(graph, rng):
+    """The builder reads the pairs off the neighbor rows once; they must be
+    what a scan of every id pair finds, on the graph and on a relabeling
+    that reorders its ids."""
+    names = [f"y{i}" for i in range(graph.n)]
+    rng.shuffle(names)
+    for g in (graph, graph.relabeled(dict(zip(graph.ids, names)))):
+        ids = g.ids
+        scan = [(u, v, g.k(u, v)) for i, u in enumerate(ids) for v in ids[i + 1:]]
+        assert list(g.pairs()) == [(u, v, k) for u, v, k in scan if k]
 
 
 @PROPERTY_SETTINGS

@@ -136,3 +136,32 @@ def test_graph_kernels_come_from_on_graph():
     for path in sorted(SRC.rglob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), f"{path.name}:<module>")
     assert calls == ["spin_locus.py:orientation_feasible"], calls
+
+
+def test_validating_constructors_only_where_outside_input_arrives():
+    """`DualGraph(...)`, `QuasistableGraph(...)` and `Vertex(...)` check every
+    field they are given, so the library calls them by name only where data
+    from outside arrives: tuples handed to the graph constructor, the new ids
+    of a relabeling, and a split curve's genus.  Graphs, models and vertices
+    it derives from checked data come from the ``_trusted`` builders."""
+    names = {"DualGraph", "QuasistableGraph", "Vertex"}
+    calls = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split(':')[0]}:{node.name}"
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in names
+        ):
+            calls.append(f"{where} {node.func.id}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), f"{path.name}:<module>")
+    assert sorted(calls) == [
+        "graphs.py:__init__ Vertex",
+        "graphs.py:relabeled Vertex",
+        "spin_locus.py:split_curve_graph DualGraph",
+    ], calls

@@ -9,8 +9,9 @@ callers use, and the positions at which to check the layout.  The objects
 must agree on ``==``, ``hash``, ``repr``, ``vars`` and the view.  Equal
 ``vars`` on objects of one class fix what ``dataclasses.asdict`` reads and
 how the class guards its fields, so those are checked at the ``layout``
-positions: every object but split-curve rows, whose 212,040 rows get them
-on the first row of each table.
+positions of the dataclasses: every object but split-curve rows, whose
+212,040 rows get them on the first row of each table.  Graphs and
+witnesses are no dataclasses and have no layout positions.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from spinpicard import (
     BoundaryCase,
     DualGraph,
     Multidegree,
+    QuasistableGraph,
     SpinWitness,
     SplitCurveRow,
+    Vertex,
     boundary_case,
+    contract,
     decide_spin_component,
     enumerate_multidegrees,
     enumerate_spin_multidegrees,
@@ -39,6 +43,7 @@ from spinpicard import (
     spin_multidegree,
     split_curve_table,
     subcurve_profile,
+    validate_graph,
 )
 
 
@@ -145,11 +150,78 @@ def _split_rows():
             yield rows, validated, lambda row: (), [0]
 
 
+def _graph_view(graph):
+    return graph.ids, graph.vertices, list(graph.pairs()), graph._contacts, graph.genus
+
+
+def _reversed_names(graph):
+    """A relabeling that reverses the id order, so the builder must sort."""
+    return {vid: f"v{graph.n - i:02d}" for i, vid in enumerate(graph.ids)}
+
+
+def _graphs():
+    """Every fiftieth small corpus graph read from its JSON form, the
+    contractions of all its blow-up models, and relabelings of it and of its
+    most blown-up model, each against the validating constructor on the
+    source's data (renamed for the relabelings)."""
+    for source in quasistable_graphs()[::50]:
+        models = [expand(source, config) for config in iter_blowup_configs(source)]
+        data = [(v.id, v.pa, v.self_nodes) for v in source.vertices], list(source.pairs())
+        trusted = [validate_graph(source.to_dict())] + [contract(q) for q in models]
+        validated = [DualGraph(*data) for _ in trusted]
+        for graph in (source, models[-1]):
+            mapping = _reversed_names(graph)
+            trusted.append(graph.relabeled(mapping))
+            validated.append(DualGraph(
+                [(mapping[v.id], v.pa, v.self_nodes) for v in graph.vertices],
+                [(mapping[u], mapping[v], m) for u, v, m in graph.pairs()],
+            ))
+        yield trusted, validated, _graph_view, ()
+
+
+def _models():
+    """The model of every blow-up configuration of every fiftieth small
+    corpus graph, self-node blow-ups included."""
+    models = []
+    for source in quasistable_graphs()[::50]:
+        trusted = [expand(source, config) for config in iter_blowup_configs(source)]
+        validated = [
+            QuasistableGraph(
+                [(v.id, v.pa, v.self_nodes) for v in q.vertices], list(q.pairs()),
+                exceptional=sorted(q.exceptional), origin=q.origin, source=source,
+                config=q.config,
+            )
+            for q in trusted
+        ]
+
+        def view(q):
+            return *_graph_view(q), q.exceptional, q.origin, q.core_ids
+
+        models += trusted
+        yield trusted, validated, view, ()
+    assert any(origin[0] == "self" for q in models for origin in q.origin.values())
+    assert any(origin[0] == "pair" for q in models for origin in q.origin.values())
+
+
+def _vertices():
+    """The vertices of graphs read from JSON, of blow-up models (exceptional
+    and with self-nodes blown) and of their contractions."""
+    for source in quasistable_graphs()[::50]:
+        models = [expand(source, config) for config in iter_blowup_configs(source)]
+        graphs = [validate_graph(source.to_dict()), *models, *map(contract, models)]
+        trusted = [v for graph in graphs for v in graph.vertices]
+        validated = [Vertex(v.id, v.pa, v.self_nodes) for v in trusted]
+        yield trusted, validated, lambda v: (v.id, v.pa, v.self_nodes), range(len(trusted))
+
+
 TRUSTED = {
     "BoundaryCase": _boundary_cases,
+    "DualGraph": _graphs,
     "Multidegree": _multidegrees,
+    "QuasistableGraph": _models,
     "SpinWitness": _witnesses,
     "SplitCurveRow": _split_rows,
+    "Vertex": _vertices,
 }
 
 
