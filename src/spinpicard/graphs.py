@@ -36,7 +36,6 @@ threads.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -414,7 +413,8 @@ def is_stable(graph: DualGraph) -> bool:
 
 @dataclass(frozen=True)
 class Multidegree:
-    """An integer degree per vertex, stored as id-sorted (id, degree) pairs."""
+    """An integer degree per vertex, stored as id-sorted (id, degree) pairs.
+    The dict behind lookups by id is built on the first such lookup."""
 
     items: tuple[tuple[str, int], ...]
 
@@ -433,18 +433,19 @@ class Multidegree:
         if len({vid for vid, _ in norm}) != len(norm):
             raise GraphError("multidegree assigns a vertex id twice")
         object.__setattr__(self, "items", norm)
-        # Not a dataclass field, so eq, hash and repr ignore it.
-        object.__setattr__(self, "_lookup", dict(norm))
 
     @classmethod
-    def _trusted(cls, ids: Sequence[str], values: Sequence[int]) -> "Multidegree":
+    def _trusted(cls, items: Iterable[tuple[str, int]]) -> "Multidegree":
         """A multidegree the library built itself, without re-validation:
-        ``ids`` sorted and distinct (a graph's ids), ``values`` ints."""
+        ``items`` (id, int) pairs, the ids sorted and distinct (a graph's)."""
         md = object.__new__(cls)
-        items = tuple(zip(ids, values))
-        object.__setattr__(md, "items", items)
-        object.__setattr__(md, "_lookup", dict(items))
+        object.__setattr__(md, "items", tuple(items))
         return md
+
+    @cached_property
+    def _lookup(self) -> dict[str, int]:
+        # Not a dataclass field, so eq, hash and repr ignore it.
+        return dict(self.items)
 
     @classmethod
     def of(cls, degrees: Mapping[str, int]) -> "Multidegree":
@@ -471,7 +472,10 @@ class Multidegree:
         return dict(self.items)
 
     def values(self, ids: Sequence[str]) -> tuple[int, ...]:
-        return tuple(self._lookup[i] for i in ids)
+        keys, degrees = zip(*self.items) if self.items else ((), ())
+        if keys == ids:  # the id-sorted order: read off without a lookup
+            return degrees
+        return tuple([self._lookup[i] for i in ids])
 
     def degree_on(self, subcurve: Iterable[str]) -> int:
         """Total degree carried by the components in the subcurve."""
@@ -782,8 +786,12 @@ def _pair_counts(entries, error: type, loop_message: str) -> dict[tuple[str, str
 
 def _check_pair_bounds(graph: DualGraph, counts: Mapping, error: type) -> None:
     """Raise ``error`` at the first pair, in sorted order, whose count in
-    ``counts`` exceeds the nodes joining it; an unknown id raises GraphError."""
+    ``counts`` exceeds the nodes joining it (sorted only when one does); an
+    unknown id raises GraphError."""
     adjacency = graph._adjacency
+    if all(u in adjacency and v in adjacency and count <= adjacency[u].get(v, 0)
+           for (u, v), count in counts.items()):
+        return
     for (u, v), count in sorted(counts.items()):
         k = adjacency[u].get(v, 0) if u in adjacency and v in adjacency else graph.k(u, v)
         if count > k:
@@ -814,7 +822,8 @@ class _Orientation:
     Moving units of in-degree from one end of a pair to the other changes no
     third vertex, so moves along a path shift in-degree from its first vertex
     to its last.  Paths are shortest (breadth-first) and each carries as many
-    units as all of its moves allow.
+    units as all of its moves allow.  Searches share one parent list, whose
+    entries count only where ``seen`` holds the current search's number.
     """
 
     def __init__(self, n: int, pairs: Sequence[tuple[int, int, int]]) -> None:
@@ -826,6 +835,9 @@ class _Orientation:
             if i != j:
                 self.incident[i].append(p)
                 self.incident[j].append(p)
+        self.parent: list[Optional[tuple[int, int]]] = [None] * n
+        self.seen = [0] * n
+        self.searches = 0
 
     @classmethod
     def on_graph(cls, graph: DualGraph, units: int) -> "_Orientation":
@@ -840,15 +852,20 @@ class _Orientation:
         each move a (vertex, pair) with room to move units off the vertex;
         the set of vertices reached when no target is."""
         ends, a, total, incident = self.ends, self.a, self.total, self.incident
-        parent = dict.fromkeys(sources)
-        queue = deque(sources)
-        while queue:
-            x = queue.popleft()
+        parent, seen = self.parent, self.seen
+        self.searches += 1
+        search = self.searches
+        for x in sources:
+            seen[x] = search
+            parent[x] = None
+        queue = list(sources)
+        for x in queue:
             for p in incident[x]:
                 i, j = ends[p]
-                y, room = (j, a[p]) if x == i else (i, total[p] - a[p])
-                if room <= 0 or y in parent:
+                y = j if x == i else i
+                if (a[p] if x == i else total[p] - a[p]) <= 0 or seen[y] == search:
                     continue
+                seen[y] = search
                 parent[y] = (x, p)
                 if y in targets:
                     moves, end = [], y
@@ -857,7 +874,7 @@ class _Orientation:
                         moves.append((y, p))
                     return moves, y, end
                 queue.append(y)
-        return set(parent)
+        return set(queue)
 
     def _send(self, moves: list, limit: int) -> int:
         ends, a, total = self.ends, self.a, self.total
@@ -874,23 +891,29 @@ class _Orientation:
         R holds every vertex over its quota and none under it, and no pair can
         move a unit out of R, so its pairs to the rest send them every unit:
         the units of pairs inside R alone exceed R's quota (Hakimi's
-        condition fails on R).
+        condition fails on R).  Quotas totalling more than the units are
+        refused even when no vertex is over its quota (R is then empty).
         """
         excess = [-q for q in quota]
         for (i, j), a, total in zip(self.ends, self.a, self.total):
             excess[i] += a
             excess[j] += total - a
-        while any(excess):
-            found = self._path(
-                [x for x, e in enumerate(excess) if e > 0],
-                {x for x, e in enumerate(excess) if e < 0},
-            )
+        # A path moves units from one vertex over its quota to one under it,
+        # never past either quota, so both sets only shrink.
+        sources = [x for x, e in enumerate(excess) if e > 0]
+        targets = {x for x, e in enumerate(excess) if e < 0}
+        while sources or targets:
+            found = self._path(sources, targets)
             if isinstance(found, set):
                 return found
             moves, start, end = found
             moved = self._send(moves, min(excess[start], -excess[end]))
             excess[start] -= moved
             excess[end] += moved
+            if not excess[start]:
+                sources.remove(start)
+            if not excess[end]:
+                targets.remove(end)
         return None
 
     def settle(self, p: int, target: int) -> int:
@@ -901,36 +924,43 @@ class _Orientation:
         interval, so the walk ends at its point nearest the target.
         """
         i, j = self.ends[p]
+        a = self.a
         self.incident[i].remove(p)
         self.incident[j].remove(p)
-        while self.a[p] != target:
+        while a[p] != target:
             # Lowering a[p] moves in-degree from i to j; a path from j to i
             # moves it back (and the other way round for raising).
-            down = self.a[p] > target
-            found = self._path([j if down else i], {i if down else j})
+            down = a[p] > target
+            found = self._path((j,) if down else (i,), (i,) if down else (j,))
             if isinstance(found, set):
                 break
-            moved = self._send(found[0], abs(self.a[p] - target))
-            self.a[p] += -moved if down else moved
-        return self.a[p]
+            moved = self._send(found[0], abs(a[p] - target))
+            a[p] += -moved if down else moved
+        return a[p]
 
 
 def _score_vectors(graph: DualGraph, base: Sequence[int]) -> list[Multidegree]:
     """``base`` (id order) plus the in-degree vector of every orientation of
-    the node multigraph, sorted: one sum over pairs, deduplicated per pair."""
+    the node multigraph, sorted: one sum over pairs, deduplicated per pair.
+    A vector is coded as one integer, in-degree i its digit of radix
+    contact(i) + 1, vertex 0 the most significant: no digit carries, and
+    integer order is lexicographic order."""
     index = graph._index
-    reached = {tuple(base)}
+    weights = [1] * graph.n
+    for i in range(graph.n - 2, -1, -1):
+        weights[i] = weights[i + 1] * (graph._contacts[i + 1] + 1)
+    reached = {0}
     for u, v, k in graph.pairs():
-        i, j = index[u], index[v]
-        grown = set()
-        for vec in reached:
-            for a in range(k + 1):
-                new = list(vec)
-                new[i] += a
-                new[j] += k - a
-                grown.add(tuple(new))
-        reached = grown
-    return [Multidegree._trusted(graph.ids, values) for values in sorted(reached)]
+        w_i, w_j = weights[index[u]], weights[index[v]]
+        steps = [a * w_i + (k - a) * w_j for a in range(k + 1)]
+        reached = {x + step for x in reached for step in steps}
+    codes = sorted(reached)
+    # Columns of (id, degree) entries shared per digit: their rows are items.
+    columns = []
+    for vid, w, c, b in zip(graph.ids, weights, graph._contacts, base):
+        entries = [(vid, b + x) for x in range(c + 1)]
+        columns.append([entries[code // w % (c + 1)] for code in codes])
+    return [Multidegree._trusted(items) for items in zip(*columns)]
 
 
 def enumerate_multidegrees(
@@ -982,7 +1012,7 @@ def enumerate_multidegrees(
     def descend(i: int, remaining: int) -> None:
         if i == n:
             if kernel.meet([scale * x - low for x, low in zip(stack, lower)]) is None:
-                found.append(Multidegree._trusted(ids, stack))
+                found.append(Multidegree._trusted(zip(ids, stack)))
             return
         for value in range(lo[i], hi[i] + 1):
             rest = remaining - value

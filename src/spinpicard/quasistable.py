@@ -382,8 +382,8 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
     if t in q._spin_cache:
         return q._spin_cache[t]
     core = _core_contacts(q)
-    md = Multidegree._trusted(q.ids, [
-        1 if vid in q.exceptional else base + core[vid] // 2
+    md = Multidegree._trusted([
+        (vid, 1 if vid in q.exceptional else base + core[vid] // 2)
         for vid, base in zip(q.ids, _spin_base(q, t))
     ])
     expected = (2 * t + 1) * (q.genus - 1)

@@ -173,23 +173,12 @@ def _require_spin_graph(graph: DualGraph) -> None:
 def grouped_multidegree(
     graph: DualGraph, witness: SpinWitness, t: int, *, unsafe_t: bool = False
 ) -> Multidegree:
-    """Degree vector on the stable graph cut out by a witness at twist t.
-
-    Once the witness passes its checks (s within k, then parity), one pass
-    over its pairs replays the doubled degree 2 base + contact - s at both
-    ends of each blown pair + 2 sigma at the end it credits.
-    """
+    """Degree vector on the stable graph cut out by a witness at twist t,
+    replayed once the witness passes its checks (s within k, then parity)."""
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
     witness.validate(graph)
-    index = graph._index
-    doubled = [2 * b + c for b, c in zip(_spin_base(graph, t), graph._contacts)]
-    for (u, v), count in witness._s.items():
-        doubled[index[u]] -= count
-        doubled[index[v]] -= count
-    for (u, _), share in witness._sigma.items():
-        doubled[index[u]] += 2 * share
-    md = Multidegree._trusted(graph.ids, [x // 2 for x in doubled])
+    md = Multidegree._trusted(zip(graph.ids, _replay(graph, witness, _spin_base(graph, t))))
     expected = (2 * t + 1) * (graph.genus - 1)
     if md.total != expected:
         raise _internal_error(
@@ -197,6 +186,19 @@ def grouped_multidegree(
             graph, t=t, witness=witness.to_dict(), multidegree=md.as_dict(),
         )
     return md
+
+
+def _replay(graph: DualGraph, witness: SpinWitness, base: list[int]) -> list[int]:
+    """The degrees, in id order, a checked witness cuts out: half of 2 base +
+    contact - s at both ends of each blown pair + 2 sigma at the end it credits."""
+    index = graph._index
+    doubled = [2 * b + c for b, c in zip(base, graph._contacts)]
+    for (u, v), count in witness._s.items():
+        doubled[index[u]] -= count
+        doubled[index[v]] -= count
+    for (u, _), share in witness._sigma.items():
+        doubled[index[u]] += 2 * share
+    return [x // 2 for x in doubled]
 
 
 # -- orientations ----------------------------------------------------------
@@ -237,8 +239,8 @@ def decide_spin_component(
     component, and when it is stuck the vertices it reached form a subcurve
     whose degree falls below its window, which the error names.  The witness
     is read off the settled kernel without the constructor's re-validation,
-    then replayed through `grouped_multidegree`, which checks it against the
-    graph and must give back the multidegree.
+    then checked against the graph and replayed, as `grouped_multidegree`
+    replays it, which must give back the multidegree.
     """
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
@@ -251,10 +253,9 @@ def decide_spin_component(
         )
 
     ids = graph.ids
+    base, values = _spin_base(graph, t), multidegree.values(ids)
     kernel = _Orientation.on_graph(graph, 2)
-    stuck = kernel.meet(
-        [2 * (d - b) for d, b in zip(multidegree.values(ids), _spin_base(graph, t))]
-    )
+    stuck = kernel.meet([2 * (d - b) for d, b in zip(values, base)])
     if stuck is not None:
         worst = subcurve_profile(graph, [ids[i] for i in stuck], d_total, multidegree)
         if not worst.degree < worst.lower:
@@ -280,7 +281,8 @@ def decide_spin_component(
             sigma[(u, v)] = max(shift, 0)
             sigma[(v, u)] = max(-shift, 0)
     witness = SpinWitness._trusted(s, sigma)
-    if grouped_multidegree(graph, witness, t, unsafe_t=unsafe_t) != multidegree:
+    witness.validate(graph)
+    if _replay(graph, witness, base) != list(values):
         raise _internal_error(
             "witness does not reproduce the multidegree",
             graph, t=t, witness=witness.to_dict(), multidegree=multidegree.as_dict(),

@@ -10,7 +10,8 @@ the singleton boxes filtered through the basic-inequality scan.  All of them
 take exponential time; keep inputs at desk scale.  ``spanning_trees`` is
 Kirchhoff's count, which the enumeration must reach at coprime totals,
 ``forest_count`` is Stanley's, which it must reach where the singleton
-bounds are integers, and ``named_violation`` reads back the subcurve a
+bounds are integers, ``tuple_sumset`` lists the spin locus as the pair sumset
+over tuples, and ``named_violation`` reads back the subcurve a
 decide rejection names, for comparison with the scan.  ``neighbor_sum_grouped`` and
 ``neighbor_sum_odd_vertex`` are the per-vertex neighbor sums the library
 replaced by one pass over a witness's pairs.
@@ -182,6 +183,25 @@ def swept_locus(graph: DualGraph, t: int) -> list[tuple[int, ...]]:
                 vec[j] += s_uv - a
             seen.add(tuple(vec))
     return sorted(seen)
+
+
+def tuple_sumset(graph: DualGraph, t: int) -> list[tuple[int, ...]]:
+    """Sorted spin base plus in-degree vectors of every orientation of the
+    node multigraph, grown one pair at a time as a set of tuples."""
+    ids = graph.ids
+    base = _base(graph, t)
+    reached = {tuple(base[vid] for vid in ids)}
+    for u, v, k in graph.pairs():
+        i, j = ids.index(u), ids.index(v)
+        grown = set()
+        for vec in reached:
+            for a in range(k + 1):
+                new = list(vec)
+                new[i] += a
+                new[j] += k - a
+                grown.add(tuple(new))
+        reached = grown
+    return sorted(reached)
 
 
 def named_violation(exc: BasicInequalityError) -> tuple[frozenset, int, Fraction, Fraction]:

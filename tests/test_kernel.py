@@ -391,7 +391,7 @@ def test_column_failure_names_the_first_failing_mask(fault):
 def test_witness_check_raises_a_replayable_payload(monkeypatch):
     graph = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
     md = Multidegree.of({"C1": 20, "C2": 22})
-    monkeypatch.setattr(spin_locus, "grouped_multidegree", lambda *args, **kw: Multidegree.of({}))
+    monkeypatch.setattr(spin_locus, "_replay", lambda *args, **kw: [])
     with pytest.raises(RuntimeError, match="witness does not reproduce") as err:
         decide_spin_component(graph, 10, md)
     payload = replay_payload(err)

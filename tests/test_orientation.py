@@ -12,7 +12,9 @@ through the basic-inequality scan.  Answers must be equal, witness for witness
 and output for output.  The basic-inequality scan is also the oracle for every
 rejection, which the stuck walk certifies by naming a violated subcurve.
 Kirchhoff's count checks enumeration sizes at coprime totals, Stanley's
-forest count at integral shifts.
+forest count at integral shifts, and a sumset over tuples the spin locus.
+Quotas off the unit total are refused whether or not a vertex starts over
+its quota.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from spin_oracles import (
     spanning_trees,
     subset_feasible,
     swept_locus,
+    tuple_sumset,
 )
 from spinpicard import (
     BasicInequalityError,
@@ -42,6 +45,7 @@ from spinpicard import (
     enumerate_spin_multidegrees,
     grouped_multidegree,
     orientation_feasible,
+    split_curve_graph,
     subcurve_profile,
 )
 from spinpicard.graphs import _Orientation, _scaled_lower
@@ -53,6 +57,11 @@ def _complete(n: int, m: int) -> DualGraph:
         [(v, 0) for v in ids],
         {(ids[i], ids[j]): m for i in range(n) for j in range(i + 1, n)},
     )
+
+
+def _cycle(n: int, m: int, pa: int = 0) -> DualGraph:
+    ids = [f"c{i:02d}" for i in range(n)]
+    return DualGraph([(v, pa) for v in ids], {(ids[i], ids[(i + 1) % n]): m for i in range(n)})
 
 
 def _random_stable(rng: random.Random) -> DualGraph:
@@ -112,6 +121,28 @@ def test_decide_equals_oracle_on_complete_and_random_graphs():
         assert decide_spin_component(graph, t, md) == lexmin_witness(graph, t, md), (graph, md)
 
 
+@pytest.mark.parametrize(
+    "graph, max_vertices",
+    [
+        (DualGraph([("a", 3)]), None),
+        (split_curve_graph(11), None),
+        (DualGraph([("h", 0), ("x", 1), ("y", 1), ("z", 0)],
+                   {("h", "x"): 5, ("h", "y"): 4, ("h", "z"): 3, ("y", "z"): 1}), None),
+        (_complete(6, 2), None),
+        (_cycle(13, 1, pa=1), 13),
+    ],
+    ids=["one-vertex", "split11", "hub-contact-12", "K6m2", "C13"],
+)
+def test_enumerate_equals_the_tuple_sumset(graph, max_vertices):
+    """The integer-coded sumset lists what the tuple sumset lists, in the
+    same order: on one vertex with no pairs, with contacts of 12 (digits of
+    radix 13), on K6 with m = 2 (62,683 outputs), and past the subset cap
+    with the cap raised."""
+    found = enumerate_spin_multidegrees(graph, 10, max_vertices=max_vertices)
+    assert [md.values(graph.ids) for md in found] == tuple_sumset(graph, 10)
+    assert all(tuple(vid for vid, _ in md.items) == graph.ids for md in found)
+
+
 def test_enumerate_equals_oracle_sweep(spin_corpus):
     for graph in spin_corpus:
         found = [md.values(graph.ids) for md in enumerate_spin_multidegrees(graph, 10)]
@@ -143,6 +174,28 @@ def test_orientation_feasible_equals_subset_scan():
         assert verdict == subset_feasible(pairs, quotas), (pairs, quotas)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "quotas",
+    [
+        {"a": 1, "b": 2, "c": 2},  # one unit too many, no vertex over its quota
+        {"a": 0, "b": 3, "c": 2},  # one unit too many, a over its quota
+        {"a": 1, "b": 2, "c": 0},  # one unit short, no vertex under its quota
+        {"a": 0, "b": 3, "c": 0},  # one unit short, b under its quota
+    ],
+    ids=["over-total-none-over", "over-total-one-over", "short-none-under", "short-one-under"],
+)
+def test_quotas_off_the_unit_total_are_refused(quotas):
+    """Quotas that total more or fewer units than the pairs hold have no
+    split.  From the starting split (a: 1, b: 2, c: 1) the first case leaves
+    no vertex over its quota, so a walk that searched only while some vertex
+    was over would accept it."""
+    pairs = {("a", "b"): 2, ("b", "c"): 2}
+    assert not subset_feasible(pairs, quotas)
+    assert not orientation_feasible(pairs, quotas)
+    kernel = _Orientation(3, [(0, 1, 2), (1, 2, 2)])
+    assert isinstance(kernel.meet([quotas[x] for x in "abc"]), set)
 
 
 def test_orientation_feasible_refuses_negative_counts():
@@ -192,11 +245,6 @@ def test_decide_rejects_exactly_what_the_scan_rejects(spin_corpus):
                 verdicts.append(_check_certificate(graph, t, _perturbed(component, rng)))
     assert len(verdicts) >= 4000
     assert verdicts.count(False) > len(verdicts) // 2 and verdicts.count(True) > 100
-
-
-def _cycle(n: int, m: int) -> DualGraph:
-    ids = [f"c{i:02d}" for i in range(n)]
-    return DualGraph([(v, 0) for v in ids], {(ids[i], ids[(i + 1) % n]): m for i in range(n)})
 
 
 def _elliptic_chain(n: int) -> DualGraph:

@@ -14,6 +14,8 @@ by whole columns must match the O(n^2) direct row on every mask, and
 exceptional_profile the node columns.  On random witnesses and
 blow-up configurations, valid or not, the pair-space grouping and parity
 check must match the per-vertex neighbor sums they replaced, errors included.
+A kernel reused across stuck and feasible quotas and settles must answer
+as a fresh kernel does.
 """
 
 from __future__ import annotations
@@ -163,6 +165,51 @@ def test_a_stuck_walk_reaches_the_same_set_from_every_start(case, rng):
         for _ in range(5):
             assert _Orientation.on_graph(graph, 2).meet(quota) == reached
             assert _rejection(graph, t, md) == message
+
+
+def _stuck_quota(kernel: _Orientation, quota: list[int], v: int) -> list[int]:
+    """The quota with units moved onto v until v asks for one more unit
+    than its pairs hold; where every unit already lies on v's pairs, the
+    last unit is added instead, so the total exceeds the units."""
+    stuck = list(quota)
+    need = 1 + sum(t for ends, t in zip(kernel.ends, kernel.total) if v in ends) - stuck[v]
+    for x in range(len(stuck)):
+        moved = 0 if x == v else min(stuck[x], need)
+        stuck[x] -= moved
+        stuck[v] += moved
+        need -= moved
+    stuck[v] += need
+    return stuck
+
+
+@PROPERTY_SETTINGS
+@given(stable_graphs(sizes=(2, 9)), st.randoms(use_true_random=False))
+def test_a_reused_kernel_answers_as_a_fresh_one(graph, rng):
+    """A kernel keeps one parent list and visit stamp across searches: one
+    kernel meeting a stuck quota, then a feasible one, again both, then
+    settling every pair, must reach the sets and settle at the values a
+    fresh kernel does for each call."""
+    def fresh() -> _Orientation:
+        return _Orientation.on_graph(graph, 2)
+
+    kernel = fresh()
+    feasible = [0] * graph.n
+    for (i, j), total in zip(kernel.ends, kernel.total):
+        a = rng.randint(0, total)
+        feasible[i] += a
+        feasible[j] += total - a
+    stuck = _stuck_quota(kernel, feasible, rng.randrange(graph.n))
+    reached = fresh().meet(stuck)
+    assert reached is not None
+    for _ in range(2):
+        assert kernel.meet(stuck) == reached
+        assert kernel.meet(feasible) is None
+    settled = fresh()
+    assert settled.meet(feasible) is None
+    for p, total in enumerate(kernel.total):
+        target = rng.randint(0, total)
+        assert kernel.settle(p, target) == settled.settle(p, target)
+    assert kernel.meet(stuck) == settled.meet(stuck)
 
 
 @PROPERTY_SETTINGS

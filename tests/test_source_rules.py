@@ -165,3 +165,24 @@ def test_validating_constructors_only_where_outside_input_arrives():
         "graphs.py:relabeled Vertex",
         "spin_locus.py:split_curve_graph DualGraph",
     ], calls
+
+
+def test_one_witness_replay():
+    """The doubled-degree replay of a witness, 2 base + contact - s + 2 sigma,
+    is written once, in `spin_locus._replay`, and both functions that read a
+    multidegree off a witness call it."""
+    tree = ast.parse((SRC / "spin_locus.py").read_text())
+    defined = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, []).append(path.name)
+    assert defined["_replay"] == ["spin_locus.py"]
+    callers = {
+        node.name
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == "_replay"
+    }
+    assert callers == {"grouped_multidegree", "decide_spin_component"}, callers

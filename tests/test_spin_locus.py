@@ -10,6 +10,7 @@ import pytest
 from spinpicard import (
     BasicInequalityError,
     BlowupConfig,
+    BlowupError,
     DomainError,
     DualGraph,
     Multidegree,
@@ -67,6 +68,23 @@ def test_witness_validate_against_graph():
         SpinWitness({("C1", "C2"): 5}, {("C1", "C2"): 0}).validate(SPLIT3)
     with pytest.raises(WitnessError, match="parity"):
         SpinWitness({("C1", "C2"): 1}, {("C1", "C2"): 0}).validate(SPLIT3)
+
+
+def test_pair_bounds_name_the_first_offending_pair_in_sorted_order():
+    """The counts are scanned unsorted, but the error names the first pair
+    over its bound in sorted order, however the pairs were given."""
+    graph = DualGraph(
+        [("a", 1), ("b", 1), ("c", 1), ("d", 1)],
+        {("a", "b"): 1, ("b", "c"): 2, ("c", "d"): 1},
+    )
+    witness = SpinWitness({("c", "d"): 3, ("b", "c"): 2, ("a", "b"): 3},
+                          {("c", "d"): 0, ("b", "c"): 0, ("a", "b"): 0})
+    assert list(witness._s) == [("c", "d"), ("b", "c"), ("a", "b")]
+    with pytest.raises(WitnessError) as caught:
+        witness.validate(graph)
+    assert str(caught.value) == "s[a, b] = 3 exceeds the 1 nodes joining a and b"
+    with pytest.raises(BlowupError, match=r"^s\[a, b\] = 2 exceeds the 1 nodes joining a and b$"):
+        expand(graph, BlowupConfig({("d", "c"): 2, ("b", "a"): 2}))
 
 
 # -- grouped multidegrees ----------------------------------------------------

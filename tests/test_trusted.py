@@ -11,7 +11,9 @@ must agree on ``==``, ``hash``, ``repr``, ``vars`` and the view.  Equal
 how the class guards its fields, so those are checked at the ``layout``
 positions of the dataclasses: every object but split-curve rows, whose
 212,040 rows get them on the first row of each table.  Graphs and
-witnesses are no dataclasses and have no layout positions.
+witnesses are no dataclasses and have no layout positions.  A multidegree
+builds its lookup dict on first use, so one more test looks trusted ones up
+before reading them.
 """
 
 from __future__ import annotations
@@ -244,3 +246,26 @@ def test_trusted_instances_equal_validated_ones(name):
                     delattr(trusted[i], field.name)
         count += len(trusted)
     assert count >= 100
+
+
+def test_a_lazily_looked_up_multidegree_matches_the_validated_one():
+    """A multidegree builds its id-to-degree dict on the first lookup: the
+    trusted outputs of an enumeration, looked up in another order first and
+    only then read, answer as the validating constructor's objects do."""
+    graph = DualGraph(
+        [("a", 1), ("b", 0), ("c", 1)], {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 1}
+    )
+    ids = graph.ids
+    trusted = enumerate_spin_multidegrees(graph, 10)
+    validated = [Multidegree.of(dict(md.items)) for md in trusted]
+    assert [vars(md) for md in trusted] == [vars(md) for md in validated]
+    assert {tuple(vars(md)) for md in trusted} == {("items",)}
+    for lazy, checked in zip(trusted, validated):
+        assert lazy.values(ids[::-1]) == checked.values(ids[::-1])
+        assert [lazy[v] for v in ids] == [checked[v] for v in ids]
+        assert lazy.values(ids) == checked.values(ids)
+        assert lazy.degree_on(ids[1:]) == checked.degree_on(ids[1:])
+        assert lazy == checked and hash(lazy) == hash(checked)
+        assert repr(lazy) == repr(checked)
+        assert set(vars(lazy)) == set(vars(checked)) == {"items", "_lookup"}
+    assert len(trusted) > 10
