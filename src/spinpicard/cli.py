@@ -292,29 +292,26 @@ def cmd_numerics(args) -> Envelope:
 
         value = numerics.kouvidakis_class(g, args.degree)
         divisor = math.gcd(2 * g - 2, g + args.degree - 1)
-        env.result = {"value": value}
         env.lines.append(
             f"kouvidakis class = (2g-2)/gcd(2g-2, g+d-1) "
             f"= {2 * g - 2}/{divisor} = {value}"
         )
     elif verb == "coarse":
         value = numerics.coarse_moduli_predicate(g, args.degree)
-        env.result = {"value": value}
         env.lines.append(
             f"gcd(d-g+1, 2g-2) = gcd({args.degree - g + 1}, {2 * g - 2}) "
             f"{'= 1: coarse moduli space exists' if value else '> 1: no coarse moduli space'}"
         )
     elif verb == "rank":
         value = numerics.class_group_rank(g)
-        env.result = {"value": value}
         env.lines.append(f"class group rank = floor(g/2) + 3 = {g // 2} + 3 = {value}")
     else:  # normalize
         value = numerics.normalize_degree(g, args.degree)
-        env.result = {"value": value}
         env.lines.append(
             f"smallest degree >= 20(g-1) = {20 * (g - 1)} congruent to "
             f"{args.degree} mod {2 * g - 2}: {value}"
         )
+    env.result = {"value": value}
     return env
 
 

@@ -157,22 +157,24 @@ class DualGraph:
         self._contacts: tuple[int, ...] = contacts
         #: Arithmetic genus: sum(pa_i) + sum(k_ij over pairs) - n + 1.
         self.genus: int = sum(map(_vertex_pa, vs)) + sum(contacts) // 2 - len(ids) + 1
-        self._check_connected()
+        stranded = sorted(set(ids) - self._reached(ids[0]))
+        if stranded:
+            raise GraphError(f"graph is disconnected; unreachable vertices: {', '.join(stranded)}")
 
     # -- structure ---------------------------------------------------------
 
-    def _check_connected(self) -> None:
+    def _reached(self, start: str, skip: frozenset = frozenset()) -> set[str]:
+        """The vertices a walk along the nodes from ``start`` reaches without
+        entering ``skip``."""
         adjacency = self._adjacency
-        todo = [self._ids[0]]
-        reached = set(todo)
+        todo = [start]
+        reached = {start}
         for vid in todo:
             for nbr in adjacency[vid]:
-                if nbr not in reached:
+                if nbr not in reached and nbr not in skip:
                     reached.add(nbr)
                     todo.append(nbr)
-        if len(reached) != len(self._ids):
-            stranded = sorted(set(self._ids) - reached)
-            raise GraphError(f"graph is disconnected; unreachable vertices: {', '.join(stranded)}")
+        return reached
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -206,9 +208,7 @@ class DualGraph:
         """Number of nodes joining the distinct components u and v."""
         self.index(u)
         self.index(v)
-        if u == v:
-            return 0
-        return self._adjacency[u].get(v, 0)
+        return 0 if u == v else self._adjacency[u].get(v, 0)
 
     def contact(self, vid: str) -> int:
         """Total number of nodes joining vid to all other components."""
@@ -483,16 +483,12 @@ class Multidegree:
 
 
 def _check_multidegree(graph: DualGraph, md: Multidegree) -> None:
-    have = {vid for vid, _ in md.items}
-    want = set(graph.ids)
+    have, want = {vid for vid, _ in md.items}, set(graph.ids)
     if have != want:
-        missing = sorted(want - have)
-        extra = sorted(have - want)
-        parts = []
-        if missing:
-            parts.append(f"missing vertices: {', '.join(missing)}")
-        if extra:
-            parts.append(f"unknown vertices: {', '.join(extra)}")
+        parts = [
+            f"{label} vertices: {', '.join(sorted(ids))}"
+            for label, ids in (("missing", want - have), ("unknown", have - want)) if ids
+        ]
         raise GraphError(f"multidegree does not match the graph ({'; '.join(parts)})")
 
 
@@ -773,11 +769,13 @@ def _record(
 
 def _pair_counts(entries, error: type, loop_message: str) -> dict[tuple[str, str], int]:
     """Nonzero per-pair counts ``s`` from a mapping or ((u, v), count) items,
-    keyed by sorted pair; a pair of a vertex with itself raises ``error``
-    with ``loop_message``."""
+    keyed by sorted pair; an id that is no non-empty string raises ``error``,
+    and so does a pair of a vertex with itself, with ``loop_message``."""
     table: dict[tuple[str, str], int] = {}
     if entries:
         for (u, v), count in entries.items() if isinstance(entries, Mapping) else entries:
+            if not (isinstance(u, str) and u and isinstance(v, str) and v):
+                raise error(f"s[{u!r}, {v!r}]: vertex ids must be non-empty strings")
             _record(table, _pair(u, v), count, f"s[{u}, {v}]", error)
             if u == v:
                 raise error(f"s[{u}, {v}]: {loop_message}")
@@ -798,14 +796,13 @@ def _check_pair_bounds(graph: DualGraph, counts: Mapping, error: type) -> None:
             raise error(f"s[{u}, {v}] = {count} exceeds the {k} nodes joining {u} and {v}")
 
 
-def _odd_vertex(graph: DualGraph, blown) -> Optional[tuple[str, int]]:
+def _odd_vertex(graph: DualGraph, s: Mapping) -> Optional[tuple[str, int]]:
     """The first vertex, in id order, left with an odd number of unblown
-    nodes with other components, and that number; ``blown._s`` counts the
-    blown nodes of each pair, every pair already checked against the graph.
-    None when every count is even."""
+    nodes with other components, and that number, or None: the one parity
+    count, ``s`` counting the blown nodes of each sorted pair of the graph."""
     left = list(graph._contacts)
     index = graph._index
-    for (u, v), count in blown._s.items():
+    for (u, v), count in s.items():
         left[index[u]] -= count
         left[index[v]] -= count
     return next(((vid, x) for vid, x in zip(graph.ids, left) if x % 2), None)

@@ -13,13 +13,17 @@ On such a model with twist parameter t, the canonical spin multidegree is
 
 on non-exceptional vertices and 1 on exceptional ones, where contact counts
 all incident nodes and core_contact only those shared with non-exceptional
-neighbors.  The halving is why spin parity (every core_contact even) is
-required.
+neighbors.  The halving is why spin parity (every core_contact even, as
+Cornalba requires of spin curves) is needed.  One helper counts it, on a
+table of blown nodes per pair (`graphs._odd_vertex`): a config's, in
+spin_parity and in iter_blowup_configs before any config is built, or a
+model's nodes to its exceptional vertices, in spin_multidegree, cached per
+twist, through which git_stable and the boundary predicates pass.
 
 `expand` builds the model from the source's node rows and the validated
 blow-up counts through the trusted graph builder.  The model's invariants
-are checked all the same, its contraction against the source on node
-counts rather than by building a second graph, and a failure raises
+are checked all the same (its contraction against the source on node
+counts, its origin table against the config), and a failure raises
 RuntimeError with the source and blow-ups to replay.
 
 The boundary predicates at the end of the module answer whether a subcurve
@@ -96,10 +100,18 @@ class BlowupConfig:
     def __init__(self, s=None, r=None) -> None:
         self._s = _pair_counts(s, BlowupError, "use r for self-nodes")
         self._r: dict[str, int] = {}
-        if r:
-            items = r.items() if isinstance(r, Mapping) else r
-            for vid, count in items:
-                _record(self._r, vid, count, f"r[{vid}]", BlowupError)
+        for vid, count in r.items() if isinstance(r, Mapping) else r or ():
+            if not (isinstance(vid, str) and vid):
+                raise BlowupError(f"r[{vid!r}]: vertex id must be a non-empty string")
+            _record(self._r, vid, count, f"r[{vid}]", BlowupError)
+
+    @classmethod
+    def _trusted(cls, s: dict, r: dict) -> "BlowupConfig":
+        """A config built in range by the library, without re-validation: ``s``
+        by sorted pair, ``r`` by vertex, no zero counts, in sorted order."""
+        config = object.__new__(cls)
+        config._s, config._r = s, r
+        return config
 
     def s(self, u: str, v: str) -> int:
         return self._s.get(_pair(u, v), 0)
@@ -132,24 +144,23 @@ class BlowupConfig:
         """Parse the documented JSON object form.
 
         Shape: ``{"s": [{"u": ..., "v": ..., "count": ...}],
-        "r": [{"vertex": ..., "count": ...}]}``; both arrays optional.
+        "r": [{"vertex": ..., "count": ...}]}``; each array absent, null or given.
         """
         if not isinstance(raw, Mapping):
             raise BlowupError("blow-up description must be a JSON object")
         unknown = set(raw) - {"s", "r"}
         if unknown:
             raise BlowupError(f"unknown top-level fields: {', '.join(sorted(unknown))}")
-        s_entries = []
-        for i, entry in enumerate(raw.get("s", []) or []):
-            if not isinstance(entry, Mapping) or set(entry) != {"u", "v", "count"}:
-                raise BlowupError(f"s[{i}] must be an object with fields u, v, count")
-            s_entries.append(((entry["u"], entry["v"]), entry["count"]))
-        r_entries = []
-        for i, entry in enumerate(raw.get("r", []) or []):
-            if not isinstance(entry, Mapping) or set(entry) != {"vertex", "count"}:
-                raise BlowupError(f"r[{i}] must be an object with fields vertex, count")
-            r_entries.append((entry["vertex"], entry["count"]))
-        return cls(s_entries, r_entries)
+        tables = []
+        for key, fields in (("s", ("u", "v", "count")), ("r", ("vertex", "count"))):
+            entries = [] if raw.get(key) is None else raw[key]
+            if not isinstance(entries, list):
+                raise BlowupError(f"'{key}' must be an array")
+            for i, entry in enumerate(entries):
+                if not isinstance(entry, Mapping) or set(entry) != set(fields):
+                    raise BlowupError(f"{key}[{i}] must be an object with fields {', '.join(fields)}")
+            tables.append([[entry[field] for field in fields] for entry in entries])
+        return cls([((u, v), count) for u, v, count in tables[0]], tables[1])
 
     def to_dict(self) -> dict:
         return {
@@ -182,7 +193,8 @@ class QuasistableGraph(DualGraph):
     them all must recover the source graph, which is checked on node counts
     without building it: each core pair keeps its nodes plus one per
     exceptional vertex with that pair as origin, and each core vertex its pa
-    and self-nodes plus one per blown self-node.
+    and self-nodes plus one per blown self-node.  Last, the origin table
+    counted per pair and per self-node host must be the config's s and r.
     """
 
     def __init__(
@@ -246,6 +258,12 @@ class QuasistableGraph(DualGraph):
             contracted = None
         if not isinstance(source, DualGraph) or contracted != (source._vertices, source._adjacency):
             return "contracting the exceptional vertices does not recover the source graph"
+        blown: dict = {}  # by sorted pair and by self-node host, as config's s and r
+        for kind, *ends in self.origin.values():
+            key = _pair(*ends) if kind == "pair" else ends[0]
+            blown[key] = blown.get(key, 0) + 1
+        if not isinstance(config, BlowupConfig) or blown != {**config._s, **config._r}:
+            return "the blow-up config does not match the origin table"
         return None
 
     @property
@@ -329,13 +347,12 @@ def _contraction(q: QuasistableGraph) -> tuple[tuple[Vertex, ...], dict[str, dic
         for vid, row in q._adjacency.items() if vid not in exc
     }
     blown = dict.fromkeys(adjacency, 0)
-    for eid in exc:
-        origin = q.origin[eid]
-        if origin[0] == "pair":
-            _, u, v = origin
+    for kind, *ends in map(q.origin.__getitem__, exc):
+        if kind == "pair":
+            u, v = ends
             adjacency[u][v] = adjacency[v][u] = adjacency[u].get(v, 0) + 1
         else:
-            _, v = origin
+            (v,) = ends
             blown[v] += 1
     vertices = tuple(
         Vertex._trusted(v.id, v.pa + blown[v.id], v.self_nodes + blown[v.id]) if blown[v.id] else v
@@ -356,34 +373,28 @@ def spin_parity(graph: DualGraph, config: BlowupConfig) -> bool:
     Self-node blow-ups are irrelevant to parity.
     """
     config.validate(graph)
-    return _odd_vertex(graph, config) is None
-
-
-def _core_contacts(q: QuasistableGraph) -> dict[str, int]:
-    table = {}
-    for vid in q.core_ids:
-        c = q.core_contact(vid)
-        if c % 2:
-            raise ParityError(
-                f"no spin structure: vertex {vid!r} keeps {c} nodes with "
-                f"non-exceptional neighbors (odd)"
-            )
-        table[vid] = c
-    return table
+    return _odd_vertex(graph, config._s) is None
 
 
 def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> Multidegree:
     """The canonical spin multidegree of the model at twist t.
 
     Exceptional vertices carry degree 1; the total is (2t+1)(g-1).
-    Raises ParityError when the model admits no spin structure.
+    Raises ParityError when the model admits no spin structure: a core
+    vertex keeps an odd number of nodes with other core vertices.
     """
     check_t(t, unsafe_t=unsafe_t)
     if t in q._spin_cache:
         return q._spin_cache[t]
-    core = _core_contacts(q)
+    exc = q.exceptional
+    odd = _odd_vertex(q, {_pair(e, v): m for e in exc for v, m in q._adjacency[e].items()})
+    if odd:
+        raise ParityError(
+            f"no spin structure: vertex {odd[0]!r} keeps {odd[1]} nodes with "
+            f"non-exceptional neighbors (odd)"
+        )
     md = Multidegree._trusted([
-        (vid, 1 if vid in q.exceptional else base + core[vid] // 2)
+        (vid, 1 if vid in exc else base + q.core_contact(vid) // 2)
         for vid, base in zip(q.ids, _spin_base(q, t))
     ])
     expected = (2 * t + 1) * (q.genus - 1)
@@ -662,19 +673,12 @@ def boundary_case(
 def git_stable(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> bool:
     """GIT stability of the spin model: the non-exceptional part is connected.
 
-    The twist only needs to be in range; the verdict does not depend on it.
+    The twist only needs to be in range and the model spin, which
+    spin_multidegree checks (once per twist); the verdict does not depend on t.
     """
-    check_t(t, unsafe_t=unsafe_t)
-    _core_contacts(q)  # spin-feasibility is a precondition
+    spin_multidegree(q, t, unsafe_t=unsafe_t)
     core = q.core_ids
-    reached = {core[0]}
-    todo = [core[0]]
-    while todo:
-        for nbr, m in q._adjacency[todo.pop()].items():
-            if m and nbr not in q.exceptional and nbr not in reached:
-                reached.add(nbr)
-                todo.append(nbr)
-    return len(reached) == len(core)
+    return len(q._reached(core[0], q.exceptional)) == len(core)
 
 
 def git_stable_exhaustive(
@@ -734,19 +738,20 @@ def iter_blowup_configs(
     """Every blow-up configuration of the graph, in a deterministic order.
 
     Ranges over all node subsets by count: each joined pair contributes
-    0..k(u, v) and each vertex 0..self_nodes choices.  With ``spin_only`` the
-    parity-infeasible ones are skipped.  The number of configurations is the
-    product of those ranges, so keep the graph at desk scale.
+    0..k(u, v) and each vertex 0..self_nodes choices, pairs outermost.  With
+    ``spin_only`` each choice of pair counts is tested for parity once, before
+    the self-node counts (parity ignores them); configs are built in range,
+    unchecked.  Their number is the product of the ranges: keep graphs small.
     """
-    pair_keys = [(u, v) for u, v, _ in graph.pairs()]
-    pair_ranges = [range(graph.k(u, v) + 1) for u, v in pair_keys]
-    self_keys = [v for v in graph.ids if graph.self_nodes(v)]
-    self_ranges = [range(graph.self_nodes(v) + 1) for v in self_keys]
-    for s_choice in itertools.product(*pair_ranges):
-        for r_choice in itertools.product(*self_ranges):
-            config = BlowupConfig(
-                dict(zip(pair_keys, s_choice)), dict(zip(self_keys, r_choice))
-            )
-            if spin_only and not spin_parity(graph, config):
-                continue
-            yield config
+    pairs = list(graph.pairs())
+    selfs = [v for v in graph.vertices if v.self_nodes]
+    r_tables = [
+        {v.id: c for v, c in zip(selfs, choice) if c}
+        for choice in itertools.product(*[range(v.self_nodes + 1) for v in selfs])
+    ]
+    for choice in itertools.product(*[range(k + 1) for _, _, k in pairs]):
+        s = {(u, v): c for (u, v, _), c in zip(pairs, choice) if c}
+        if spin_only and _odd_vertex(graph, s) is not None:
+            continue
+        for r in r_tables:
+            yield BlowupConfig._trusted(s, r)

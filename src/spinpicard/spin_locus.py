@@ -129,7 +129,7 @@ class SpinWitness:
     def validate(self, graph: DualGraph) -> None:
         """Check bounds against the graph and the per-vertex parity condition."""
         _check_pair_bounds(graph, self._s, WitnessError)
-        odd = _odd_vertex(graph, self)
+        odd = _odd_vertex(graph, self._s)
         if odd:
             raise WitnessError(
                 f"parity fails at {odd[0]!r}: {odd[1]} unblown nodes with other "

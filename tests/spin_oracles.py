@@ -14,7 +14,9 @@ bounds are integers, ``tuple_sumset`` lists the spin locus as the pair sumset
 over tuples, and ``named_violation`` reads back the subcurve a
 decide rejection names, for comparison with the scan.  ``neighbor_sum_grouped`` and
 ``neighbor_sum_odd_vertex`` are the per-vertex neighbor sums the library
-replaced by one pass over a witness's pairs.
+replaced by one pass over a witness's pairs, and ``product_blowup_configs``
+is blow-up iteration as every candidate of the count ranges, built by the
+validating constructor and filtered through ``spin_parity``.
 """
 
 from __future__ import annotations
@@ -23,16 +25,18 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from spinpicard import (
     BasicInequalityError,
+    BlowupConfig,
     DomainError,
     DualGraph,
     Multidegree,
     SpinWitness,
     WitnessError,
     basic_inequality,
+    spin_parity,
     subcurve_profile,
 )
 from spinpicard.quasistable import check_t
@@ -320,3 +324,20 @@ def neighbor_sum_grouped(
         credited = sum(witness.sigma(vid, u) for u in graph.neighbors(vid))
         degrees[vid] = base + (graph.contact(vid) - blown) // 2 + credited
     return Multidegree.of(degrees)
+
+
+def product_blowup_configs(graph: DualGraph, *, spin_only: bool = False) -> Iterator[BlowupConfig]:
+    """`iter_blowup_configs` as the product of every pair's and every
+    self-node host's count range, pairs outermost, each candidate built by
+    the validating constructor and, with ``spin_only``, kept when
+    ``spin_parity`` holds."""
+    pair_keys = [(u, v) for u, v, _ in graph.pairs()]
+    pair_ranges = [range(graph.k(u, v) + 1) for u, v in pair_keys]
+    self_keys = [v for v in graph.ids if graph.self_nodes(v)]
+    self_ranges = [range(graph.self_nodes(v) + 1) for v in self_keys]
+    for s_choice in itertools.product(*pair_ranges):
+        for r_choice in itertools.product(*self_ranges):
+            config = BlowupConfig(dict(zip(pair_keys, s_choice)), dict(zip(self_keys, r_choice)))
+            if spin_only and not spin_parity(graph, config):
+                continue
+            yield config

@@ -8,6 +8,8 @@ import pytest
 
 from spinpicard import (
     BasicInequalityError,
+    BlowupConfig,
+    BlowupError,
     Multidegree,
     SpinWitness,
     decide_spin_component,
@@ -215,6 +217,26 @@ def test_spin_blowups_parity_failure(split3, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "spin", split3, "-t", "10", "--blowups", str(config))
     assert code == 0
     assert "spin parity: FAILS" in out
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"s": 5}, "'s' must be an array"),
+    ({"s": "C1"}, "'s' must be an array"),
+    ({"r": {"C1": 1}}, "'r' must be an array"),
+    ({"s": [{"u": 1, "v": "C2", "count": 1}]}, "s[1, 'C2']: vertex ids must be non-empty strings"),
+    ({"s": [{"u": "C1", "v": "", "count": 1}]}, "vertex ids must be non-empty strings"),
+    ({"r": [{"vertex": ["C1"], "count": 1}]}, "r[['C1']]: vertex id must be a non-empty string"),
+    ({"r": [{"vertex": "", "count": 1}]}, "vertex id must be a non-empty string"),
+])
+def test_spin_blowups_malformed_tables_are_errors(split3, tmp_path, capsys, raw, message):
+    with pytest.raises(BlowupError) as caught:
+        BlowupConfig.from_dict(raw)
+    assert message in str(caught.value)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "spin", split3, "-t", "10", "--blowups", str(config))
+    assert (code, out) == (1, "")
+    assert err == f"spinpicard: error: {caught.value}\n"
 
 
 def test_spin_split_curve(capsys):

@@ -13,7 +13,9 @@ Stanley's forest count.  On random spin blow-up models the row table built
 by whole columns must match the O(n^2) direct row on every mask, and
 exceptional_profile the node columns.  On random witnesses and
 blow-up configurations, valid or not, the pair-space grouping and parity
-check must match the per-vertex neighbor sums they replaced, errors included.
+check must match the per-vertex neighbor sums they replaced, errors included,
+and blow-up iteration the product of every count range filtered by
+spin_parity, on graphs with self-nodes.
 A kernel reused across stuck and feasible quotas and settles must answer
 as a fresh kernel does.
 """
@@ -28,7 +30,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinpicard.quasistable as quasistable
-from spin_oracles import named_violation, neighbor_sum_grouped, neighbor_sum_odd_vertex
+from spin_oracles import (
+    named_violation,
+    neighbor_sum_grouped,
+    neighbor_sum_odd_vertex,
+    product_blowup_configs,
+)
 from spinpicard import (
     BasicInequalityError,
     BlowupConfig,
@@ -43,6 +50,7 @@ from spinpicard import (
     exceptional_profile,
     expand,
     grouped_multidegree,
+    iter_blowup_configs,
     spin_multidegree,
     spin_parity,
     subcurve_profile,
@@ -397,4 +405,17 @@ def test_pair_space_grouping_matches_the_neighbor_sums(case):
     )
     for blown in (witness, config):
         if _outcome(lambda: BlowupConfig(blown._s).validate(graph))[0] == "ok":
-            assert quasistable._odd_vertex(graph, blown) == neighbor_sum_odd_vertex(graph, blown)
+            assert quasistable._odd_vertex(graph, blown._s) == neighbor_sum_odd_vertex(graph, blown)
+
+
+@PROPERTY_SETTINGS
+@given(stable_graphs(sizes=(2, 4)), st.data())
+def test_blowup_iteration_matches_the_product_then_parity_oracle(base, data):
+    graph = DualGraph(
+        [Vertex(v.id, v.pa, data.draw(st.integers(0, v.pa))) for v in base.vertices],
+        [(u, v, k) for u, v, k in base.pairs()],
+    )
+    for spin_only in (False, True):
+        got = list(iter_blowup_configs(graph, spin_only=spin_only))
+        want = list(product_blowup_configs(graph, spin_only=spin_only))
+        assert got == want and list(map(repr, got)) == list(map(repr, want)), graph

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 import spinpicard.quasistable as quasistable
+from spin_oracles import product_blowup_configs
 from spinpicard import (
     BlowupConfig,
     BlowupError,
@@ -114,6 +116,23 @@ def test_blowup_config_json_form():
         BlowupConfig.from_dict({"oops": []})
     round_tripped = BlowupConfig.from_dict(config.to_dict())
     assert round_tripped == config
+    assert BlowupConfig.from_dict({"s": None, "r": None}) == BlowupConfig()
+
+
+def test_the_config_must_match_the_origin_table():
+    """Two nodes of the split curve blown up, recorded by the origin table,
+    with a config blowing up none, and a self-node blown up the same way:
+    `expand(q.source, q.config)` would rebuild another model."""
+    twice = expand(SPLIT3, BlowupConfig({("C1", "C2"): 2}))
+    once_self = expand(DualGraph([("X", 2, 1)]), BlowupConfig(r={"X": 1}))
+    for q in (twice, once_self):
+        data = [(v.id, v.pa, v.self_nodes) for v in q.vertices], list(q.pairs())
+        fields = {"exceptional": q.exceptional, "origin": q.origin, "source": q.source}
+        assert QuasistableGraph(*data, **fields, config=q.config) == q
+        with pytest.raises(GraphError, match="config does not match the origin table"):
+            QuasistableGraph(*data, **fields, config=BlowupConfig())
+        with pytest.raises(RuntimeError, match="config does not match the origin table"):
+            QuasistableGraph._trusted(q.vertices, q._adjacency, **fields, config=BlowupConfig())
 
 
 def test_quasistable_invariants_rejected():
@@ -157,6 +176,23 @@ def test_spin_parity_blowing_everything_always_works(quasistable_corpus):
             {v.id: v.self_nodes for v in graph.vertices if v.self_nodes},
         )
         assert spin_parity(graph, config)
+
+
+def test_iteration_matches_the_product_then_parity_oracle(quasistable_corpus):
+    """Configs come in the oracle's order, equal to its configs, although
+    iteration builds each in range and filters on its pair counts alone: it
+    runs neither the validating constructor nor the checks."""
+    cases = [(graph, spin_only) for graph in quasistable_corpus for spin_only in (False, True)]
+    want = [list(product_blowup_configs(graph, spin_only=so)) for graph, so in cases]
+    refuse = mock.Mock(side_effect=AssertionError("config checked again"))
+    with mock.patch.object(BlowupConfig, "__init__", refuse), \
+            mock.patch.object(BlowupConfig, "validate", refuse), \
+            mock.patch.object(quasistable, "spin_parity", refuse):
+        got = [list(iter_blowup_configs(graph, spin_only=so)) for graph, so in cases]
+    refuse.assert_not_called()
+    for case, configs, expected in zip(cases, got, want):
+        assert configs == expected and list(map(repr, configs)) == list(map(repr, expected)), case
+    assert sum(map(len, got)) > 10_000
 
 
 def test_spin_parity_ignores_self_blowups():

@@ -60,6 +60,9 @@ def test_witness_rejects():
         SpinWitness({("a", "a"): 2})
     with pytest.raises(WitnessError, match="non-negative"):
         SpinWitness({("a", "b"): -1})
+    for ids in ((1, "b"), ("a", ""), (("a",), "b")):
+        with pytest.raises(WitnessError, match="non-empty strings"):
+            SpinWitness({ids: 1}, {ids: 1})
 
 
 def test_witness_validate_against_graph():

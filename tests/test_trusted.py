@@ -10,10 +10,10 @@ must agree on ``==``, ``hash``, ``repr``, ``vars`` and the view.  Equal
 ``vars`` on objects of one class fix what ``dataclasses.asdict`` reads and
 how the class guards its fields, so those are checked at the ``layout``
 positions of the dataclasses: every object but split-curve rows, whose
-212,040 rows get them on the first row of each table.  Graphs and
-witnesses are no dataclasses and have no layout positions.  A multidegree
-builds its lookup dict on first use, so one more test looks trusted ones up
-before reading them.
+212,040 rows get them on the first row of each table.  Graphs, witnesses
+and blow-up configs are no dataclasses and have no layout positions.  A
+multidegree builds its lookup dict on first use, so one more test looks
+trusted ones up before reading them.
 """
 
 from __future__ import annotations
@@ -142,6 +142,29 @@ def _witnesses():
         yield trusted, validated, view, ()
 
 
+def _configs():
+    """Every blow-up configuration of every tenth small corpus graph,
+    self-node counts included, rebuilt from its public tables by the
+    validating constructor."""
+    configs = []
+    for graph in quasistable_graphs()[::10]:
+        trusted = list(iter_blowup_configs(graph))
+        validated = [
+            BlowupConfig({(u, v): c for u, v, c in config.s_items()}, dict(config.r_items()))
+            for config in trusted
+        ]
+
+        def view(c, graph=graph):
+            return (
+                c.to_dict(), c.s_items(), c.r_items(), c.total,
+                [c.s(u, v) for u, v, _ in graph.pairs()], [c.r(v) for v in graph.ids],
+            )
+
+        configs += trusted
+        yield trusted, validated, view, ()
+    assert any(c.r_items() for c in configs) and any(c.s_items() for c in configs)
+
+
 def _split_rows():
     """Every split-curve row for genus 3..40 and t in 0..30, each of which
     must pass the validating constructor."""
@@ -217,6 +240,7 @@ def _vertices():
 
 
 TRUSTED = {
+    "BlowupConfig": _configs,
     "BoundaryCase": _boundary_cases,
     "DualGraph": _graphs,
     "Multidegree": _multidegrees,
