@@ -13,11 +13,11 @@ Scaled by 2(g - 1), the basic inequality at any total is Hakimi's condition
 for splitting the nodes of each pair between its two ends with prescribed
 per-vertex quotas (Hakimi 1965).  One orientation kernel, shortest augmenting
 paths over such splits, decides it in polynomial time; the multidegree
-enumerator and the spin-locus questions run on it, while `basic_inequality`
-keeps the exhaustive scan because it reports every violated subcurve.  Every
-kernel on a graph comes from ``_Orientation.on_graph(graph, units)``: 2(g - 1)
-units per node for enumeration, 2 for spin witnesses.  Where the singleton
-bounds are integers, enumeration lists orientations instead.
+enumerator and the spin-locus questions run on it.  `basic_inequality`, which
+reports every violated subcurve, scans them all as lanes of packed integers.
+Every kernel on a graph comes from ``_Orientation.on_graph(graph, units)``:
+2(g - 1) units per node for enumeration, 2 for spin witnesses.  Where the
+singleton bounds are integers, enumeration lists orientations instead.
 
 Graphs built from data the library has checked itself (the node rows of
 parsed JSON, a blow-up, a contraction or a relabeling) come from one
@@ -40,6 +40,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -66,8 +67,6 @@ __all__ = [
 #: Operations that enumerate all 2^n - 1 subcurves accept ``max_vertices`` to
 #: override it explicitly.
 MAX_SUBSET_VERTICES = 12
-
-Subcurve = frozenset
 
 
 @dataclass(frozen=True)
@@ -253,9 +252,7 @@ class DualGraph:
             "vertices": [
                 {"id": v.id, "pa": v.pa, "self_nodes": v.self_nodes} for v in self._vertices
             ],
-            "edges": [
-                {"u": u, "v": v, "multiplicity": m} for u, v, m in self._pairs
-            ],
+            "edges": [{"u": u, "v": v, "multiplicity": m} for u, v, m in self._pairs],
         }
 
     def relabeled(self, mapping: Mapping[str, str]) -> "DualGraph":
@@ -602,9 +599,7 @@ def _internal_error(message: str, graph: DualGraph, **context) -> RuntimeError:
 
 
 def subcurve_profile(
-    graph: DualGraph,
-    subcurve: Iterable[str],
-    d_total: int,
+    graph: DualGraph, subcurve: Iterable[str], d_total: int,
     multidegree: Optional[Multidegree] = None,
 ) -> SubcurveProfile:
     """Genus, contact count, and exact degree bounds for one subcurve.
@@ -637,6 +632,16 @@ class BIViolation:
     lower: Fraction
     upper: Fraction
 
+    @classmethod
+    def _trusted(cls, subcurve: frozenset, degree: int, window: tuple[Fraction, Fraction]):
+        """A violation with bounds ``window``, set without per-field assignments."""
+        violation = object.__new__(cls)
+        lower, upper = window
+        object.__setattr__(violation, "__dict__", {
+            "subcurve": subcurve, "degree": degree, "lower": lower, "upper": upper,
+        })
+        return violation
+
 
 @dataclass(frozen=True)
 class BIReport:
@@ -656,10 +661,7 @@ def _check_cap(graph: DualGraph, max_vertices: Optional[int]) -> None:
 
 
 def iter_subcurves(
-    graph: DualGraph,
-    *,
-    proper: bool = False,
-    max_vertices: Optional[int] = None,
+    graph: DualGraph, *, proper: bool = False, max_vertices: Optional[int] = None
 ) -> Iterator[frozenset]:
     """All nonempty subcurves in a deterministic order (ascending bitmask
     over the id-sorted vertex list).  With ``proper=True`` the full curve is
@@ -676,10 +678,7 @@ def iter_subcurves(
 
 
 def basic_inequality(
-    graph: DualGraph,
-    multidegree: Multidegree,
-    *,
-    max_vertices: Optional[int] = None,
+    graph: DualGraph, multidegree: Multidegree, *, max_vertices: Optional[int] = None
 ) -> BIReport:
     """Check m(Y) <= d(Y) <= m(Y) + k(Y) on every nonempty subcurve.
 
@@ -691,41 +690,55 @@ def basic_inequality(
     _check_cap(graph, max_vertices)
     g = _require_genus(graph)
     d_total = multidegree.total
-    ids = graph.ids
-    genus, contact, _ = graph._subcurve_table
+    ids, half = graph.ids, g - 1
     # 2(g-1) m(Y) = d w(Y) - (g-1) k(Y) with w(Y) = 2 g(Y) - 2 + k(Y) additive
-    # over the components of Y, so scaled by 2(g-1) the window is
-    # |2(g-1) d(Y) - d w(Y)| <= (g-1) k(Y): one subset sum of integers per
-    # vertex.  The empty mask (no degree, no contact) always passes.
-    half = g - 1
-    offset = _subset_sums([
-        2 * half * deg - d_total * (2 * v.pa - 2 + c)
-        for deg, v, c in zip(multidegree.values(ids), graph.vertices, graph._contacts)
-    ])
-    bad = [mask for mask, x, k_y in zip(range(len(offset)), offset, contact) if abs(x) > half * k_y]
-    # Bounds are built once per distinct window, not once per violation, and
-    # members are read from two tables of id tuples over half the vertices.
-    windows: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-    h = len(ids) // 2
-    low, high = (
-        [_subset_sums([(vid,) for vid in part], ()) for part in (ids[:h], ids[h:])]
-        if bad else ((), ())
+    # over the components of Y, so scaled by 2(g-1) the window is |X(Y)| <=
+    # (g-1) k(Y) with X(Y) = 2(g-1) d(Y) - d w(Y).  X and k are packed, one
+    # lane per mask, and doubled over the vertices: k(Y + h) = k(Y) + c_h - 2
+    # (nodes from h to Y), those cross terms doubled alongside as subset sums
+    # of the rows.  Offset by its sign bit, no lane of (g-1) k -+ X leaves the
+    # lane, so a cleared sign bit marks a violation.  Mask 0 always passes.
+    degrees = multidegree.values(ids)
+    weights = [2 * v.pa - 2 + c for v, c in zip(graph.vertices, graph._contacts)]
+    offsets = [2 * half * deg - d_total * w for deg, w in zip(degrees, weights)]
+    width = (sum(map(abs, offsets)) + half * sum(graph._contacts)).bit_length() // 8 * 8 + 8
+    contact, offset, across, ones, shift = 0, 0, [0] * graph.n, 1, width
+    for h, (row, c, x) in enumerate(zip(graph._matrix, graph._contacts, offsets)):
+        contact += (contact + c * ones - 2 * across[0]) << shift
+        offset += (offset + x * ones) << shift
+        across = [a + ((a + m * ones) << shift) for a, m in zip(across[1:], row[h + 1:])]
+        ones |= ones << shift
+        shift <<= 1
+    signs = ones << (width - 1)
+    scaled = half * contact + signs
+    bad = ((scaled - offset) & (scaled + offset) & signs) ^ signs
+    if not bad:
+        return BIReport(satisfied=True, violations=())
+    # Violating masks in ascending order from each lane's top byte; d(Y), w(Y)
+    # and members from tables over the two halves of the ids, bounds once per
+    # distinct window (w, k).
+    step, split = width // 8, graph.n // 2
+    size = step << graph.n
+    masks = compress(range(1 << graph.n), bad.to_bytes(size, "little")[step - 1::step])
+    k_bytes = contact.to_bytes(size, "little")
+    (deg_low, deg_high), (w_low, w_high), (ids_low, ids_high) = (
+        (_subset_sums(column[:split], zero), _subset_sums(column[split:], zero))
+        for column, zero in ((degrees, 0), (weights, 0), ([(vid,) for vid in ids], ()))
     )
+    windows: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     violations = []
-    for mask in bad:
-        g_y, k_y = key = genus[mask], contact[mask]
-        if key not in windows:
-            lower = _exact_lower(d_total, g, g_y, k_y)
-            windows[key] = (lower, lower + k_y)
-        violations.append(
-            BIViolation(
-                subcurve=frozenset(low[mask & ((1 << h) - 1)] + high[mask >> h]),
-                degree=(offset[mask] + d_total * (2 * g_y - 2 + k_y)) // (2 * half),
-                lower=windows[key][0],
-                upper=windows[key][1],
-            )
-        )
-    return BIReport(satisfied=not violations, violations=tuple(violations))
+    for mask in masks:
+        low, high, at = mask & ((1 << split) - 1), mask >> split, mask * step
+        key = (w_low[low] + w_high[high], int.from_bytes(k_bytes[at:at + step], "little"))
+        window = windows.get(key)
+        if window is None:
+            w_y, k_y = key
+            lower = _exact_lower(d_total, g, (w_y - k_y) // 2 + 1, k_y)  # g(Y) from w(Y)
+            window = windows[key] = (lower, lower + k_y)
+        violations.append(BIViolation._trusted(
+            frozenset(ids_low[low] + ids_high[high]), deg_low[low] + deg_high[high], window
+        ))
+    return BIReport(satisfied=False, violations=tuple(violations))
 
 
 # -- twists and per-pair counts, shared by blow-ups and witnesses ----------
@@ -767,15 +780,23 @@ def _record(
         table[key] = count
 
 
+def _pair_key(key, label: str, error: type) -> tuple[str, str]:
+    """``key`` when it is a pair key, a 2-tuple of non-empty strings (so no
+    two-character string); else ``error`` naming it in table ``label``."""
+    if isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, str) and x for x in key):
+        return key
+    shown = ", ".join(map(repr, key)) if isinstance(key, tuple) else repr(key)
+    raise error(f"{label}[{shown}]: vertex ids must be non-empty strings, two per pair key")
+
+
 def _pair_counts(entries, error: type, loop_message: str) -> dict[tuple[str, str], int]:
-    """Nonzero per-pair counts ``s`` from a mapping or ((u, v), count) items,
-    keyed by sorted pair; an id that is no non-empty string raises ``error``,
-    and so does a pair of a vertex with itself, with ``loop_message``."""
+    """Nonzero per-pair counts ``s`` from a mapping or (pair key, count)
+    items, keyed by sorted pair; a malformed key raises ``error``, and so
+    does a pair of a vertex with itself, with ``loop_message``."""
     table: dict[tuple[str, str], int] = {}
     if entries:
-        for (u, v), count in entries.items() if isinstance(entries, Mapping) else entries:
-            if not (isinstance(u, str) and u and isinstance(v, str) and v):
-                raise error(f"s[{u!r}, {v!r}]: vertex ids must be non-empty strings")
+        for key, count in entries.items() if isinstance(entries, Mapping) else entries:
+            u, v = _pair_key(key, "s", error)
             _record(table, _pair(u, v), count, f"s[{u}, {v}]", error)
             if u == v:
                 raise error(f"s[{u}, {v}]: {loop_message}")
@@ -961,10 +982,7 @@ def _score_vectors(graph: DualGraph, base: Sequence[int]) -> list[Multidegree]:
 
 
 def enumerate_multidegrees(
-    graph: DualGraph,
-    d_total: int,
-    *,
-    max_vertices: Optional[int] = None,
+    graph: DualGraph, d_total: int, *, max_vertices: Optional[int] = None
 ) -> list[Multidegree]:
     """All integer multidegrees of the given total that satisfy the basic
     inequality, in lexicographic order over the id-sorted coordinates.

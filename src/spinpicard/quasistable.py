@@ -198,14 +198,8 @@ class QuasistableGraph(DualGraph):
     """
 
     def __init__(
-        self,
-        vertices: Iterable,
-        edges,
-        *,
-        exceptional: Iterable[str],
-        origin: Mapping[str, PairOrigin],
-        source: DualGraph,
-        config: BlowupConfig,
+        self, vertices: Iterable, edges, *, exceptional: Iterable[str],
+        origin: Mapping[str, PairOrigin], source: DualGraph, config: BlowupConfig,
     ) -> None:
         super().__init__(vertices, edges)
         fault = self._flag(exceptional, origin, source, config)
@@ -252,16 +246,22 @@ class QuasistableGraph(DualGraph):
                 )
         if self.origin.keys() != exc:
             return "origin table must cover exactly the exceptional vertices"
+        blown: dict = {}  # by sorted pair and by self-node host, as config's s and r
+        for vid, origin in self.origin.items():
+            shape = (origin[0], len(origin)) if isinstance(origin, tuple) and origin else None
+            if shape == ("pair", 3) and isinstance(origin[1], str) and isinstance(origin[2], str):
+                key = _pair(origin[1], origin[2])
+            elif shape == ("self", 2) and isinstance(origin[1], str):
+                key = origin[1]
+            else:
+                return f"origin of {vid!r} must be ('pair', u, v) or ('self', v), got {origin!r}"
+            blown[key] = blown.get(key, 0) + 1
         try:
             contracted = _contraction(self)
         except KeyError:  # an origin names no core vertex
             contracted = None
         if not isinstance(source, DualGraph) or contracted != (source._vertices, source._adjacency):
             return "contracting the exceptional vertices does not recover the source graph"
-        blown: dict = {}  # by sorted pair and by self-node host, as config's s and r
-        for kind, *ends in self.origin.values():
-            key = _pair(*ends) if kind == "pair" else ends[0]
-            blown[key] = blown.get(key, 0) + 1
         if not isinstance(config, BlowupConfig) or blown != {**config._s, **config._r}:
             return "the blow-up config does not match the origin table"
         return None
@@ -637,11 +637,7 @@ def _direct_row(q: QuasistableGraph, t: int, mask: int) -> tuple[int, int, tuple
 
 
 def boundary_case(
-    q: QuasistableGraph,
-    t: int,
-    subcurve: Iterable[str],
-    *,
-    unsafe_t: bool = False,
+    q: QuasistableGraph, t: int, subcurve: Iterable[str], *, unsafe_t: bool = False
 ) -> BoundaryCase:
     """Decide d(Y) = m(Y) and d(Y) = m(Y) + k(Y) for one subcurve, twice.
 
@@ -682,11 +678,7 @@ def git_stable(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> bool:
 
 
 def git_stable_exhaustive(
-    q: QuasistableGraph,
-    t: int,
-    *,
-    unsafe_t: bool = False,
-    max_vertices: Optional[int] = None,
+    q: QuasistableGraph, t: int, *, unsafe_t: bool = False, max_vertices: Optional[int] = None
 ) -> bool:
     """Independent oracle for git_stable by full subcurve scan.
 
@@ -707,11 +699,7 @@ def git_stable_exhaustive(
 
 
 def orbit_closed_check(
-    q: QuasistableGraph,
-    t: int,
-    *,
-    unsafe_t: bool = False,
-    max_vertices: Optional[int] = None,
+    q: QuasistableGraph, t: int, *, unsafe_t: bool = False, max_vertices: Optional[int] = None
 ) -> bool:
     """Exhaustively verify the orbit-closure criterion: the oracle.
 
@@ -730,11 +718,7 @@ def orbit_closed_check(
     return not any(at_min and core_contact for _, core_contact, _, _, at_min, _ in rows[1:])
 
 
-def iter_blowup_configs(
-    graph: DualGraph,
-    *,
-    spin_only: bool = False,
-) -> Iterator[BlowupConfig]:
+def iter_blowup_configs(graph: DualGraph, *, spin_only: bool = False) -> Iterator[BlowupConfig]:
     """Every blow-up configuration of the graph, in a deterministic order.
 
     Ranges over all node subsets by count: each joined pair contributes

@@ -47,6 +47,7 @@ from .graphs import (
     _odd_vertex,
     _pair,
     _pair_counts,
+    _pair_key,
     _record,
     _score_vectors,
     _spin_base,
@@ -81,7 +82,8 @@ class SpinWitness:
         given: dict[tuple[str, str], int] = {}
         if sigma:
             items = sigma.items() if isinstance(sigma, Mapping) else sigma
-            for (u, v), count in items:
+            for key, count in items:
+                u, v = _pair_key(key, "sigma", WitnessError)
                 _record(given, (u, v), count, f"sigma[{u}, {v}]", WitnessError, keep_zero=True)
 
         self._sigma: dict[tuple[str, str], int] = {}
@@ -291,11 +293,7 @@ def decide_spin_component(
 
 
 def enumerate_spin_multidegrees(
-    graph: DualGraph,
-    t: int,
-    *,
-    unsafe_t: bool = False,
-    max_vertices: Optional[int] = None,
+    graph: DualGraph, t: int, *, unsafe_t: bool = False, max_vertices: Optional[int] = None
 ) -> list[Multidegree]:
     """Every multidegree the spin locus meets at twist t, sorted by degree
     vector over the id-sorted coordinates (no duplicates).

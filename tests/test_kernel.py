@@ -1,11 +1,12 @@
-"""The bitmask subcurve table against independent member-loop oracles.
+"""The bitmask subcurve scans against independent member-loop oracles.
 
-Every exhaustive subcurve scan reads one table per graph (genus, contact and
+The GIT and boundary scans read one table per graph (genus, contact and
 internal nodes of every mask) and, on a blow-up model, one row table per
-twist.  The oracles below recompute each subcurve from scratch with explicit
-member loops and `Fraction` arithmetic, the way the scans did before the
-table existed, so a wrong recurrence or a wrong scaled comparison shows up as
-a mismatch on some mask.
+twist; `basic_inequality` packs its columns one lane per mask into integers.
+The oracles below recompute each subcurve from scratch with explicit member
+loops and `Fraction` arithmetic, the way the scans did before the tables
+existed, so a wrong recurrence, a wrong scaled comparison or a lane too
+narrow shows up as a mismatch on some mask.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinpicard.quasistable as quasistable
 import spinpicard.spin_locus as spin_locus
@@ -24,6 +27,7 @@ from spinpicard import (
     BIViolation,
     BlowupConfig,
     DualGraph,
+    GraphTooLargeError,
     Multidegree,
     basic_inequality,
     boundary_case,
@@ -225,6 +229,101 @@ def test_basic_inequality_matches_member_loop_on_models(quasistable_corpus):
         candidates = [md, _perturbed(md, rng, 2)] if q.n > 1 else [md]
         for candidate in candidates:
             assert basic_inequality(q, candidate) == Oracle(q).basic_inequality(candidate)
+
+
+# The packed scan keeps (g-1) k(Y) -+ X(Y), X(Y) = 2(g-1) d(Y) - d w(Y), in
+# lanes of whole bytes sized from sum |x_i| + (g-1) sum c_i plus a sign bit.
+# The cases below reach both sides of byte boundaries of that width, with
+# totals up to 10^12 and negative and lopsided degrees.
+
+
+def _lane_bits(graph: DualGraph, md: Multidegree) -> int:
+    """The bits the packed scan sizes its lanes from: the bound and a sign bit."""
+    half = graph.genus - 1
+    offsets = [
+        2 * half * md[v] - md.total * (2 * graph.pa(v) - 2 + graph.contact(v)) for v in graph.ids
+    ]
+    bound = sum(map(abs, offsets)) + half * sum(graph.contact(v) for v in graph.ids)
+    return bound.bit_length() + 1
+
+
+@st.composite
+def lane_cases(draw) -> tuple[DualGraph, Multidegree]:
+    """A connected graph of genus >= 2 on 1-8 vertices (stable or not) and a
+    multidegree of small, large or lopsided entries: each degree within
+    2^scale for a drawn scale up to 40, one of them shifted by up to 10^12."""
+    n = draw(st.integers(1, 8))
+    edges = {(f"v{i}", f"v{draw(st.integers(0, i - 1))}"): draw(st.integers(1, 3))
+             for i in range(1, n)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
+        if i != j and (f"v{i}", f"v{j}") not in edges and (f"v{j}", f"v{i}") not in edges:
+            edges[(f"v{i}", f"v{j}")] = draw(st.integers(1, 2))
+    pa = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pa[0] += max(0, 2 - (sum(pa) + sum(edges.values()) - n + 1))
+    graph = DualGraph([(f"v{i}", pa[i]) for i in range(n)], edges)
+    scale = draw(st.integers(0, 40))
+    degrees = draw(st.lists(st.integers(-(2**scale), 2**scale), min_size=n, max_size=n))
+    degrees[draw(st.integers(0, n - 1))] += draw(st.integers(-(10**12), 10**12))
+    return graph, Multidegree.from_values(graph, degrees)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lane_cases())
+def test_packed_scan_matches_member_loop_at_lane_edges(case):
+    graph, md = case
+    assert basic_inequality(graph, md) == Oracle(graph).basic_inequality(md)
+
+
+@pytest.mark.parametrize("bits", [9, 17, 25, 33, 41, 49, 57])
+def test_packed_scan_on_both_sides_of_a_byte_boundary(bits):
+    """Degrees moved between two vertices in steps of one: the largest move
+    whose lanes fit ``bits - 1`` bits (a full byte-aligned width) and the
+    next, which takes one more byte, on a cycle and on K_4 (m = 2) where the
+    unmoved degrees fit the smaller width."""
+    checked = 0
+    for graph in (_cycle(5), DualGraph(
+        [(f"k{i}", 0) for i in range(4)],
+        {(f"k{i}", f"k{j}"): 2 for i in range(4) for j in range(i + 1, 4)},
+    )):
+        base = _doubled_canonical(graph).values(graph.ids)
+
+        def moved(shift: int) -> Multidegree:
+            return Multidegree.from_values(graph, [base[0] + shift, base[1] - shift, *base[2:]])
+
+        if _lane_bits(graph, moved(0)) >= bits:
+            continue
+        low, high = 0, 1
+        while _lane_bits(graph, moved(high)) < bits:
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if _lane_bits(graph, moved(mid)) < bits else (low, mid)
+        assert [_lane_bits(graph, moved(x)) for x in (low, high)] == [bits - 1, bits]
+        for shift in (low, high):
+            md = moved(shift)
+            got = basic_inequality(graph, md)
+            assert not got.satisfied
+            assert got == Oracle(graph).basic_inequality(md)
+        checked += 1
+    assert checked
+
+
+def test_packed_scan_past_the_cap_on_c14():
+    graph = _cycle(14)
+    md = _perturbed(_doubled_canonical(graph), random.Random(14), 16)
+    with pytest.raises(GraphTooLargeError):
+        basic_inequality(graph, md)
+    got = basic_inequality(graph, md, max_vertices=14)
+    assert got == Oracle(graph).basic_inequality(md)
+    assert len(got.violations) > 100
+
+
+def test_basic_inequality_builds_no_subcurve_table():
+    graph = _cycle(10)
+    md = _perturbed(_doubled_canonical(graph), random.Random(10), 12)
+    assert not basic_inequality(graph, md).satisfied
+    assert basic_inequality(graph, _doubled_canonical(graph)).satisfied
+    assert "_subcurve_table" not in vars(graph)
 
 
 # -- GIT and orbit-closure scans ----------------------------------------------------

@@ -103,6 +103,17 @@ def test_blowup_config_validation():
         expand(SPLIT3, BlowupConfig({("C1", "zzz"): 1}))
 
 
+def test_a_pair_key_is_a_two_tuple_of_ids():
+    """A two-character string is no pair key: it used to unpack as one, so
+    ``{"ab": 1}`` was taken for ``{("a", "b"): 1}``; nor is a list, nor a
+    tuple of any other length."""
+    for key in ("ab", ["a", "b"], ("a", "b", "c"), ("a",)):
+        with pytest.raises(BlowupError, match="two per pair key"):
+            BlowupConfig([(key, 1)])
+    with pytest.raises(BlowupError, match=r"^s\['ab'\]: vertex ids must be non-empty strings"):
+        BlowupConfig({"ab": 1})
+
+
 def test_blowup_config_json_form():
     config = BlowupConfig.from_dict(
         {"s": [{"u": "C1", "v": "C2", "count": 2}], "r": []}
@@ -154,6 +165,24 @@ def test_quasistable_invariants_rejected():
             exceptional=["e"],
             origin={"e": ("pair", "a", "b")},
             source=DualGraph([("a", 0), ("b", 0)], {("a", "b"): 5}),
+            config=BlowupConfig({("a", "b"): 1}),
+        )
+
+
+@pytest.mark.parametrize(
+    "origin", [("pair", "a"), ("bogus",), ("self",), None, (), ("pair", "a", ["b"])]
+)
+def test_a_malformed_origin_is_a_graph_error(origin):
+    """An origin that is no ("pair", u, v) or ("self", v) of id strings is
+    refused as the model's own fault, naming the exceptional vertex, instead
+    of escaping as a ValueError or TypeError from the contraction check."""
+    with pytest.raises(GraphError, match=r"^origin of 'e' must be \('pair', u, v\)"):
+        QuasistableGraph(
+            [("a", 0), ("b", 0), ("e", 0)],
+            {("a", "b"): 3, ("e", "a"): 1, ("e", "b"): 1},
+            exceptional=["e"],
+            origin={"e": origin},
+            source=DualGraph([("a", 0), ("b", 0)], {("a", "b"): 4}),
             config=BlowupConfig({("a", "b"): 1}),
         )
 

@@ -65,6 +65,18 @@ def test_witness_rejects():
             SpinWitness({ids: 1}, {ids: 1})
 
 
+def test_witness_pair_keys_are_checked_in_s_and_sigma():
+    """sigma keys pass the same check as s keys: a list id is a WitnessError,
+    not a TypeError from hashing it, and a two-character string is refused
+    in either table instead of unpacking as a pair."""
+    with pytest.raises(WitnessError, match=r"^sigma\[\['a'\], 'b'\]: vertex ids must"):
+        SpinWitness({("a", "b"): 1}, [((["a"], "b"), 1)])
+    with pytest.raises(WitnessError, match=r"^s\['ab'\]: vertex ids must"):
+        SpinWitness({"ab": 1}, {("a", "b"): 1})
+    with pytest.raises(WitnessError, match=r"^sigma\['ab'\]: vertex ids must"):
+        SpinWitness({("a", "b"): 1}, {"ab": 1})
+
+
 def test_witness_validate_against_graph():
     SpinWitness({("C1", "C2"): 2}, {("C1", "C2"): 0}).validate(SPLIT3)
     with pytest.raises(WitnessError, match="exceeds"):

@@ -25,6 +25,7 @@ import pytest
 import spinpicard.quasistable as quasistable
 from conftest import quasistable_graphs, spin_graphs
 from spinpicard import (
+    BIViolation,
     BlowupConfig,
     BoundaryCase,
     DualGraph,
@@ -33,6 +34,7 @@ from spinpicard import (
     SpinWitness,
     SplitCurveRow,
     Vertex,
+    basic_inequality,
     boundary_case,
     contract,
     decide_spin_component,
@@ -116,6 +118,27 @@ def _boundary_cases():
             cases += trusted
             yield trusted, validated, lambda case: case.upper, range(len(trusted))
     assert any(c.at_min for c in cases) and any(c.at_max for c in cases)
+
+
+def _violations():
+    """The violations of lopsided multidegrees on every tenth spin corpus
+    graph: all of the total, 4(g - 1) or -(g - 1), on one vertex, or each
+    vertex's contact with alternating signs.  The validated ones come from
+    the subcurve profile of every subcurve, in mask order, whose degree
+    leaves its window."""
+    for graph in spin_graphs()[::10]:
+        g, ids = graph.genus, graph.ids
+        tables = [[0] * (graph.n - 1) + [4 * (g - 1)], [-(g - 1)] + [0] * (graph.n - 1)]
+        tables.append([graph.contact(v) * (-1) ** i for i, v in enumerate(ids)])
+        for values in tables:
+            md = Multidegree.from_values(graph, values)
+            trusted = list(basic_inequality(graph, md).violations)
+            profiles = [subcurve_profile(graph, Y, md.total, md) for Y in iter_subcurves(graph)]
+            validated = [
+                BIViolation(subcurve=p.subcurve, degree=p.degree, lower=p.lower, upper=p.upper)
+                for p in profiles if not p.lower <= p.degree <= p.upper
+            ]
+            yield trusted, validated, lambda v: v.upper - v.lower, range(len(trusted))
 
 
 def _witnesses():
@@ -240,6 +263,7 @@ def _vertices():
 
 
 TRUSTED = {
+    "BIViolation": _violations,
     "BlowupConfig": _configs,
     "BoundaryCase": _boundary_cases,
     "DualGraph": _graphs,
