@@ -122,8 +122,7 @@ class DualGraph:
 
     Instances are immutable by convention: no method mutates the graph after
     construction.  The genus and per-vertex contacts are set on construction;
-    the sorted pairs, the node matrix and the 2^n subcurve table are memoized
-    on first use.
+    the sorted pairs and the node matrix are memoized on first use.
     """
 
     def __init__(self, vertices: Iterable[VertexLike], edges: EdgeTable = ()) -> None:
@@ -236,13 +235,6 @@ class DualGraph:
         return tuple(
             tuple(self._adjacency[u].get(v, 0) for v in self._ids) for u in self._ids
         )
-
-    @cached_property
-    def _subcurve_table(self) -> tuple[list[int], list[int], list[int]]:
-        """Genus, contact and internal-node count of every subcurve, as three
-        lists indexed by bitmask: bit i selects the i-th id in sorted order,
-        and entry 0 is the empty subcurve (genus 1, no nodes)."""
-        return _build_subcurve_table(self)
 
     # -- conversions -------------------------------------------------------
 
@@ -528,20 +520,6 @@ def _as_subcurve(graph: DualGraph, subcurve: Iterable[str]) -> tuple[frozenset, 
     return Y, mask
 
 
-def _build_subcurve_table(graph: DualGraph) -> tuple[list[int], list[int], list[int]]:
-    # Masks in [2^h, 2^(h+1)) are the masks below 2^h plus vertex h, so each
-    # block extends the previous one with the nodes joining h to the smaller
-    # mask ("cross"), a subset sum of h's row: O(1) work per mask.
-    genus, contact, internal = [1], [0], [0]
-    for h, (row, vertex, c_h) in enumerate(zip(graph._matrix, graph.vertices, graph._contacts)):
-        cross = _subset_sums(row[:h])
-        pa_step = vertex.pa - 1
-        genus += [g_y + pa_step + x for g_y, x in zip(genus, cross)]
-        contact += [k_y + c_h - 2 * x for k_y, x in zip(contact, cross)]
-        internal += [e_y + x for e_y, x in zip(internal, cross)]
-    return genus, contact, internal
-
-
 def _subset_sums(values: Sequence, zero=0) -> list:
     """Sum of ``values[i]`` over the bits i of every mask, starting from
     ``zero``, indexed by mask; a zero value only copies the sums."""
@@ -552,8 +530,7 @@ def _subset_sums(values: Sequence, zero=0) -> list:
 
 
 def _mask_numbers(graph: DualGraph, mask: int) -> tuple[int, int, int]:
-    """(genus, contact, internal nodes) of one subcurve, in O(n^2) without
-    building the 2^n table; agrees with ``graph._subcurve_table`` at mask."""
+    """(genus, contact, internal nodes) of one subcurve, in O(n^2)."""
     members = [i for i in range(graph.n) if mask >> i & 1]
     matrix = graph._matrix
     internal = sum(matrix[i][j] for a, i in enumerate(members) for j in members[a + 1:])
@@ -789,17 +766,31 @@ def _pair_key(key, label: str, error: type) -> tuple[str, str]:
     raise error(f"{label}[{shown}]: vertex ids must be non-empty strings, two per pair key")
 
 
+def _count_items(entries, label: str, error: type) -> Iterable[tuple]:
+    """The (key, count) items of table ``label``, given as a mapping or as
+    pairs, or none for None; anything else raises ``error`` naming the item."""
+    if entries is None:
+        return ()
+    if isinstance(entries, Mapping):
+        return entries.items()
+    iterable = hasattr(entries, "__iter__") and not isinstance(entries, str)
+    items = list(entries) if iterable else [entries]
+    for item in items:
+        if not (isinstance(item, (tuple, list)) and len(item) == 2):
+            raise error(f"{label}: {item!r} is not a (key, count) pair")
+    return items
+
+
 def _pair_counts(entries, error: type, loop_message: str) -> dict[tuple[str, str], int]:
     """Nonzero per-pair counts ``s`` from a mapping or (pair key, count)
-    items, keyed by sorted pair; a malformed key raises ``error``, and so
-    does a pair of a vertex with itself, with ``loop_message``."""
+    items, keyed by sorted pair; a malformed item or key raises ``error``,
+    and so does a pair of a vertex with itself, with ``loop_message``."""
     table: dict[tuple[str, str], int] = {}
-    if entries:
-        for key, count in entries.items() if isinstance(entries, Mapping) else entries:
-            u, v = _pair_key(key, "s", error)
-            _record(table, _pair(u, v), count, f"s[{u}, {v}]", error)
-            if u == v:
-                raise error(f"s[{u}, {v}]: {loop_message}")
+    for key, count in _count_items(entries, "s", error):
+        u, v = _pair_key(key, "s", error)
+        _record(table, _pair(u, v), count, f"s[{u}, {v}]", error)
+        if u == v:
+            raise error(f"s[{u}, {v}]: {loop_message}")
     return table
 
 

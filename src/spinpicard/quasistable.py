@@ -1,50 +1,44 @@
 """Blow-up models of stable curves and their spin-degree combinatorics.
 
-Blowing up a node inserts an exceptional component: a smooth rational curve
-meeting the rest of the curve in exactly two points.  A node between distinct
-components u, v becomes an exceptional vertex joined once to each; a self-node
-of v becomes an exceptional vertex joined to v with multiplicity 2, and v's
-arithmetic genus drops by one.  Exceptional vertices are pairwise disjoint,
-which the expanded graph encodes by never joining two of them.
+Blowing up a node inserts an exceptional component, a smooth rational curve
+meeting the rest of the curve in two points: a node between components u
+and v becomes an exceptional vertex joined once to each, and a self-node of
+v one joined to v twice, v's arithmetic genus dropping by one.  Exceptional
+vertices are pairwise disjoint: no two of them are ever joined.
 
 On such a model with twist parameter t, the canonical spin multidegree is
 
     d(v) = (2t+1) * (pa(v) - 1) + t * contact(v) + core_contact(v) / 2
 
-on non-exceptional vertices and 1 on exceptional ones, where contact counts
-all incident nodes and core_contact only those shared with non-exceptional
-neighbors.  The halving is why spin parity (every core_contact even, as
-Cornalba requires of spin curves) is needed.  One helper counts it, on a
-table of blown nodes per pair (`graphs._odd_vertex`): a config's, in
-spin_parity and in iter_blowup_configs before any config is built, or a
-model's nodes to its exceptional vertices, in spin_multidegree, cached per
-twist, through which git_stable and the boundary predicates pass.
+on non-exceptional (core) vertices and 1 on exceptional ones, core_contact
+counting the nodes shared with core neighbors.  The halving needs spin
+parity (every core_contact even, as Cornalba requires of spin curves),
+which `graphs._odd_vertex` counts for configs and for models alike.
 
-`expand` builds the model from the source's node rows and the validated
-blow-up counts through the trusted graph builder.  The model's invariants
-are checked all the same (its contraction against the source on node
-counts, its origin table against the config), and a failure raises
-RuntimeError with the source and blow-ups to replay.
+`expand` builds the model through the trusted graph builder and still
+checks its invariants (its contraction against the source, its origin table
+against the config); a failure raises RuntimeError with the source and
+blow-ups to replay.
 
-The boundary predicates at the end of the module answer whether a subcurve
-sits at an end of its admissible degree range, whether the model is
-GIT-stable, and whether its orbit is closed.  One check (`_checked_row`)
-ties exact comparison to node counts: on whole columns of one row table per
-model and twist within the subset cap, and on one subcurve over the cap and
-in exceptional_profile.
-
-The twist check ``check_t``, which this module exports, and the per-pair
-count helpers are defined in :mod:`spinpicard.graphs`, which shares them
-with :mod:`spinpicard.spin_locus`.
+The boundary predicates decide whether a subcurve sits at an end of its
+admissible degree range, whether the model is GIT-stable, and whether its
+orbit is closed.  One check (`_checked_row`) ties exact comparison to node
+counts: on whole packed integers, one lane per subcurve, per model and twist
+within the subset cap (`_model_lanes`), and on one subcurve over the cap and
+in exceptional_profile.  The twist check ``check_t``, which this module
+exports, and the per-pair count helpers come from :mod:`spinpicard.graphs`.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import not_
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional
 
 from .errors import BlowupError, GraphError, ParityError
@@ -56,6 +50,7 @@ from .graphs import (
     _as_subcurve,
     _check_cap,
     _check_pair_bounds,
+    _count_items,
     _exact_lower,
     _internal_error,
     _mask_numbers,
@@ -66,7 +61,6 @@ from .graphs import (
     _require_genus,
     _scaled_lower,
     _spin_base,
-    _subset_sums,
     check_t,
 )
 
@@ -100,7 +94,7 @@ class BlowupConfig:
     def __init__(self, s=None, r=None) -> None:
         self._s = _pair_counts(s, BlowupError, "use r for self-nodes")
         self._r: dict[str, int] = {}
-        for vid, count in r.items() if isinstance(r, Mapping) else r or ():
+        for vid, count in _count_items(r, "r", BlowupError):
             if not (isinstance(vid, str) and vid):
                 raise BlowupError(f"r[{vid!r}]: vertex id must be a non-empty string")
             _record(self._r, vid, count, f"r[{vid}]", BlowupError)
@@ -186,15 +180,14 @@ PairOrigin = tuple  # ("pair", u, v) or ("self", v)
 class QuasistableGraph(DualGraph):
     """Dual graph of a blow-up model, with its exceptional vertices flagged.
 
-    Invariants enforced on construction, in one pass over the exceptional
-    rows: every exceptional vertex is rational (pa 0, no self-nodes) with
-    total contact exactly 2, no two exceptional vertices are joined, and the
-    origin table covers exactly the exceptional vertices.  Then contracting
-    them all must recover the source graph, which is checked on node counts
-    without building it: each core pair keeps its nodes plus one per
-    exceptional vertex with that pair as origin, and each core vertex its pa
-    and self-nodes plus one per blown self-node.  Last, the origin table
-    counted per pair and per self-node host must be the config's s and r.
+    Invariants enforced on construction: every exceptional vertex is rational
+    (pa 0, no self-nodes) with contact exactly 2, no two exceptional vertices
+    are joined, and the origin table covers exactly the exceptional vertices.
+    Contracting them all must recover the source graph (checked on node
+    counts: each core pair keeps its nodes plus one per exceptional vertex of
+    that origin, each core vertex its pa and self-nodes plus one per blown
+    self-node), and the origin table counted per pair and per self-node host
+    must be the config's s and r.
     """
 
     def __init__(
@@ -226,7 +219,7 @@ class QuasistableGraph(DualGraph):
         self.source = source
         self.config = config
         self._spin_cache: dict[int, Multidegree] = {}
-        self._row_cache: dict[int, tuple[list, dict]] = {}
+        self._row_cache: dict[int, SimpleNamespace] = {}
 
         for vid in sorted(exc):
             i = self.index(vid)
@@ -408,9 +401,8 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
 
 
 def _model_error(q: QuasistableGraph, message: str, mask: int = 0, **context) -> RuntimeError:
-    """Internal error on a blow-up model, naming the subcurve ``mask`` if any;
-    the payload also carries the source graph and blow-up config, so
-    ``expand`` rebuilds the model exactly."""
+    """Internal error on a blow-up model, naming the subcurve ``mask`` if any,
+    with the source graph and blow-up config that ``expand`` rebuilds it from."""
     if mask:
         context["subcurve"] = [vid for i, vid in enumerate(q.ids) if mask >> i & 1]
     return _internal_error(
@@ -419,8 +411,8 @@ def _model_error(q: QuasistableGraph, message: str, mask: int = 0, **context) ->
 
 
 def _node_counts(q: QuasistableGraph, mask: int) -> tuple[int, int, int, int]:
-    """Core contact, core-internal, inner and outer nodes of one mask (the
-    entries of `_node_columns` at mask) in one O(n^2) pass over the core rows
+    """Core contact, core-internal, inner and outer nodes of one mask (its
+    lanes of `_lane_columns`) in one O(n^2) pass over the core rows
     of the node matrix, which see every node: exceptionals are never joined."""
     exc = q._exceptional_mask
     core_contact = core_internal = inner = outer = 0
@@ -449,14 +441,12 @@ def _checked_row(
     t: Optional[int] = None, degree: int = 0, offset: int = 0,
 ) -> Optional[tuple]:
     """The boundary row (degree, core_contact, inner_ok, outer_ok, at_min,
-    at_max) of one mask with contact k_y, ``internal`` nodes, `_node_counts`
-    ``counts`` and offset 2(g-1)(d(Y) - m(Y)); without ``t``, only the t-free
-    identities.  They are those `_table_rows` checks by whole columns: each
-    exceptional vertex of Y owns two node slots, filled by its nodes in Y and
-    the inner ones; k(Y) = core contact + inner + outer, none negative; and
-    offset = (g-1)(core contact + 2 inner), so the exact ends and the
-    structural clauses agree.  A failure raises with a replayable payload.
-    """
+    at_max) of one mask from its contact, internal nodes, `_node_counts` and
+    offset 2(g-1)(d(Y) - m(Y)), checked (without ``t``, only the t-free
+    identities): Y's exceptionals fill their 2 slots each with nodes in Y and
+    inner ones; k(Y) = core contact + inner + outer, none negative; and the
+    offset is (g-1)(core contact + 2 inner), so exact ends and structural
+    clauses agree.  A failure raises with a replayable payload."""
     core_contact, core_internal, inner, outer = counts
     taken = internal - core_internal + inner
     slots = 2 * (mask & q._exceptional_mask).bit_count()
@@ -552,78 +542,129 @@ class BoundaryCase:
         return case
 
 
-def _node_columns(q: QuasistableGraph) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Node counts of every mask, doubled over the id-sorted vertices from the
-    node matrix alone: core contact (core-to-core nodes across Y), nodes in
-    Y's core, inner nodes (from Y's exceptional components to the rest's
-    core) and 2 slots per exceptional vertex in Y.  Outer nodes (from the
-    rest's exceptional components to Y's core) are the inner column reversed."""
-    exc = q._exceptional_mask
-    core_contact, core_internal, inner, slots = [0], [0], [0], [0]
-    for h, row in enumerate(q._matrix):
-        to_core = [0 if exc >> j & 1 else m for j, m in enumerate(row)]
-        c_h = sum(to_core)
-        # Nodes joining h to the core of each smaller mask.
-        cross = _subset_sums(to_core[:h])
-        if exc >> h & 1:
-            inner += [i + c_h - x for i, x in zip(inner, cross)]
-            slots += [s + 2 for s in slots]
-            core_contact += core_contact
-            core_internal += core_internal
-        else:
-            core_contact += [c + c_h - 2 * x for c, x in zip(core_contact, cross)]
-            core_internal += [e + x for e, x in zip(core_internal, cross)]
-            cross = _subset_sums([m - c for m, c in zip(row[:h], to_core)])
-            inner += [i - x for i, x in zip(inner, cross)]
-            slots += slots
-    return core_contact, core_internal, inner, slots
+def _lane_columns(q: QuasistableGraph, width: int, *sums: list[int]) -> list[int]:
+    """Packed columns of every mask, one ``width``-bit lane each, doubled over
+    the id-sorted vertices: contact and internal nodes; core contact, core
+    internal, inner and outer nodes, 2 slots per exceptional vertex and the
+    core count; then the subset sums of each per-vertex list in ``sums``.
+    The nodes from each later vertex to the core and to the exceptionals of
+    the masks so far are doubled alongside, as subset sums of the rows."""
+    is_core = [not q._exceptional_mask >> j & 1 for j in range(q.n)]
+    contact = internal = core_contact = core_internal = inner = outer = slots = cores = 0
+    packed, to_core, to_exc, ones, shift = [0] * len(sums), [0] * q.n, [0] * q.n, 1, width
+    for h, (row, c, *values) in enumerate(zip(q._matrix, q._contacts, *sums)):
+        xc, xe, later = to_core[0], to_exc[0], row[h + 1:]
+        c_core = sum(itertools.compress(row, is_core))
+        contact += (contact + c * ones - 2 * (xc + xe)) << shift
+        internal += (internal + xc + xe) << shift
+        if is_core[h]:
+            core_contact += (core_contact + c_core * ones - 2 * xc) << shift
+            core_internal += (core_internal + xc) << shift
+            inner += (inner - xe) << shift
+            outer += (outer + (c - c_core) * ones - xe) << shift
+            slots += slots << shift
+            cores += (cores + ones) << shift
+            to_core = [a + ((a + m * ones) << shift) for a, m in zip(to_core[1:], later)]
+            to_exc = [a + (a << shift) for a in to_exc[1:]]
+        else:  # an exceptional vertex meets core vertices only
+            core_contact += core_contact << shift
+            core_internal += core_internal << shift
+            inner += (inner + c_core * ones - xc) << shift
+            outer += (outer - xc) << shift
+            slots += (slots + 2 * ones) << shift
+            cores += cores << shift
+            to_core = [a + (a << shift) for a in to_core[1:]]
+            to_exc = [a + ((a + m * ones) << shift) for a, m in zip(to_exc[1:], later)]
+        packed = [column + ((column + x * ones) << shift) for column, x in zip(packed, values)]
+        ones |= ones << shift
+        shift <<= 1
+    return [contact, internal, core_contact, core_internal, inner, outer, slots, cores, *packed]
+
+
+#: memoryview formats of signed lanes by width, on little-endian hosts.
+_LANE_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
+
+
+def _lanes(value: int, signs: int, width: int) -> list[int]:
+    """The signed lanes of a packed integer, lowest first: adding the sign lane
+    and flipping its bits back leaves each lane's two's complement in place."""
+    raw = ((value + signs) ^ signs).to_bytes(signs.bit_length() // 8, "little")
+    if width in _LANE_FORMATS:
+        return memoryview(raw).cast(_LANE_FORMATS[width]).tolist()
+    k = width // 8
+    return [int.from_bytes(raw[i:i + k], "little", signed=True) for i in range(0, len(raw), k)]
+
+
+def _model_lanes(q: QuasistableGraph, t: int) -> SimpleNamespace:
+    """Both scan verdicts and the packed columns of the model at twist t, one
+    lane per mask, cached for the latest twist: `_lane_columns`, d(Y) and the
+    offset 2(g-1)(d(Y) - m(Y)); `_table_rows` decodes them.
+    Lanes are a power of two wide: sum |d_i| + sum |offset_i| + 3(g-1) sum c_i
+    bounds every column and both sides of every identity, plus a sign bit.
+    So a lane's sign bit, with the sign lane added, is set exactly when it is
+    not negative, and packed equality is equality lane by lane; `_checked_row`
+    runs mask by mask only when an identity fails on the whole integers.
+    Once they hold, the offset and 2(g-1) k(Y) - offset, (g-1)(core contact +
+    2 inner) and (g-1)(core contact + 2 outer), are not negative, and their
+    zero lanes mark the two ends.  Callers validate t and the spin structure
+    through spin_multidegree first."""
+    if t in q._row_cache:
+        return q._row_cache[t]
+    g = _require_genus(q)
+    half = g - 1
+    degrees = q._spin_cache[t].values(q.ids)
+    singles = [
+        2 * half * d - _scaled_lower((2 * t + 1) * half, g, v.pa, c)
+        for d, v, c in zip(degrees, q.vertices, q._contacts)
+    ]
+    bound, width = sum(map(abs, degrees)) + sum(map(abs, singles)) + 3 * half * sum(q._contacts), 8
+    while bound >> (width - 1):
+        width <<= 1
+    contact, internal, core_contact, core_internal, inner, outer, slots, cores, degree, offset = (
+        _lane_columns(q, width, degrees, singles)
+    )
+    offset -= 2 * half * internal
+    ones = int.from_bytes((1).to_bytes(width // 8, "little") * (1 << q.n), "little")
+    signs = ones << (width - 1)
+    if not (
+        (core_contact + signs) & (inner + signs) & (outer + signs) & signs == signs
+        and internal - core_internal + inner == slots
+        and core_contact + inner + outer == contact
+        and half * (core_contact + 2 * inner) == offset
+    ):
+        columns = (contact, internal, core_contact, core_internal, inner, outer, degree, offset)
+        lanes = zip(*(_lanes(column, signs, width) for column in columns))
+        for mask, (k_y, e_y, *counts, d_y, x_y) in enumerate(lanes):
+            if mask:
+                _checked_row(q, mask, k_y, e_y, tuple(counts), t, d_y, x_y)
+        raise _model_error(q, "boundary columns fail on no single subcurve", t=t)
+    lows = signs - ones  # v + lows keeps a lane's sign bit clear exactly when v = 0
+    room = 2 * half * contact - offset
+    # The GIT scan passes over the unions of exceptional components (no
+    # core vertex) and the full curve (the top lane).
+    q._row_cache = {t: SimpleNamespace(
+        git_stable=not (~(room + lows) & (cores + lows) & signs >> width),
+        orbit_closed=not (~(offset + lows) & (core_contact + lows) & signs),
+        signs=signs, width=width, rows=None, windows={},
+        columns=(degree, core_contact, inner, outer, offset, room, contact),
+    )}
+    return q._row_cache[t]
 
 
 def _table_rows(q: QuasistableGraph, t: int) -> list:
-    """Boundary rows of every mask at twist t (index 0 a placeholder), built
-    by whole columns and cached on the model for the latest twist only,
-    beside the ``lower`` bounds boundary_case builds per (genus, contact).
-
-    The exact route is one subset sum of the singleton bounds minus
-    2(g-1) internal(Y).  The identities of `_checked_row` are compared on
-    whole columns; on a failure `_checked_row` runs mask by mask and names
-    the first failing one, else (only the empty mask is off) the model.
-    Callers validate t and the spin structure through spin_multidegree first.
-    """
-    cached = q._row_cache.get(t)
-    if cached is None:
-        g = _require_genus(q)
-        scale = 2 * (g - 1)
-        _, contact, internal = q._subcurve_table
-        values = q._spin_cache[t].values(q.ids)
-        degree = _subset_sums(values)
-        exact = _subset_sums([
-            scale * d - _scaled_lower((2 * t + 1) * (g - 1), g, v.pa, c)
-            for d, v, c in zip(values, q.vertices, q._contacts)
-        ])
-        offset = [x - scale * e for x, e in zip(exact, internal)]
-        core_contact, core_internal, inner, slots = _node_columns(q)
-        if not (
-            min(core_contact + inner) >= 0
-            and [e - c + i for e, c, i in zip(internal, core_internal, inner)] == slots
-            and [c + i + o for c, i, o in zip(core_contact, inner, reversed(inner))] == contact
-            and [(g - 1) * (c + 2 * i) for c, i in zip(core_contact, inner)] == offset
-        ):
-            for mask in range(1, 1 << q.n):
-                # Outer nodes are the inner entry of the complement.
-                counts = core_contact[mask], core_internal[mask], inner[mask], inner[-1 - mask]
-                _checked_row(
-                    q, mask, contact[mask], internal[mask], counts, t, degree[mask], offset[mask]
-                )
-            raise _model_error(q, "boundary columns fail on no single subcurve", t=t)
-        inner_ok = [not i for i in inner]
-        at_min = [not x for x in offset]
-        at_max = [x == scale * k for x, k in zip(offset, contact)]
-        rows = list(zip(degree, core_contact, inner_ok, inner_ok[::-1], at_min, at_max))
-        rows[0] = None
-        cached = (rows, {})
-        q._row_cache = {t: cached}
-    return cached[0]
+    """Boundary rows of every mask at twist t (index 0 the empty mask), decoded
+    once from the model's packed columns with its contacts and offsets."""
+    table = _model_lanes(q, t)
+    if table.rows is None:
+        degree, core_contact, inner, outer, offset, room, contact = (
+            _lanes(column, table.signs, table.width) for column in table.columns
+        )
+        table.rows = list(zip(
+            degree, core_contact, map(not_, inner), map(not_, outer), map(not_, offset),
+            map(not_, room),
+        ))
+        table.contact, table.offset, table.columns = contact, offset, None
+    return table.rows
 
 
 def _direct_row(q: QuasistableGraph, t: int, mask: int) -> tuple[int, int, tuple]:
@@ -643,27 +684,25 @@ def boundary_case(
 
     Route one compares exact rationals; route two tests the structural
     characterization (core_contact zero plus the appropriate exceptional
-    clause).  The routes must agree; disagreement raises RuntimeError, since it
-    would mean the degree formulas and the combinatorics have come apart.
-    Within MAX_SUBSET_VERTICES this is a lookup in the model's row table for
-    t, where both routes ran on every mask; larger models compute the one
-    row directly.
+    clause).  The routes must agree, else RuntimeError: the degree formulas
+    and the combinatorics would have come apart.  Within MAX_SUBSET_VERTICES
+    this is a lookup in rows decoded once from the model's packed columns for
+    t; larger models compute the one row directly.
     """
     spin_multidegree(q, t, unsafe_t=unsafe_t)
     Y, mask = _as_subcurve(q, subcurve)
     g = _require_genus(q)
     if q.n > MAX_SUBSET_VERTICES:
         g_y, k_y, row = _direct_row(q, t, mask)
-        windows = {}
-    else:
-        row = _table_rows(q, t)[mask]
-        windows = q._row_cache[t][1]
-        genus, contact, _ = q._subcurve_table
-        g_y, k_y = genus[mask], contact[mask]
-    key = g_y, k_y
-    if key not in windows:
-        windows[key] = _exact_lower((2 * t + 1) * (g - 1), g, *key)
-    return BoundaryCase._trusted(Y, windows[key], k_y, row)
+        return BoundaryCase._trusted(Y, _exact_lower((2 * t + 1) * (g - 1), g, g_y, k_y), k_y, row)
+    row = _table_rows(q, t)[mask]
+    table = q._row_cache[t]
+    # 2(g-1) m(Y) = 2(g-1) d(Y) - offset
+    scaled = 2 * (g - 1) * row[0] - table.offset[mask]
+    lower = table.windows.get(scaled)
+    if lower is None:
+        lower = table.windows[scaled] = Fraction(scaled, 2 * (g - 1))
+    return BoundaryCase._trusted(Y, lower, table.contact[mask], row)
 
 
 def git_stable(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> bool:
@@ -685,17 +724,15 @@ def git_stable_exhaustive(
     Unstable exactly when some proper subcurve that is not a union of
     exceptional components attains the top of its degree range.  (The full
     curve always attains it trivially, hence 'proper'.)  The scan reads the
-    model's row table for t, in which every subcurve has been decided by both
-    the exact comparison and the structural clauses.
+    lanes of the model's packed columns for t where the offset 2(g-1)(d(Y) -
+    m(Y)) reaches 2(g-1) k(Y), checked against the structural clauses.
     """
     check_t(t, unsafe_t=unsafe_t)
     _check_cap(q, max_vertices)
     if q.n == 1:
         return True  # a single component has no proper subcurve
     spin_multidegree(q, t, unsafe_t=unsafe_t)
-    rows = _table_rows(q, t)
-    exc = q._exceptional_mask
-    return not any(row[5] for mask, row in enumerate(rows[1:-1], start=1) if mask & ~exc)
+    return _model_lanes(q, t).git_stable
 
 
 def orbit_closed_check(
@@ -707,15 +744,13 @@ def orbit_closed_check(
     range has core_contact zero.  For spin models this holds universally,
     since d(Y) - m(Y) = core_contact(Y)/2 + (nodes from Y's exceptional
     components to the rest), and the CLI answers from that identity; this
-    check performs the scan for real instead: every nonempty subcurve's row
-    in the model's row table for t is read, each one decided by both the
-    exact comparison and the structural clauses.
+    check performs the scan for real instead, on every lane of the model's
+    packed columns for t, checked against the structural clauses.
     """
     check_t(t, unsafe_t=unsafe_t)
     _check_cap(q, max_vertices)
     spin_multidegree(q, t, unsafe_t=unsafe_t)
-    rows = _table_rows(q, t)
-    return not any(at_min and core_contact for _, core_contact, _, _, at_min, _ in rows[1:])
+    return _model_lanes(q, t).orbit_closed
 
 
 def iter_blowup_configs(graph: DualGraph, *, spin_only: bool = False) -> Iterator[BlowupConfig]:

@@ -43,6 +43,7 @@ from .graphs import (
     _check_cap,
     _check_multidegree,
     _check_pair_bounds,
+    _count_items,
     _internal_error,
     _odd_vertex,
     _pair,
@@ -80,11 +81,9 @@ class SpinWitness:
     def __init__(self, s=None, sigma=None) -> None:
         self._s = _pair_counts(s, WitnessError, "pairs must join distinct vertices")
         given: dict[tuple[str, str], int] = {}
-        if sigma:
-            items = sigma.items() if isinstance(sigma, Mapping) else sigma
-            for key, count in items:
-                u, v = _pair_key(key, "sigma", WitnessError)
-                _record(given, (u, v), count, f"sigma[{u}, {v}]", WitnessError, keep_zero=True)
+        for key, count in _count_items(sigma, "sigma", WitnessError):
+            u, v = _pair_key(key, "sigma", WitnessError)
+            _record(given, (u, v), count, f"sigma[{u}, {v}]", WitnessError, keep_zero=True)
 
         self._sigma: dict[tuple[str, str], int] = {}
         for (u, v), s_uv in self._s.items():

@@ -17,6 +17,10 @@ decide rejection names, for comparison with the scan.  ``neighbor_sum_grouped`` 
 replaced by one pass over a witness's pairs, and ``product_blowup_configs``
 is blow-up iteration as every candidate of the count ranges, built by the
 validating constructor and filtered through ``spin_parity``.
+``subcurve_table`` and ``node_columns`` are the per-mask list tables the
+blow-up scans read before their packed-lane kernel: genus, contact and
+internal nodes of every mask, and a model's core contact, core-internal,
+inner nodes and slots, each doubled over the vertices as lists.
 """
 
 from __future__ import annotations
@@ -341,3 +345,53 @@ def product_blowup_configs(graph: DualGraph, *, spin_only: bool = False) -> Iter
             if spin_only and not spin_parity(graph, config):
                 continue
             yield config
+
+
+def _subset_sums(values: Sequence[int]) -> list[int]:
+    """Sum of ``values[i]`` over the bits i of every mask, indexed by mask."""
+    sums = [0]
+    for value in values:
+        sums += [x + value for x in sums]
+    return sums
+
+
+def subcurve_table(graph: DualGraph) -> tuple[list[int], list[int], list[int]]:
+    """Genus, contact and internal-node count of every subcurve, as three
+    lists indexed by bitmask over the id-sorted vertices (entry 0 the empty
+    subcurve: genus 1, no nodes).  Masks in [2^h, 2^(h+1)) are the masks
+    below 2^h plus vertex h, extended by the nodes joining h to each."""
+    ids = graph.ids
+    genus, contact, internal = [1], [0], [0]
+    for h, vid in enumerate(ids):
+        cross = _subset_sums([graph.k(vid, u) for u in ids[:h]])
+        pa_step, c_h = graph.pa(vid) - 1, graph.contact(vid)
+        genus += [g_y + pa_step + x for g_y, x in zip(genus, cross)]
+        contact += [k_y + c_h - 2 * x for k_y, x in zip(contact, cross)]
+        internal += [e_y + x for e_y, x in zip(internal, cross)]
+    return genus, contact, internal
+
+
+def node_columns(q) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """Core contact, core-internal nodes, inner nodes, outer nodes and
+    exceptional slots of every mask of a blow-up model, as lists indexed by
+    bitmask, doubled over the id-sorted vertices; outer is the inner column
+    of the complement."""
+    ids = q.ids
+    core_contact, core_internal, inner, slots = [0], [0], [0], [0]
+    for h, vid in enumerate(ids):
+        row = [q.k(vid, u) for u in ids]
+        to_core = [0 if u in q.exceptional else m for u, m in zip(ids, row)]
+        c_h = sum(to_core)
+        cross = _subset_sums(to_core[:h])
+        if vid in q.exceptional:
+            inner += [i + c_h - x for i, x in zip(inner, cross)]
+            slots += [s + 2 for s in slots]
+            core_contact += core_contact
+            core_internal += core_internal
+        else:
+            core_contact += [c + c_h - 2 * x for c, x in zip(core_contact, cross)]
+            core_internal += [e + x for e, x in zip(core_internal, cross)]
+            cross = _subset_sums([m - c for m, c in zip(row[:h], to_core)])
+            inner += [i - x for i, x in zip(inner, cross)]
+            slots += slots
+    return core_contact, core_internal, inner, inner[::-1], slots

@@ -451,7 +451,7 @@ def test_columns_set_on_construction_match_the_pair_formulas(quasistable_corpus)
 def test_decide_builds_neither_the_node_matrix_nor_the_subcurve_table():
     """A 40-cycle of elliptic components, two nodes per link: the witness
     search reads the contact column and the pairs, never the O(n^2) matrix
-    or the 2^n table."""
+    (the 2^n subcurve table is gone from the library altogether)."""
     ids = [f"c{i:02d}" for i in range(40)]
     links = {(u, v): 2 for u, v in zip(ids, ids[1:] + ids[:1])}
     graph = DualGraph([(vid, 1) for vid in ids], links)
@@ -461,4 +461,4 @@ def test_decide_builds_neither_the_node_matrix_nor_the_subcurve_table():
     md = Multidegree.of({vid: t * 4 + 2 for vid in ids})
     witness = decide_spin_component(graph, t, md)
     assert grouped_multidegree(graph, witness, t) == md
-    assert "_matrix" not in vars(graph) and "_subcurve_table" not in vars(graph)
+    assert "_matrix" not in vars(graph)

@@ -1,12 +1,13 @@
 """The bitmask subcurve scans against independent member-loop oracles.
 
-The GIT and boundary scans read one table per graph (genus, contact and
-internal nodes of every mask) and, on a blow-up model, one row table per
-twist; `basic_inequality` packs its columns one lane per mask into integers.
-The oracles below recompute each subcurve from scratch with explicit member
-loops and `Fraction` arithmetic, the way the scans did before the tables
-existed, so a wrong recurrence, a wrong scaled comparison or a lane too
-narrow shows up as a mismatch on some mask.
+`basic_inequality` and the GIT and orbit scans of a blow-up model pack their
+columns one lane per mask into integers, and `boundary_case` decodes a
+model's rows from those lanes once per twist.  The oracles below recompute
+each subcurve from scratch with explicit member loops and `Fraction`
+arithmetic, the way the scans did before any table existed, and the list
+tables the scans read before the lanes (`spin_oracles.subcurve_table`), so
+a wrong recurrence, a wrong scaled comparison or a lane too narrow shows up
+as a mismatch on some mask.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinpicard.quasistable as quasistable
 import spinpicard.spin_locus as spin_locus
+from spin_oracles import subcurve_table
 from spinpicard import (
     BIReport,
     BIViolation,
@@ -29,6 +31,7 @@ from spinpicard import (
     DualGraph,
     GraphTooLargeError,
     Multidegree,
+    Vertex,
     basic_inequality,
     boundary_case,
     decide_spin_component,
@@ -39,6 +42,7 @@ from spinpicard import (
     iter_subcurves,
     orbit_closed_check,
     spin_multidegree,
+    spin_parity,
     subcurve_profile,
     validate_graph,
 )
@@ -82,10 +86,10 @@ class Oracle:
                 violations.append(BIViolation(Y, degree, lower, upper))
         return BIReport(satisfied=not violations, violations=tuple(violations))
 
-    def row(self, t: int, Y) -> tuple:
+    def row(self, t: int, Y, *, unsafe_t: bool = False) -> tuple:
         """(degree, core_contact, inner_ok, outer_ok, at_min, at_max) of Y."""
         q = self.graph
-        md = spin_multidegree(q, t)
+        md = spin_multidegree(q, t, unsafe_t=unsafe_t)
         lower = self.lower(Y, md.total)
         upper = lower + self.numbers(Y)[1]
         degree = sum(md[v] for v in Y)
@@ -131,14 +135,16 @@ def test_tables_match_member_loop_on_every_mask(quasistable_corpus):
     checked = 0
     for q in models(quasistable_corpus):
         oracle = Oracle(q)
-        genus, contact, internal = q._subcurve_table
+        genus, contact, internal = subcurve_table(q)
         spin_multidegree(q, t)
         rows = quasistable._table_rows(q, t)
-        assert len(genus) == len(rows) == 1 << q.n
+        lanes = q._row_cache[t]
+        assert len(genus) == len(rows) == len(lanes.contact) == 1 << q.n
         for Y in iter_subcurves(q):
             mask = mask_of(q, Y)
             numbers = (genus[mask], contact[mask], internal[mask])
             assert numbers == oracle.numbers(Y), (q, Y)
+            assert lanes.contact[mask] == contact[mask], (q, Y)
             assert rows[mask] == oracle.row(t, Y), (q, Y)
             checked += 1
     assert checked == 280847
@@ -160,7 +166,6 @@ def test_single_subcurve_calls_build_no_table():
         case = boundary_case(q, 10, subcurve)
         assert case_row(case) == oracle.row(10, frozenset(subcurve))
         assert case.lower == oracle.lower(frozenset(subcurve), d_total)
-    assert "_subcurve_table" not in vars(q)
     assert q._row_cache == {}
 
 
@@ -321,9 +326,11 @@ def test_packed_scan_past_the_cap_on_c14():
 def test_basic_inequality_builds_no_subcurve_table():
     graph = _cycle(10)
     md = _perturbed(_doubled_canonical(graph), random.Random(10), 12)
+    cached = set(vars(graph))
     assert not basic_inequality(graph, md).satisfied
     assert basic_inequality(graph, _doubled_canonical(graph)).satisfied
-    assert "_subcurve_table" not in vars(graph)
+    # Only the O(n^2) node matrix stays on the graph, no table of 2^n entries.
+    assert set(vars(graph)) - cached <= {"_matrix"}
 
 
 # -- GIT and orbit-closure scans ----------------------------------------------------
@@ -362,6 +369,131 @@ def test_twist_sweep_keeps_one_row_table():
         assert list(q._row_cache) == [t]
 
 
+def test_scans_leave_no_rows_until_boundary_case_asks():
+    """Both scans read the packed lanes alone: the model's cache holds no
+    per-mask rows until boundary_case decodes them, once per twist."""
+    source = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
+    q = expand(source, BlowupConfig({("C1", "C2"): 4}))
+    for t in (10, 11):
+        assert git_stable_exhaustive(q, t) and orbit_closed_check(q, t)
+        assert list(q._row_cache) == [t] and q._row_cache[t].rows is None
+        case = boundary_case(q, t, {"C1"})
+        rows = q._row_cache[t].rows
+        assert len(rows) == 1 << q.n
+        assert orbit_closed_check(q, t) and boundary_case(q, t, {"C2"}).degree == case.degree
+        assert q._row_cache[t].rows is rows
+
+
+# The model kernel keeps its columns in lanes of 8, 16, 32 or 64 bits, wider
+# only past 63, sized from sum |d_i| + sum |offset_i| + 3(g-1) sum c_i plus a
+# sign bit, where offset_i = 2(g-1)(d_i - m(i)).  The property reaches twists
+# up to 10^12, and the cases below both sides of each width, up to t ~ 2^62.
+
+
+def _model_lane_bits(q, t: int) -> int:
+    """The bits the model kernel sizes its lanes from: the bound and a sign bit."""
+    md = spin_multidegree(q, t, unsafe_t=True)
+    half = q.genus - 1
+    degrees = [md[v] for v in q.ids]
+    singles = [
+        2 * half * d - (2 * t + 1) * half * (2 * q.pa(v) - 2 + q.contact(v)) + half * q.contact(v)
+        for v, d in zip(q.ids, degrees)
+    ]
+    bound = sum(map(abs, degrees)) + sum(map(abs, singles)) + 3 * half * sum(map(q.contact, q.ids))
+    return bound.bit_length() + 1
+
+
+def _assert_model_matches_oracle(q, t: int) -> None:
+    """Every boundary_case of q at t against `Oracle.row` and the exact
+    window, and both scans, on a fresh model, against the verdicts of the
+    boundary_case loop."""
+    oracle = Oracle(q)
+    d_total = (2 * t + 1) * (q.genus - 1)
+    rows = {}
+    for Y in iter_subcurves(q):
+        case = boundary_case(q, t, Y, unsafe_t=True)
+        rows[Y] = oracle.row(t, Y, unsafe_t=True)
+        assert case_row(case) == rows[Y], (q, t, Y)
+        assert (case.lower, case.contact) == (oracle.lower(Y, d_total), oracle.numbers(Y)[1])
+    full = frozenset(q.ids)
+    stable = not any(row[5] for Y, row in rows.items() if Y != full and not Y <= q.exceptional)
+    closed = not any(row[4] and row[1] for row in rows.values())
+    fresh = expand(q.source, q.config)
+    assert git_stable_exhaustive(fresh, t, unsafe_t=True) == stable, (q, t)
+    assert orbit_closed_check(fresh, t, unsafe_t=True) == closed, (q, t)
+
+
+@st.composite
+def wide_spin_models(draw):
+    """A spin blow-up model of at most 10 vertices of a stable graph on 1-4
+    components with up to 6 nodes per pair (self-nodes on some), and a
+    twist up to 10^12, taken through unsafe_t."""
+    n = draw(st.sampled_from((1, 2, 3, 3, 4, 4, 4)))
+    ids = [f"v{i}" for i in range(n)]
+    edges = {(i, draw(st.integers(0, i - 1))): draw(st.integers(1, 6)) for i in range(1, n)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        if i > j and (i, j) not in edges:
+            edges[(i, j)] = draw(st.integers(1, 6))
+    contact = [sum(m for pair, m in edges.items() if i in pair) for i in range(n)]
+    pa = [max(draw(st.integers(0, 2)), 1 if c < 3 else 0, 2 if c == 0 else 0) for c in contact]
+    pa[0] += max(0, 2 - (sum(pa) + sum(edges.values()) - n + 1))
+    graph = DualGraph(
+        [Vertex(ids[i], pa[i], draw(st.integers(0, min(pa[i], 2)))) for i in range(n)],
+        [(ids[i], ids[j], m) for (i, j), m in edges.items()],
+    )
+    even = draw(st.booleans())
+    s = {
+        (u, v): k - 2 * draw(st.integers(0, k // 2)) if even else draw(st.integers(0, k))
+        for u, v, k in graph.pairs()
+    }
+    config = BlowupConfig(s, {v.id: draw(st.integers(0, v.self_nodes)) for v in graph.vertices})
+    assume(graph.n + config.total <= 10 and spin_parity(graph, config))
+    t = draw(st.integers(0, 40) | st.integers(10**6, 10**12) | st.integers(0, 10**12))
+    return expand(graph, config), t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(wide_spin_models())
+def test_model_kernel_matches_the_boundary_case_loop_on_wide_lanes(case):
+    _assert_model_matches_oracle(*case)
+
+
+def _lane_models():
+    """Two elliptic curves meeting once, the node blown up, and in three
+    nodes, one blown up: lanes of 8 bits at t = 0; and a rational split
+    curve with four of six nodes blown up, 16 bits at t = 0."""
+    once = DualGraph([("A", 1), ("B", 1)], {("A", "B"): 1})
+    thrice = DualGraph([("A", 1), ("B", 1)], {("A", "B"): 3})
+    split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
+    return [
+        expand(once, BlowupConfig({("A", "B"): 1})),
+        expand(thrice, BlowupConfig({("A", "B"): 1})),
+        expand(split, BlowupConfig({("C1", "C2"): 4})),
+    ]
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_model_kernel_on_both_sides_of_a_lane_width(width):
+    """The largest twist whose lanes fit ``width`` bits and the next, whose
+    lanes are twice as wide, on every model that starts below the width."""
+    checked = 0
+    for q in _lane_models():
+        if _model_lane_bits(q, 0) >= width:
+            continue
+        low, high = 0, 1
+        while _model_lane_bits(q, high) <= width:
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if _model_lane_bits(q, mid) <= width else (low, mid)
+        assert [_model_lane_bits(q, t) for t in (low, high)] == [width, width + 1]
+        for t, lanes in ((low, width), (high, 2 * width)):
+            _assert_model_matches_oracle(q, t)
+            assert q._row_cache[t].width == lanes
+        checked += 1
+    assert checked
+
+
 # -- boundary_case: table path and direct path --------------------------------------
 
 
@@ -373,7 +505,7 @@ def test_boundary_case_direct_path_matches_table(quasistable_corpus, monkeypatch
         with monkeypatch.context() as patch:
             patch.setattr(quasistable, "MAX_SUBSET_VERTICES", 0)
             direct_cases = [boundary_case(fresh, 11, Y) for Y in iter_subcurves(fresh)]
-        assert "_subcurve_table" not in vars(fresh)
+        assert fresh._row_cache == {}
         assert direct_cases == table_cases
         pairs += len(direct_cases)
     assert pairs > 1000
@@ -400,14 +532,25 @@ def test_row_disagreement_raises_a_replayable_payload(monkeypatch):
     assert case.at_min or case.at_max
 
 
+def _inflate_internal(monkeypatch, bumps: dict[int, int]) -> None:
+    """Add ``bumps[mask]`` nodes to that mask's lane of the kernel's
+    all-nodes internal column."""
+    exact = quasistable._lane_columns
+
+    def inflated(q, width, *sums):
+        contact, internal, *rest = exact(q, width, *sums)
+        return [contact, internal + sum(count << mask * width for mask, count in bumps.items()), *rest]
+
+    monkeypatch.setattr(quasistable, "_lane_columns", inflated)
+
+
 def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
     """Inflate the internal-node count of every subcurve holding an
-    exceptional vertex, in the table and in the direct helper."""
+    exceptional vertex, in the kernel's lanes and in the direct helper."""
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
     q = expand(split, BlowupConfig({("C1", "C2"): 2}))
     exc = q._exceptional_mask
-    genus, contact, internal = q._subcurve_table
-    q._subcurve_table = (genus, contact, [e + 5 if m & exc else e for m, e in enumerate(internal)])
+    _inflate_internal(monkeypatch, {m: 5 for m in range(1 << q.n) if m & exc})
     with pytest.raises(RuntimeError, match="exceeds its bound") as err:
         git_stable_exhaustive(q, 12)
     payload = replay_payload(err)
@@ -428,27 +571,29 @@ def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
 
 @pytest.mark.parametrize("scan", [git_stable_exhaustive, orbit_closed_check])
 @pytest.mark.parametrize("masks", ["every", "empty"])
-def test_inflated_internal_column_raises_a_replayable_payload(scan, masks):
+def test_inflated_internal_column_raises_a_replayable_payload(scan, masks, monkeypatch):
     """One more internal node on every mask, or on the empty mask alone,
-    breaks the whole-column check; the rerun must raise, not hand back rows,
-    and name the model when no subcurve fails alone."""
+    breaks the whole-integer check; the rerun must raise, not hand back a
+    verdict, and name the model when no subcurve fails alone."""
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
     q = expand(split, BlowupConfig({("C1", "C2"): 2}))
-    genus, contact, internal = q._subcurve_table
-    bumped = range(len(internal)) if masks == "every" else [0]
-    q._subcurve_table = (genus, contact, [e + (m in bumped) for m, e in enumerate(internal)])
+    bumped = range(1 << q.n) if masks == "every" else [0]
+    _inflate_internal(monkeypatch, dict.fromkeys(bumped, 1))
     with pytest.raises(RuntimeError) as err:
         scan(q, 12)
+    monkeypatch.undo()
     payload = replay_payload(err)
     replayed = expand(validate_graph(payload["source"]), BlowupConfig.from_dict(payload["blowups"]))
     assert replayed == q and replayed.exceptional == q.exceptional
     assert payload["t"] == 12 and ("subcurve" in payload) == (masks == "every")
 
 
-def _first_failing_mask(q, t: int) -> tuple[int, int]:
-    """The smallest mask whose per-mask row raises, and how many masks do."""
+def _first_failing_mask(q, t: int, bumps: dict[int, int]) -> tuple[int, int]:
+    """The smallest mask whose per-mask row raises with ``bumps[mask]``
+    extra internal nodes, and how many masks do."""
     degree = spin_multidegree(q, t).values(q.ids)
-    genus, contact, internal = q._subcurve_table
+    genus, contact, internal = subcurve_table(q)
+    internal = [e + bumps.get(mask, 0) for mask, e in enumerate(internal)]
     g = q.genus
     failing = []
     for mask in range(1, 1 << q.n):
@@ -465,22 +610,22 @@ def _first_failing_mask(q, t: int) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("fault", ["degree", "internal"])
-def test_column_failure_names_the_first_failing_mask(fault):
-    """The whole-column checks find a fault without knowing where; the rerun
+def test_column_failure_names_the_first_failing_mask(fault, monkeypatch):
+    """The whole-integer checks find a fault without knowing where; the rerun
     must name the smallest failing mask, not a later one."""
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
     q = expand(split, BlowupConfig({("C1", "C2"): 4}))
     md = spin_multidegree(q, 10)
     third, fourth = sorted(q.exceptional)[2:]
+    bumps = {}
     if fault == "degree":
         # One exceptional component of degree 2 moves every subcurve holding it.
         q._spin_cache[10] = Multidegree.of({**md.as_dict(), third: 2})
     else:
         # Five extra internal nodes break a slot bound on both masks.
-        genus, contact, internal = q._subcurve_table
-        bad = {mask_of(q, {third, fourth}), mask_of(q, {"C2", fourth})}
-        q._subcurve_table = (genus, contact, [e + 5 * (m in bad) for m, e in enumerate(internal)])
-    first, count = _first_failing_mask(q, 10)
+        bumps = {mask_of(q, {third, fourth}): 5, mask_of(q, {"C2", fourth}): 5}
+        _inflate_internal(monkeypatch, bumps)
+    first, count = _first_failing_mask(q, 10, bumps)
     assert count > 1
     with pytest.raises(RuntimeError) as err:
         orbit_closed_check(q, 10)

@@ -9,9 +9,9 @@ must move with the twist, an overloaded vertex must be rejected with a
 violated subcurve, the locus must not depend on vertex names, a graph's
 pairs must be every joined id pair however its ids are ordered, and the
 admissible set must move with the total and, on cycles past the cap, reach
-Stanley's forest count.  On random spin blow-up models the row table built
-by whole columns must match the O(n^2) direct row on every mask, and
-exceptional_profile the node columns.  On random witnesses and
+Stanley's forest count.  On random spin blow-up models the rows decoded from
+the packed-lane kernel must match the O(n^2) direct row on every mask, the
+kernel's node lanes and exceptional_profile the list node columns.  On random witnesses and
 blow-up configurations, valid or not, the pair-space grouping and parity
 check must match the per-vertex neighbor sums they replaced, errors included,
 and blow-up iteration the product of every count range filtered by
@@ -34,7 +34,9 @@ from spin_oracles import (
     named_violation,
     neighbor_sum_grouped,
     neighbor_sum_odd_vertex,
+    node_columns,
     product_blowup_configs,
+    subcurve_table,
 )
 from spinpicard import (
     BasicInequalityError,
@@ -339,8 +341,15 @@ def test_column_rows_match_the_direct_row_on_every_mask(case):
     with mock.patch.object(quasistable, "_checked_row", side_effect=AssertionError("per-mask rerun")):
         rows = quasistable._table_rows(q, t)
     assert len(rows) == 1 << q.n
-    core_contact, core_internal, _, _ = quasistable._node_columns(q)
-    internal = q._subcurve_table[2]
+    columns = node_columns(q)
+    core_contact, core_internal = columns[:2]
+    _, contact, internal = subcurve_table(q)
+    # The kernel's node lanes, decoded, are the list tables lane by lane.
+    table = q._row_cache[t]
+    lanes = quasistable._lane_columns(q, table.width)
+    decoded = [quasistable._lanes(column, table.signs, table.width) for column in lanes]
+    cores = [(mask & ~q._exceptional_mask).bit_count() for mask in range(1 << q.n)]
+    assert decoded == [contact, internal, *columns, cores], q
     for mask in range(1, 1 << q.n):
         assert rows[mask] == quasistable._direct_row(q, t, mask)[2], (q, t, mask)
         profile = exceptional_profile(q, [v for i, v in enumerate(q.ids) if mask >> i & 1])
@@ -419,3 +428,42 @@ def test_blowup_iteration_matches_the_product_then_parity_oracle(base, data):
         got = list(iter_blowup_configs(graph, spin_only=spin_only))
         want = list(product_blowup_configs(graph, spin_only=spin_only))
         assert got == want and list(map(repr, got)) == list(map(repr, want)), graph
+
+
+#: JSON-shaped values: nested None, bool, int, str, list and dict, with the
+#: strings drawn from ids and field names so that some values get deep.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.sampled_from(["", "a", "b", "ab", "s", "r", "u", "v", "vertex", "count"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["s", "r", "u", "v", "vertex", "count", "a"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _as_tuples(value):
+    """``value`` with every list a tuple, the way Python callers pass pairs."""
+    if isinstance(value, list):
+        return tuple(map(_as_tuples, value))
+    if isinstance(value, dict):
+        return {key: _as_tuples(item) for key, item in value.items()}
+    return value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(json_values, json_values, st.booleans())
+def test_blowup_and_witness_inputs_succeed_or_raise_library_errors(first, second, tuples):
+    """Whatever JSON-shaped tables they get, the blow-up and witness
+    constructors build a value or raise a SpinPicardError, never a bare
+    TypeError or ValueError from unpacking, hashing or comparing."""
+    if tuples:
+        first, second = _as_tuples(first), _as_tuples(second)
+    for call in (
+        lambda: BlowupConfig.from_dict(first),
+        lambda: BlowupConfig(first, second),
+        lambda: SpinWitness(first, second),
+    ):
+        try:
+            call()
+        except SpinPicardError:
+            pass

@@ -114,6 +114,19 @@ def test_a_pair_key_is_a_two_tuple_of_ids():
         BlowupConfig({"ab": 1})
 
 
+def test_a_blowup_item_that_is_no_pair_names_the_item():
+    """Items of s and r are unpacked as (key, count) pairs; a triple, a
+    bare string or a number is a BlowupError naming it, not a ValueError
+    from the unpacking."""
+    with pytest.raises(BlowupError, match=r"^s: \('a', 'b', 1\) is not a \(key, count\) pair"):
+        BlowupConfig([("a", "b", 1)])
+    with pytest.raises(BlowupError, match=r"^r: \('a', 1, 2\) is not a \(key, count\) pair"):
+        BlowupConfig(r=[("a", 1, 2)])
+    for table in (5, "ab", True):
+        with pytest.raises(BlowupError, match=rf"^s: {table!r} is not a \(key, count\) pair"):
+            BlowupConfig(table)
+
+
 def test_blowup_config_json_form():
     config = BlowupConfig.from_dict(
         {"s": [{"u": "C1", "v": "C2", "count": 2}], "r": []}

@@ -77,6 +77,15 @@ def test_witness_pair_keys_are_checked_in_s_and_sigma():
         SpinWitness({("a", "b"): 1}, {"ab": 1})
 
 
+def test_a_witness_item_that_is_no_pair_names_the_item():
+    """sigma items are unpacked as (key, count) pairs like those of s; a
+    triple is a WitnessError naming it, not a ValueError."""
+    with pytest.raises(WitnessError, match=r"^sigma: \('a', 'b', 1\) is not a \(key, count\) pair"):
+        SpinWitness({("a", "b"): 1}, [("a", "b", 1)])
+    with pytest.raises(WitnessError, match=r"^sigma: 7 is not a \(key, count\) pair"):
+        SpinWitness({("a", "b"): 1}, 7)
+
+
 def test_witness_validate_against_graph():
     SpinWitness({("C1", "C2"): 2}, {("C1", "C2"): 0}).validate(SPLIT3)
     with pytest.raises(WitnessError, match="exceeds"):
