@@ -14,7 +14,8 @@ for splitting the nodes of each pair between its two ends with prescribed
 per-vertex quotas (Hakimi 1965).  One orientation kernel, shortest augmenting
 paths over such splits, decides it in polynomial time; the multidegree
 enumerator and the spin-locus questions run on it.  `basic_inequality`, which
-reports every violated subcurve, scans them all as lanes of packed integers.
+reports every violated subcurve, scans them all as packed-integer lanes in
+the one format (`_lane_format`, `_lanes`) the blow-up model kernel shares.
 Every kernel on a graph comes from ``_Orientation.on_graph(graph, units)``:
 2(g - 1) units per node for enumeration, 2 for spin witnesses.  Where the
 singleton bounds are integers, enumeration lists orientations instead.
@@ -36,6 +37,7 @@ threads.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,12 +128,18 @@ class DualGraph:
     """
 
     def __init__(self, vertices: Iterable[VertexLike], edges: EdgeTable = ()) -> None:
-        vs = [v if isinstance(v, Vertex) else Vertex(*v) for v in vertices]
+        try:
+            vs = [v if isinstance(v, Vertex) else Vertex(*v) for v in vertices]
+        except TypeError:  # from the call, never from Vertex's own checks
+            raise GraphError("vertices must be Vertex or (id, pa[, self_nodes]) tuples") from None
         if not vs:
             raise GraphError("a dual graph needs at least one vertex")
-        if isinstance(edges, Mapping):
-            edges = ((u, v, mult) for (u, v), mult in edges.items())
-        self._build(vs, _node_rows(_unique_ids(vs), edges))
+        try:  # the errors of unpacking
+            pairs = edges.items() if isinstance(edges, Mapping) else ((p, m) for *p, m in edges)
+            triples = [(u, v, mult) for (u, v), mult in pairs]
+        except (TypeError, ValueError):
+            raise GraphError("edges must be (u, v, count) triples or {(u, v): count}") from None
+        self._build(vs, _node_rows(_unique_ids(vs), triples))
 
     @classmethod
     def _trusted(cls, vertices: Iterable[Vertex], adjacency: dict[str, dict[str, int]]):
@@ -210,7 +218,7 @@ class DualGraph:
 
     def contact(self, vid: str) -> int:
         """Total number of nodes joining vid to all other components."""
-        return sum(self._adjacency[vid].values())
+        return self._contacts[self.index(vid)]
 
     def neighbors(self, vid: str) -> tuple[str, ...]:
         self.index(vid)
@@ -249,7 +257,8 @@ class DualGraph:
 
     def relabeled(self, mapping: Mapping[str, str]) -> "DualGraph":
         """Copy of the graph with vertex ids renamed through an injective map."""
-        if sorted(mapping) != sorted(self._ids) or len(set(mapping.values())) != self.n:
+        mapping = _converted(dict, mapping, "mapping", "a bijection of the vertex ids")
+        if mapping.keys() != set(self._ids) or len(set(mapping.values())) != self.n:
             raise GraphError("relabeling must be a bijection defined on every vertex id")
         vs = [Vertex(mapping[v.id], v.pa, v.self_nodes) for v in self._vertices]
         adjacency = {
@@ -303,11 +312,7 @@ def validate_graph(raw) -> DualGraph:
         raise GraphError("'vertices' must be a non-empty array")
     vertices = []
     for i, entry in enumerate(verts_raw):
-        if not isinstance(entry, (dict, Mapping)):
-            raise GraphError(f"vertices[{i}] must be an object")
-        if not _VERTEX_FIELDS.issuperset(entry):
-            extra = sorted(set(entry) - _VERTEX_FIELDS)
-            raise GraphError(f"vertices[{i}]: unknown fields: {', '.join(extra)}")
+        _check_object(entry, _VERTEX_FIELDS, "vertices", i)
         if "id" not in entry or "pa" not in entry:
             raise GraphError(f"vertices[{i}]: 'id' and 'pa' are required")
         vid, pa, self_nodes = entry["id"], entry["pa"], entry.get("self_nodes", 0)
@@ -319,11 +324,7 @@ def validate_graph(raw) -> DualGraph:
         raise GraphError("'edges' must be an array")
     triples = []
     for i, entry in enumerate(edges_raw):
-        if not isinstance(entry, (dict, Mapping)):
-            raise GraphError(f"edges[{i}] must be an object")
-        if not _EDGE_FIELDS.issuperset(entry):
-            extra = sorted(set(entry) - _EDGE_FIELDS)
-            raise GraphError(f"edges[{i}]: unknown fields: {', '.join(extra)}")
+        _check_object(entry, _EDGE_FIELDS, "edges", i)
         if len(entry) < 3:  # a field is missing: name the first
             for field in ("u", "v", "multiplicity"):
                 if field not in entry:
@@ -334,6 +335,13 @@ def validate_graph(raw) -> DualGraph:
         triples.append((entry["u"], entry["v"], mult))
 
     return DualGraph._trusted(vertices, _node_rows(_unique_ids(vertices), triples))
+
+
+def _check_object(entry, fields: frozenset, label: str, i: int) -> None:
+    if not isinstance(entry, (dict, Mapping)):
+        raise GraphError(f"{label}[{i}] must be an object")
+    if not fields.issuperset(entry):
+        raise GraphError(f"{label}[{i}]: unknown fields: {', '.join(sorted(set(entry) - fields))}")
 
 
 _vertex_id = attrgetter("id")
@@ -356,8 +364,8 @@ def _node_rows(ids: Sequence[str], edges: Iterable[tuple]) -> dict[str, dict[str
     adjacency: dict[str, dict[str, int]] = {i: {} for i in ids}
     zeros = []
     for u, v, mult in edges:
-        row = adjacency.get(u)
-        back = None if row is None else adjacency.get(v)
+        row = adjacency.get(u) if isinstance(u, str) else None
+        back = None if row is None or not isinstance(v, str) else adjacency.get(v)
         if back is None:
             missing = u if row is None else v
             raise GraphError(f"edge ({u!r}, {v!r}) references unknown vertex {missing!r}")
@@ -408,7 +416,7 @@ class Multidegree:
     items: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(self.items)
+        entries = _converted(tuple, self.items, "items", "an iterable of (id, degree) pairs")
         # Every entry is checked before sorting, which would compare them.
         for entry in entries:
             if not isinstance(entry, tuple) or len(entry) != 2:
@@ -438,11 +446,12 @@ class Multidegree:
 
     @classmethod
     def of(cls, degrees: Mapping[str, int]) -> "Multidegree":
-        return cls(tuple(degrees.items()))
+        return cls(tuple(_converted(dict, degrees, "degrees", "an id-to-degree mapping").items()))
 
     @classmethod
     def from_values(cls, graph: DualGraph, values: Sequence[int]) -> "Multidegree":
         """Pair values with the graph's vertex ids in sorted-id order."""
+        values = _converted(tuple, values, "values", "a sequence of degrees")
         if len(values) != graph.n:
             raise GraphError(
                 f"multidegree has {len(values)} entries but the graph has "
@@ -507,17 +516,26 @@ class SubcurveProfile:
 def _as_subcurve(graph: DualGraph, subcurve: Iterable[str]) -> tuple[frozenset, int]:
     """A nonempty subcurve of known ids and its bitmask over the id-sorted
     vertex order, validated in one pass."""
-    Y = frozenset(subcurve)
+    index, mask = graph._index, 0
+    try:
+        Y = frozenset(subcurve)
+        for vid in Y:
+            mask |= 1 << index[vid]
+    except TypeError:
+        raise GraphError(f"subcurve must be an iterable of vertex ids, got {subcurve!r}") from None
+    except KeyError as unknown:
+        raise GraphError(f"unknown vertex id {unknown.args[0]!r}") from None
     if not Y:
         raise GraphError("a subcurve must contain at least one component")
-    index = graph._index
-    mask = 0
-    for vid in Y:
-        try:
-            mask |= 1 << index[vid]
-        except KeyError:
-            raise GraphError(f"unknown vertex id {vid!r}") from None
     return Y, mask
+
+
+def _converted(kind: type, value, name: str, what: str):
+    """``kind(value)`` for a builtin type ``kind``, or GraphError naming ``name``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise GraphError(f"{name} must be {what}, got {value!r}") from None
 
 
 def _subset_sums(values: Sequence, zero=0) -> list:
@@ -654,6 +672,27 @@ def iter_subcurves(
         yield frozenset(low[mask % len(low)] + high)
 
 
+#: memoryview formats of signed lanes by width, on little-endian hosts.
+_LANE_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
+
+
+def _lane_format(bound: int, n: int) -> tuple[int, int]:
+    """Width and sign lane (each top bit) of packed integers, one lane per mask
+    of n vertices: the least power of two from 8 bits that holds +-``bound``."""
+    width = max(8, 1 << bound.bit_length().bit_length())
+    return width, int.from_bytes((bytes(width // 8 - 1) + b"\x80") * (1 << n), "little")
+
+
+def _lanes(value: int, signs: int, width: int) -> list[int]:
+    """Signed lanes of a packed integer, lowest first: two's complements once the
+    sign lane is added and flipped back.  Sign flags read as ``flags - signs``: 0 if set."""
+    raw = ((value + signs) ^ signs).to_bytes(signs.bit_length() // 8, "little")
+    if width in _LANE_FORMATS:
+        return memoryview(raw).cast(_LANE_FORMATS[width]).tolist()
+    k = width // 8
+    return [int.from_bytes(raw[i:i + k], "little", signed=True) for i in range(0, len(raw), k)]
+
+
 def basic_inequality(
     graph: DualGraph, multidegree: Multidegree, *, max_vertices: Optional[int] = None
 ) -> BIReport:
@@ -678,7 +717,7 @@ def basic_inequality(
     degrees = multidegree.values(ids)
     weights = [2 * v.pa - 2 + c for v, c in zip(graph.vertices, graph._contacts)]
     offsets = [2 * half * deg - d_total * w for deg, w in zip(degrees, weights)]
-    width = (sum(map(abs, offsets)) + half * sum(graph._contacts)).bit_length() // 8 * 8 + 8
+    width, signs = _lane_format(sum(map(abs, offsets)) + half * sum(graph._contacts), graph.n)
     contact, offset, across, ones, shift = 0, 0, [0] * graph.n, 1, width
     for h, (row, c, x) in enumerate(zip(graph._matrix, graph._contacts, offsets)):
         contact += (contact + c * ones - 2 * across[0]) << shift
@@ -686,18 +725,15 @@ def basic_inequality(
         across = [a + ((a + m * ones) << shift) for a, m in zip(across[1:], row[h + 1:])]
         ones |= ones << shift
         shift <<= 1
-    signs = ones << (width - 1)
     scaled = half * contact + signs
-    bad = ((scaled - offset) & (scaled + offset) & signs) ^ signs
-    if not bad:
+    kept = (scaled - offset) & (scaled + offset) & signs
+    if kept == signs:
         return BIReport(satisfied=True, violations=())
-    # Violating masks in ascending order from each lane's top byte; d(Y), w(Y)
-    # and members from tables over the two halves of the ids, bounds once per
-    # distinct window (w, k).
-    step, split = width // 8, graph.n // 2
-    size = step << graph.n
-    masks = compress(range(1 << graph.n), bad.to_bytes(size, "little")[step - 1::step])
-    k_bytes = contact.to_bytes(size, "little")
+    # Violating masks ascend where kept's sign flag is clear.  d(Y), w(Y) and
+    # members come from half-id tables, bounds once per distinct window (w, k).
+    split = graph.n // 2
+    masks = compress(range(1 << graph.n), _lanes(kept - signs, signs, width))
+    k_lanes = _lanes(contact, signs, width)
     (deg_low, deg_high), (w_low, w_high), (ids_low, ids_high) = (
         (_subset_sums(column[:split], zero), _subset_sums(column[split:], zero))
         for column, zero in ((degrees, 0), (weights, 0), ([(vid,) for vid in ids], ()))
@@ -705,8 +741,8 @@ def basic_inequality(
     windows: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     violations = []
     for mask in masks:
-        low, high, at = mask & ((1 << split) - 1), mask >> split, mask * step
-        key = (w_low[low] + w_high[high], int.from_bytes(k_bytes[at:at + step], "little"))
+        low, high = mask & ((1 << split) - 1), mask >> split
+        key = (w_low[low] + w_high[high], k_lanes[mask])
         window = windows.get(key)
         if window is None:
             w_y, k_y = key

@@ -25,14 +25,13 @@ admissible degree range, whether the model is GIT-stable, and whether its
 orbit is closed.  One check (`_checked_row`) ties exact comparison to node
 counts: on whole packed integers, one lane per subcurve, per model and twist
 within the subset cap (`_model_lanes`), and on one subcurve over the cap and
-in exceptional_profile.  The twist check ``check_t``, which this module
-exports, and the per-pair count helpers come from :mod:`spinpicard.graphs`.
+in exceptional_profile.  The lane format, the per-pair count helpers and
+``check_t``, which this module exports, come from :mod:`spinpicard.graphs`.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,9 +49,11 @@ from .graphs import (
     _as_subcurve,
     _check_cap,
     _check_pair_bounds,
+    _converted,
     _count_items,
-    _exact_lower,
     _internal_error,
+    _lane_format,
+    _lanes,
     _mask_numbers,
     _odd_vertex,
     _pair,
@@ -214,14 +215,14 @@ class QuasistableGraph(DualGraph):
     def _flag(self, exceptional, origin, source, config) -> Optional[str]:
         """Set the blow-up data and return the first broken invariant's
         message, or None when all hold."""
-        self.exceptional = exc = frozenset(exceptional)
-        self.origin = dict(origin)
+        self.exceptional = exc = _converted(frozenset, exceptional, "exceptional", "vertex ids")
+        self.origin = _converted(dict, origin, "origin", "a mapping of exceptional ids to origins")
         self.source = source
         self.config = config
         self._spin_cache: dict[int, Multidegree] = {}
         self._row_cache: dict[int, SimpleNamespace] = {}
 
-        for vid in sorted(exc):
+        for vid in sorted(exc, key=str):
             i = self.index(vid)
             vert = self._vertices[i]
             if vert.pa != 0 or vert.self_nodes != 0:
@@ -270,9 +271,8 @@ class QuasistableGraph(DualGraph):
 
     def core_contact(self, vid: str) -> int:
         """Nodes joining vid to non-exceptional components only."""
-        return sum(
-            m for nbr, m in self._adjacency[vid].items() if nbr not in self.exceptional
-        )
+        self.index(vid)
+        return sum(m for nbr, m in self._adjacency[vid].items() if nbr not in self.exceptional)
 
     @cached_property
     def _exceptional_mask(self) -> int:
@@ -543,16 +543,16 @@ class BoundaryCase:
 
 
 def _lane_columns(q: QuasistableGraph, width: int, *sums: list[int]) -> list[int]:
-    """Packed columns of every mask, one ``width``-bit lane each, doubled over
-    the id-sorted vertices: contact and internal nodes; core contact, core
-    internal, inner and outer nodes, 2 slots per exceptional vertex and the
-    core count; then the subset sums of each per-vertex list in ``sums``.
-    The nodes from each later vertex to the core and to the exceptionals of
-    the masks so far are doubled alongside, as subset sums of the rows."""
+    """Packed columns of every mask, ``width``-bit lanes doubled over the
+    id-sorted vertices: contact, internal, core contact, core internal, inner
+    and outer nodes (each later vertex's nodes to the core and to exceptionals
+    of the masks so far doubled alongside as row subset sums), then subset
+    sums of 2 slots per exceptional vertex, 1 per core vertex and ``sums``."""
     is_core = [not q._exceptional_mask >> j & 1 for j in range(q.n)]
-    contact = internal = core_contact = core_internal = inner = outer = slots = cores = 0
-    packed, to_core, to_exc, ones, shift = [0] * len(sums), [0] * q.n, [0] * q.n, 1, width
-    for h, (row, c, *values) in enumerate(zip(q._matrix, q._contacts, *sums)):
+    slots = [2 * (not core) for core in is_core]
+    contact = internal = core_contact = core_internal = inner = outer = 0
+    packed, to_core, to_exc, ones, shift = [0] * (len(sums) + 2), [0] * q.n, [0] * q.n, 1, width
+    for h, (row, c, *values) in enumerate(zip(q._matrix, q._contacts, slots, is_core, *sums)):
         xc, xe, later = to_core[0], to_exc[0], row[h + 1:]
         c_core = sum(itertools.compress(row, is_core))
         contact += (contact + c * ones - 2 * (xc + xe)) << shift
@@ -562,8 +562,6 @@ def _lane_columns(q: QuasistableGraph, width: int, *sums: list[int]) -> list[int
             core_internal += (core_internal + xc) << shift
             inner += (inner - xe) << shift
             outer += (outer + (c - c_core) * ones - xe) << shift
-            slots += slots << shift
-            cores += (cores + ones) << shift
             to_core = [a + ((a + m * ones) << shift) for a, m in zip(to_core[1:], later)]
             to_exc = [a + (a << shift) for a in to_exc[1:]]
         else:  # an exceptional vertex meets core vertices only
@@ -571,43 +569,25 @@ def _lane_columns(q: QuasistableGraph, width: int, *sums: list[int]) -> list[int
             core_internal += core_internal << shift
             inner += (inner + c_core * ones - xc) << shift
             outer += (outer - xc) << shift
-            slots += (slots + 2 * ones) << shift
-            cores += cores << shift
             to_core = [a + (a << shift) for a in to_core[1:]]
             to_exc = [a + ((a + m * ones) << shift) for a, m in zip(to_exc[1:], later)]
         packed = [column + ((column + x * ones) << shift) for column, x in zip(packed, values)]
         ones |= ones << shift
         shift <<= 1
-    return [contact, internal, core_contact, core_internal, inner, outer, slots, cores, *packed]
-
-
-#: memoryview formats of signed lanes by width, on little-endian hosts.
-_LANE_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
-
-
-def _lanes(value: int, signs: int, width: int) -> list[int]:
-    """The signed lanes of a packed integer, lowest first: adding the sign lane
-    and flipping its bits back leaves each lane's two's complement in place."""
-    raw = ((value + signs) ^ signs).to_bytes(signs.bit_length() // 8, "little")
-    if width in _LANE_FORMATS:
-        return memoryview(raw).cast(_LANE_FORMATS[width]).tolist()
-    k = width // 8
-    return [int.from_bytes(raw[i:i + k], "little", signed=True) for i in range(0, len(raw), k)]
+    return [contact, internal, core_contact, core_internal, inner, outer, *packed]
 
 
 def _model_lanes(q: QuasistableGraph, t: int) -> SimpleNamespace:
     """Both scan verdicts and the packed columns of the model at twist t, one
     lane per mask, cached for the latest twist: `_lane_columns`, d(Y) and the
-    offset 2(g-1)(d(Y) - m(Y)); `_table_rows` decodes them.
-    Lanes are a power of two wide: sum |d_i| + sum |offset_i| + 3(g-1) sum c_i
-    bounds every column and both sides of every identity, plus a sign bit.
-    So a lane's sign bit, with the sign lane added, is set exactly when it is
-    not negative, and packed equality is equality lane by lane; `_checked_row`
-    runs mask by mask only when an identity fails on the whole integers.
-    Once they hold, the offset and 2(g-1) k(Y) - offset, (g-1)(core contact +
-    2 inner) and (g-1)(core contact + 2 outer), are not negative, and their
-    zero lanes mark the two ends.  Callers validate t and the spin structure
-    through spin_multidegree first."""
+    offset 2(g-1)(d(Y) - m(Y)); `_table_rows` decodes them.  `_lane_format`
+    sizes the lanes from sum |d_i| + sum |offset_i| + 3(g-1) sum c_i, a bound
+    on every column and both sides of every identity: sign bits read signs,
+    packed equality is lane-wise, and `_checked_row` runs mask by mask only
+    when an identity fails on the whole integers.  Once they hold, the offset
+    and 2(g-1) k(Y) - offset, (g-1)(core contact + 2 inner) and (g-1)(core
+    contact + 2 outer), are not negative, and their zero lanes mark the two
+    ends.  Callers validate t and the spin structure via spin_multidegree first."""
     if t in q._row_cache:
         return q._row_cache[t]
     g = _require_genus(q)
@@ -617,15 +597,11 @@ def _model_lanes(q: QuasistableGraph, t: int) -> SimpleNamespace:
         2 * half * d - _scaled_lower((2 * t + 1) * half, g, v.pa, c)
         for d, v, c in zip(degrees, q.vertices, q._contacts)
     ]
-    bound, width = sum(map(abs, degrees)) + sum(map(abs, singles)) + 3 * half * sum(q._contacts), 8
-    while bound >> (width - 1):
-        width <<= 1
+    width, signs = _lane_format(sum(map(abs, (*degrees, *singles))) + 3 * half * sum(q._contacts), q.n)
     contact, internal, core_contact, core_internal, inner, outer, slots, cores, degree, offset = (
         _lane_columns(q, width, degrees, singles)
     )
     offset -= 2 * half * internal
-    ones = int.from_bytes((1).to_bytes(width // 8, "little") * (1 << q.n), "little")
-    signs = ones << (width - 1)
     if not (
         (core_contact + signs) & (inner + signs) & (outer + signs) & signs == signs
         and internal - core_internal + inner == slots
@@ -638,43 +614,45 @@ def _model_lanes(q: QuasistableGraph, t: int) -> SimpleNamespace:
             if mask:
                 _checked_row(q, mask, k_y, e_y, tuple(counts), t, d_y, x_y)
         raise _model_error(q, "boundary columns fail on no single subcurve", t=t)
-    lows = signs - ones  # v + lows keeps a lane's sign bit clear exactly when v = 0
+    lows = signs - (signs >> (width - 1))  # v + lows: sign bit clear exactly when v = 0
     room = 2 * half * contact - offset
     # The GIT scan passes over the unions of exceptional components (no
     # core vertex) and the full curve (the top lane).
     q._row_cache = {t: SimpleNamespace(
         git_stable=not (~(room + lows) & (cores + lows) & signs >> width),
         orbit_closed=not (~(offset + lows) & (core_contact + lows) & signs),
-        signs=signs, width=width, rows=None, windows={},
+        signs=signs, width=width, rows=None,
         columns=(degree, core_contact, inner, outer, offset, room, contact),
     )}
     return q._row_cache[t]
 
 
 def _table_rows(q: QuasistableGraph, t: int) -> list:
-    """Boundary rows of every mask at twist t (index 0 the empty mask), decoded
-    once from the model's packed columns with its contacts and offsets."""
+    """(m(Y), k(Y), row) of every mask at twist t (index 0 the empty mask),
+    decoded once from the model's packed columns, one Fraction per distinct m(Y)."""
     table = _model_lanes(q, t)
     if table.rows is None:
         degree, core_contact, inner, outer, offset, room, contact = (
             _lanes(column, table.signs, table.width) for column in table.columns
         )
-        table.rows = list(zip(
-            degree, core_contact, map(not_, inner), map(not_, outer), map(not_, offset),
-            map(not_, room),
-        ))
-        table.contact, table.offset, table.columns = contact, offset, None
+        scale = 2 * (q.genus - 1)
+        scaled = [scale * d - x for d, x in zip(degree, offset)]  # 2(g-1) m(Y)
+        lowers = {x: Fraction(x, scale) for x in set(scaled)}
+        rows = zip(degree, core_contact, *(map(not_, x) for x in (inner, outer, offset, room)))
+        table.rows = list(zip(map(lowers.__getitem__, scaled), contact, rows))
+        table.columns = None
     return table.rows
 
 
-def _direct_row(q: QuasistableGraph, t: int, mask: int) -> tuple[int, int, tuple]:
-    """(genus, contact, row) of one mask in O(n^2), for models over the cap."""
+def _direct_row(q: QuasistableGraph, t: int, mask: int) -> tuple[Fraction, int, tuple]:
+    """(lower, contact, row) of one mask in O(n^2), for models over the cap."""
     g_y, k_y, internal = _mask_numbers(q, mask)
-    g = q.genus
+    g = _require_genus(q)
     degrees = q._spin_cache[t].values(q.ids)
     degree = sum(d for i, d in enumerate(degrees) if mask >> i & 1)
     offset = 2 * (g - 1) * degree - _scaled_lower((2 * t + 1) * (g - 1), g, g_y, k_y)
-    return g_y, k_y, _checked_row(q, mask, k_y, internal, _node_counts(q, mask), t, degree, offset)
+    row = _checked_row(q, mask, k_y, internal, _node_counts(q, mask), t, degree, offset)
+    return degree - Fraction(offset, 2 * (g - 1)), k_y, row
 
 
 def boundary_case(
@@ -686,23 +664,13 @@ def boundary_case(
     characterization (core_contact zero plus the appropriate exceptional
     clause).  The routes must agree, else RuntimeError: the degree formulas
     and the combinatorics would have come apart.  Within MAX_SUBSET_VERTICES
-    this is a lookup in rows decoded once from the model's packed columns for
-    t; larger models compute the one row directly.
+    this is a lookup in the model's boundary table for t, decoded once from
+    its packed columns; larger models compute the one row directly.
     """
     spin_multidegree(q, t, unsafe_t=unsafe_t)
     Y, mask = _as_subcurve(q, subcurve)
-    g = _require_genus(q)
-    if q.n > MAX_SUBSET_VERTICES:
-        g_y, k_y, row = _direct_row(q, t, mask)
-        return BoundaryCase._trusted(Y, _exact_lower((2 * t + 1) * (g - 1), g, g_y, k_y), k_y, row)
-    row = _table_rows(q, t)[mask]
-    table = q._row_cache[t]
-    # 2(g-1) m(Y) = 2(g-1) d(Y) - offset
-    scaled = 2 * (g - 1) * row[0] - table.offset[mask]
-    lower = table.windows.get(scaled)
-    if lower is None:
-        lower = table.windows[scaled] = Fraction(scaled, 2 * (g - 1))
-    return BoundaryCase._trusted(Y, lower, table.contact[mask], row)
+    entry = _direct_row(q, t, mask) if q.n > MAX_SUBSET_VERTICES else _table_rows(q, t)[mask]
+    return BoundaryCase._trusted(Y, *entry)
 
 
 def git_stable(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> bool:

@@ -10,6 +10,7 @@ import pytest
 
 import spinpicard.graphs as graphs
 from spinpicard import (
+    BlowupConfig,
     DomainError,
     DualGraph,
     GraphError,
@@ -18,9 +19,11 @@ from spinpicard import (
     Vertex,
     arithmetic_genus,
     basic_inequality,
+    boundary_case,
     decide_spin_component,
     enumerate_multidegrees,
     enumerate_spin_multidegrees,
+    exceptional_profile,
     expand,
     grouped_multidegree,
     is_stable,
@@ -244,6 +247,31 @@ def test_multidegree_basics():
         Multidegree.of({"a": 1.5})
     with pytest.raises(GraphError, match="3 entries but the graph has 2"):
         Multidegree.from_values(SPLIT3, [1, 2, 3])
+
+
+def test_accessors_reject_unknown_ids():
+    q = expand(SPLIT3, BlowupConfig({("C1", "C2"): 2}))
+    for call in (lambda: SPLIT3.contact("zz"), lambda: q.contact("zz"), lambda: q.core_contact("zz")):
+        with pytest.raises(GraphError, match="unknown vertex id 'zz'"):
+            call()
+    assert (q.contact("C1"), q.core_contact("C1")) == (4, 2)
+
+
+@pytest.mark.parametrize("call, argument", [
+    (lambda: Multidegree.of(None), "degrees"),
+    (lambda: Multidegree(None), "items"),
+    (lambda: Multidegree.from_values(SPLIT3, None), "values"),
+    (lambda: SPLIT3.relabeled(None), "mapping"),
+    (lambda: subcurve_profile(SPLIT3, None, 4), "subcurve"),
+    (lambda: exceptional_profile(expand(SPLIT3, BlowupConfig()), None), "subcurve"),
+    (lambda: boundary_case(expand(SPLIT3, BlowupConfig({("C1", "C2"): 2})), 10, None), "subcurve"),
+], ids=["of", "Multidegree", "from_values", "relabeled", "subcurve_profile",
+        "exceptional_profile", "boundary_case"])
+def test_none_for_a_table_or_a_subcurve_is_a_graph_error(call, argument):
+    """None where a table, a sequence or a subcurve belongs raises GraphError
+    naming the argument, not the AttributeError or TypeError of using it."""
+    with pytest.raises(GraphError, match=f"^{argument} must .*, got None$"):
+        call()
 
 
 def test_multidegree_checks_every_entry_before_sorting():

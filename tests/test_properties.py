@@ -17,18 +17,27 @@ check must match the per-vertex neighbor sums they replaced, errors included,
 and blow-up iteration the product of every count range filtered by
 spin_parity, on graphs with self-nodes.
 A kernel reused across stuck and feasible quotas and settles must answer
-as a fresh kernel does.
+as a fresh kernel does.  On JSON-shaped values the graph, multidegree,
+blow-up, witness and model constructors must build a value or raise a
+library error, and `cli.main` on such files must exit 0, 1 or 2 without a
+traceback.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spinpicard.cli as cli
 import spinpicard.quasistable as quasistable
 from spin_oracles import (
     named_violation,
@@ -43,6 +52,7 @@ from spinpicard import (
     BlowupConfig,
     DualGraph,
     Multidegree,
+    QuasistableGraph,
     SpinPicardError,
     SpinWitness,
     Vertex,
@@ -56,6 +66,7 @@ from spinpicard import (
     spin_multidegree,
     spin_parity,
     subcurve_profile,
+    validate_graph,
 )
 from spinpicard.graphs import _Orientation, _spin_base
 
@@ -351,7 +362,7 @@ def test_column_rows_match_the_direct_row_on_every_mask(case):
     cores = [(mask & ~q._exceptional_mask).bit_count() for mask in range(1 << q.n)]
     assert decoded == [contact, internal, *columns, cores], q
     for mask in range(1, 1 << q.n):
-        assert rows[mask] == quasistable._direct_row(q, t, mask)[2], (q, t, mask)
+        assert rows[mask] == quasistable._direct_row(q, t, mask), (q, t, mask)
         profile = exceptional_profile(q, [v for i, v in enumerate(q.ids) if mask >> i & 1])
         assert (profile.core_contact, profile.core_internal_nodes, profile.internal_nodes) == (
             core_contact[mask], core_internal[mask], internal[mask]
@@ -430,13 +441,15 @@ def test_blowup_iteration_matches_the_product_then_parity_oracle(base, data):
         assert got == want and list(map(repr, got)) == list(map(repr, want)), graph
 
 
+#: Field names of the blow-up, witness and graph JSON forms.
+FIELDS = ["s", "r", "u", "v", "vertex", "count", "vertices", "edges", "id", "pa", "multiplicity"]
+
 #: JSON-shaped values: nested None, bool, int, str, list and dict, with the
 #: strings drawn from ids and field names so that some values get deep.
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 3)
-    | st.sampled_from(["", "a", "b", "ab", "s", "r", "u", "v", "vertex", "count"]),
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(["", "a", "b", "ab", *FIELDS]),
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(["s", "r", "u", "v", "vertex", "count", "a"]), inner, max_size=4),
+    | st.dictionaries(st.sampled_from(["a", "self_nodes", *FIELDS]), inner, max_size=4),
     max_leaves=12,
 )
 
@@ -467,3 +480,68 @@ def test_blowup_and_witness_inputs_succeed_or_raise_library_errors(first, second
             call()
         except SpinPicardError:
             pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(json_values, json_values, json_values, json_values, st.booleans())
+def test_graph_and_degree_inputs_succeed_or_raise_library_errors(first, second, third, fourth, tuples):
+    """Whatever JSON-shaped values they get, the graph parser, the
+    multidegree constructors and the blow-up model constructor build a value
+    or raise a SpinPicardError."""
+    if tuples:
+        first, second, third, fourth = map(_as_tuples, (first, second, third, fourth))
+    source = DualGraph([("a", 1), ("b", 1)], {("a", "b"): 2})
+    for call in (
+        lambda: validate_graph(first),
+        lambda: Multidegree.of(first),
+        lambda: Multidegree(first),
+        lambda: QuasistableGraph(
+            first, second, exceptional=third, origin=fourth,
+            source=source, config=BlowupConfig({("a", "b"): 1}),
+        ),
+    ):
+        try:
+            call()
+        except SpinPicardError:
+            pass
+
+
+#: Valid graph files with ids "a" and "b", which the JSON-shaped values
+#: also draw, so that blow-up files and degree lists reach past the parser.
+CLI_GRAPHS = [
+    {"vertices": [{"id": "a", "pa": 0}, {"id": "b", "pa": 0}],
+     "edges": [{"u": "a", "v": "b", "multiplicity": 4}]},
+    {"vertices": [{"id": "a", "pa": 1}, {"id": "b", "pa": 2, "self_nodes": 1}],
+     "edges": [{"u": "a", "v": "b", "multiplicity": 2}]},
+]
+
+#: Subcommands run on a graph file G, a blow-up file B and a degree list D.
+CLI_COMMANDS = [
+    ["info", "G"],
+    ["bi", "G", "--total", "4", "--multidegree", "D"],
+    ["bi", "G", "--total", "4", "--enumerate", "--json"],
+    ["spin", "G", "-t", "10", "--blowups", "B", "--json"],
+    ["spin", "G", "-t", "10", "--decide", "D"],
+    ["spin", "G", "-t", "10", "--locus"],
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(json_values | st.sampled_from(CLI_GRAPHS), json_values, st.lists(st.integers(-2, 30), max_size=3))
+def test_cli_on_json_shaped_files_exits_cleanly(graph, blowups, degrees):
+    """Every subcommand that reads files, run in process on JSON-shaped
+    graph and blow-up files, exits 0, 1 or 2 and prints no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"G": Path(tmp, "g.json"), "B": Path(tmp, "b.json")}
+        files["G"].write_text(json.dumps(graph))
+        files["B"].write_text(json.dumps(blowups))
+        files["D"] = ",".join(map(str, degrees))
+        for command in CLI_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main([str(files.get(arg, arg)) for arg in command])
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2), (command, code)
+            assert "Traceback" not in err.getvalue(), command

@@ -376,7 +376,7 @@ def test_trusted_boundary_cases_equal_dataclass_built_ones():
         spin_multidegree(q, t)
         rows = quasistable._table_rows(q, t)
         for mask, Y in enumerate(iter_subcurves(q), start=1):
-            degree, core_contact, inner_ok, outer_ok, at_min, at_max = rows[mask]
+            degree, core_contact, inner_ok, outer_ok, at_min, at_max = rows[mask][2]
             profile = subcurve_profile(q, Y, (2 * t + 1) * (q.genus - 1))
             built = BoundaryCase(
                 subcurve=Y, degree=degree, lower=profile.lower, contact=profile.contact,

@@ -186,3 +186,20 @@ def test_one_witness_replay():
         and call.func.id == "_replay"
     }
     assert callers == {"grouped_multidegree", "decide_spin_component"}, callers
+
+
+def test_one_lane_format():
+    """Packed lanes have one byte layout: `graphs.py` alone defines the width
+    rule, `_lane_format`, and the signed-lane decoder, `_lanes`; the blow-up
+    model kernel in `quasistable.py` reads its lanes through them and turns
+    no integer into bytes or back itself."""
+    defined = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, []).append(path.name)
+    assert defined["_lane_format"] == defined["_lanes"] == ["graphs.py"]
+    tree = ast.parse((SRC / "quasistable.py").read_text())
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not used & {"to_bytes", "from_bytes", "memoryview", "_LANE_FORMATS"}, used

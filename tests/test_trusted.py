@@ -105,7 +105,7 @@ def _boundary_cases():
             rows = quasistable._table_rows(q, t)
             trusted, validated = [], []
             for mask, Y in enumerate(iter_subcurves(q), start=1):
-                degree, core_contact, inner_ok, outer_ok, at_min, at_max = rows[mask]
+                degree, core_contact, inner_ok, outer_ok, at_min, at_max = rows[mask][2]
                 profile = subcurve_profile(q, Y, (2 * t + 1) * (q.genus - 1))
                 trusted.append(boundary_case(q, t, Y))
                 validated.append(BoundaryCase(
