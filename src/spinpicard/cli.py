@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -369,6 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spin.add_argument("-g", "--genus", type=int, help="genus for --split-curve")
     add_common(p_spin)
     p_spin.set_defaults(handler=cmd_spin, usage_error=p_spin.error)
+    # A LIST may start with a negative degree, as argparse reads it from Python 3.13.
+    p_bi._negative_number_matcher = p_spin._negative_number_matcher = re.compile(r"-\.?\d")
 
     p_num = sub.add_parser("numerics", help="scalar invariants of the Picard variety")
     p_num.add_argument("verb", choices=["kdg", "coarse", "rank", "normalize"])

@@ -41,7 +41,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -240,9 +240,14 @@ class DualGraph:
 
     @cached_property
     def _matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(self._adjacency[u].get(v, 0) for v in self._ids) for u in self._ids
-        )
+        index, rows = self._index, [[0] * len(self._ids) for _ in self._ids]
+        for u, row in zip(self._ids, rows):
+            for v, m in self._adjacency[u].items():
+                row[index[v]] = m
+        return tuple(map(tuple, rows))
+
+    def _lane_verdict(self, multidegree: "Multidegree") -> Optional[bool]:
+        """True where kept lanes show the basic inequality; only blow-up models keep any."""
 
     # -- conversions -------------------------------------------------------
 
@@ -679,7 +684,11 @@ _LANE_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little"
 def _lane_format(bound: int, n: int) -> tuple[int, int]:
     """Width and sign lane (each top bit) of packed integers, one lane per mask
     of n vertices: the least power of two from 8 bits that holds +-``bound``."""
-    width = max(8, 1 << bound.bit_length().bit_length())
+    return _lane_layout(max(8, 1 << bound.bit_length().bit_length()), n)
+
+
+@lru_cache(maxsize=64)  # the sign lane of 2^n lanes costs microseconds to build
+def _lane_layout(width: int, n: int) -> tuple[int, int]:
     return width, int.from_bytes((bytes(width // 8 - 1) + b"\x80") * (1 << n), "little")
 
 
@@ -699,12 +708,14 @@ def basic_inequality(
     """Check m(Y) <= d(Y) <= m(Y) + k(Y) on every nonempty subcurve.
 
     Every subset of components is tested, disconnected ones included, the full
-    curve too (where the bounds are trivially tight).  Arithmetic is exact, so
-    equality at either end is detected reliably.
+    curve too (where the bounds are trivially tight), in exact arithmetic.  A
+    blow-up model answers for its spin multidegrees from its kernel's lanes.
     """
     _check_multidegree(graph, multidegree)
     _check_cap(graph, max_vertices)
     g = _require_genus(graph)
+    if graph._lane_verdict(multidegree):
+        return BIReport(satisfied=True, violations=())
     d_total = multidegree.total
     ids, half = graph.ids, g - 1
     # 2(g-1) m(Y) = d w(Y) - (g-1) k(Y) with w(Y) = 2 g(Y) - 2 + k(Y) additive
@@ -846,8 +857,8 @@ def _check_pair_bounds(graph: DualGraph, counts: Mapping, error: type) -> None:
 
 def _odd_vertex(graph: DualGraph, s: Mapping) -> Optional[tuple[str, int]]:
     """The first vertex, in id order, left with an odd number of unblown
-    nodes with other components, and that number, or None: the one parity
-    count, ``s`` counting the blown nodes of each sorted pair of the graph."""
+    nodes with other components, and that number, or None: the parity count
+    of configs and witnesses, ``s`` counting the blown nodes of each pair."""
     left = list(graph._contacts)
     index = graph._index
     for (u, v), count in s.items():

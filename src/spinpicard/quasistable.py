@@ -12,8 +12,8 @@ On such a model with twist parameter t, the canonical spin multidegree is
 
 on non-exceptional (core) vertices and 1 on exceptional ones, core_contact
 counting the nodes shared with core neighbors.  The halving needs spin
-parity (every core_contact even, as Cornalba requires of spin curves),
-which `graphs._odd_vertex` counts for configs and for models alike.
+parity (every core_contact even, as Cornalba requires of spin curves), which
+`spin_multidegree` reads off the exceptional rows with the core contacts.
 
 `expand` builds the model through the trusted graph builder and still
 checks its invariants (its contraction against the source, its origin table
@@ -22,11 +22,11 @@ blow-ups to replay.
 
 The boundary predicates decide whether a subcurve sits at an end of its
 admissible degree range, whether the model is GIT-stable, and whether its
-orbit is closed.  One check (`_checked_row`) ties exact comparison to node
-counts: on whole packed integers, one lane per subcurve, per model and twist
-within the subset cap (`_model_lanes`), and on one subcurve over the cap and
-in exceptional_profile.  The lane format, the per-pair count helpers and
-``check_t``, which this module exports, come from :mod:`spinpicard.graphs`.
+orbit is closed.  Within the subset cap they and `basic_inequality` on the
+spin multidegree read one kernel pass per model and twist (`_model_lanes`,
+one lane per subcurve), checked on whole integers by the identities of
+`_checked_row`, which also checks single subcurves past the cap.  The lane
+format, the count helpers and ``check_t`` come from :mod:`spinpicard.graphs`.
 """
 
 from __future__ import annotations
@@ -274,6 +274,11 @@ class QuasistableGraph(DualGraph):
         self.index(vid)
         return sum(m for nbr, m in self._adjacency[vid].items() if nbr not in self.exceptional)
 
+    def _lane_verdict(self, multidegree: Multidegree) -> Optional[bool]:
+        """True when the lanes at the twist of this spin multidegree show the basic inequality."""
+        t = next((t for t, md in self._spin_cache.items() if md.items == multidegree.items), None)
+        return None if t is None else _model_lanes(self, t).satisfied
+
     @cached_property
     def _exceptional_mask(self) -> int:
         return sum(1 << self._index[vid] for vid in self.exceptional)
@@ -379,16 +384,18 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
     check_t(t, unsafe_t=unsafe_t)
     if t in q._spin_cache:
         return q._spin_cache[t]
-    exc = q.exceptional
-    odd = _odd_vertex(q, {_pair(e, v): m for e in exc for v, m in q._adjacency[e].items()})
-    if odd:
+    exc, index, core_contact = q.exceptional, q._index, list(q._contacts)
+    for v, m in itertools.chain.from_iterable(q._adjacency[e].items() for e in exc):
+        core_contact[index[v]] -= m  # an exceptional vertex meets core vertices only
+    odd = next((i for i, c in enumerate(core_contact) if c % 2), None)
+    if odd is not None:
         raise ParityError(
-            f"no spin structure: vertex {odd[0]!r} keeps {odd[1]} nodes with "
+            f"no spin structure: vertex {q.ids[odd]!r} keeps {core_contact[odd]} nodes with "
             f"non-exceptional neighbors (odd)"
         )
     md = Multidegree._trusted([
-        (vid, 1 if vid in exc else base + q.core_contact(vid) // 2)
-        for vid, base in zip(q.ids, _spin_base(q, t))
+        (vid, 1 if vid in exc else base + c // 2)
+        for vid, base, c in zip(q.ids, _spin_base(q, t), core_contact)
     ])
     expected = (2 * t + 1) * (q.genus - 1)
     if md.total != expected:
@@ -578,16 +585,16 @@ def _lane_columns(q: QuasistableGraph, width: int, *sums: list[int]) -> list[int
 
 
 def _model_lanes(q: QuasistableGraph, t: int) -> SimpleNamespace:
-    """Both scan verdicts and the packed columns of the model at twist t, one
+    """Every scan verdict and the packed columns of the model at twist t, one
     lane per mask, cached for the latest twist: `_lane_columns`, d(Y) and the
     offset 2(g-1)(d(Y) - m(Y)); `_table_rows` decodes them.  `_lane_format`
     sizes the lanes from sum |d_i| + sum |offset_i| + 3(g-1) sum c_i, a bound
     on every column and both sides of every identity: sign bits read signs,
     packed equality is lane-wise, and `_checked_row` runs mask by mask only
-    when an identity fails on the whole integers.  Once they hold, the offset
-    and 2(g-1) k(Y) - offset, (g-1)(core contact + 2 inner) and (g-1)(core
-    contact + 2 outer), are not negative, and their zero lanes mark the two
-    ends.  Callers validate t and the spin structure via spin_multidegree first."""
+    when an identity fails on the whole integers.  The basic inequality holds
+    where the offset and 2(g-1) k(Y) - offset, by the identities (g-1)(core
+    contact + 2 inner) and (g-1)(core contact + 2 outer), are not negative;
+    zero lanes mark the two ends.  Callers run spin_multidegree at t first."""
     if t in q._row_cache:
         return q._row_cache[t]
     g = _require_genus(q)
@@ -619,6 +626,7 @@ def _model_lanes(q: QuasistableGraph, t: int) -> SimpleNamespace:
     # The GIT scan passes over the unions of exceptional components (no
     # core vertex) and the full curve (the top lane).
     q._row_cache = {t: SimpleNamespace(
+        satisfied=(offset + signs) & (room + signs) & signs == signs,
         git_stable=not (~(room + lows) & (cores + lows) & signs >> width),
         orbit_closed=not (~(offset + lows) & (core_contact + lows) & signs),
         signs=signs, width=width, rows=None,
@@ -667,10 +675,13 @@ def boundary_case(
     this is a lookup in the model's boundary table for t, decoded once from
     its packed columns; larger models compute the one row directly.
     """
-    spin_multidegree(q, t, unsafe_t=unsafe_t)
+    check_t(t, unsafe_t=unsafe_t)
+    rows = getattr(q._row_cache.get(t), "rows", None)
+    if rows is None:  # the first call at t: the spin structure, then the table
+        spin_multidegree(q, t, unsafe_t=unsafe_t)
+        rows = None if q.n > MAX_SUBSET_VERTICES else _table_rows(q, t)
     Y, mask = _as_subcurve(q, subcurve)
-    entry = _direct_row(q, t, mask) if q.n > MAX_SUBSET_VERTICES else _table_rows(q, t)[mask]
-    return BoundaryCase._trusted(Y, *entry)
+    return BoundaryCase._trusted(Y, *(_direct_row(q, t, mask) if rows is None else rows[mask]))
 
 
 def git_stable(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> bool:

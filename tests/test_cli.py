@@ -121,6 +121,19 @@ def test_bi_wrong_list_length(split3, capsys):
     assert "spinpicard: error:" in err
 
 
+@pytest.mark.parametrize("verb, head, option, value", [
+    ("bi", ("--total", "4"), "--multidegree", "-2,6"),
+    ("spin", ("-t", "10"), "--decide", "-1,43"),
+])
+@pytest.mark.parametrize("tail", [(), ("--json",)])
+def test_a_list_may_start_with_a_negative_degree(split3, capsys, verb, head, option, value, tail):
+    """A LIST after a space parses like the ``--option=LIST`` form: same
+    exit code, same output bytes."""
+    spaced = run_cli(capsys, verb, split3, *head, option, value, *tail)
+    assert spaced[0] in (0, 1)
+    assert spaced == run_cli(capsys, verb, split3, *head, f"{option}={value}", *tail)
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": [,]}')

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spinpicard.graphs as graphs
 import spinpicard.quasistable as quasistable
 import spinpicard.spin_locus as spin_locus
 from spin_oracles import subcurve_table
@@ -28,6 +29,7 @@ from spinpicard import (
     BIReport,
     BIViolation,
     BlowupConfig,
+    DomainError,
     DualGraph,
     GraphTooLargeError,
     Multidegree,
@@ -234,6 +236,90 @@ def test_basic_inequality_matches_member_loop_on_models(quasistable_corpus):
         candidates = [md, _perturbed(md, rng, 2)] if q.n > 1 else [md]
         for candidate in candidates:
             assert basic_inequality(q, candidate) == Oracle(q).basic_inequality(candidate)
+
+
+# -- one model-kernel pass per model and twist ---------------------------------
+
+
+def _plain(q) -> DualGraph:
+    """The model as a plain dual graph, which keeps no model lanes."""
+    return DualGraph(q.vertices, list(q.pairs()))
+
+
+def test_basic_inequality_on_models_equals_a_plain_copy(quasistable_corpus):
+    """The verdict on a spin multidegree comes from the model's lanes, for
+    the cached object and for an equal one; a perturbed multidegree (on every
+    fifth case) takes the packed scan and keeps its violations.  Both equal
+    the plain graph's."""
+    rng = random.Random(1989)
+    checked = violations = 0
+    for q in models(quasistable_corpus):
+        plain = _plain(q)
+        for t in (10, 11):
+            md = spin_multidegree(q, t)
+            got = basic_inequality(q, md)
+            assert list(q._row_cache) == [t]
+            assert got == basic_inequality(q, Multidegree(md.items)) == basic_inequality(plain, md)
+            assert got == BIReport(True, ())
+            if q.n > 1 and checked % 5 == 0:
+                moved = _perturbed(md, rng, 3)
+                report = basic_inequality(q, moved)
+                assert report == basic_inequality(plain, moved)
+                violations += len(report.violations)
+            checked += 1
+    assert checked == 2 * 2543 and violations > 1000
+
+
+def test_scans_after_basic_inequality_build_no_lanes_again(quasistable_corpus, monkeypatch):
+    built = []
+    columns = quasistable._lane_columns
+    monkeypatch.setattr(quasistable, "_lane_columns", lambda *args: built.append(1) or columns(*args))
+    for count, q in enumerate(models(quasistable_corpus, step=17), 1):
+        assert basic_inequality(q, spin_multidegree(q, 10)).satisfied
+        assert len(built) == count
+        git_stable_exhaustive(q, 10)
+        orbit_closed_check(q, 10)
+        boundary_case(q, 10, q.ids[:1])
+        assert len(built) == count
+    assert count > 100
+
+
+def test_a_lane_identity_failing_inside_basic_inequality_is_replayable():
+    split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
+    q = expand(split, BlowupConfig({("C1", "C2"): 4}))
+    md = spin_multidegree(q, 10)
+    third = sorted(q.exceptional)[2]
+    q._spin_cache[10] = moved = Multidegree.of({**md.as_dict(), third: 2})
+    with pytest.raises(RuntimeError) as err:
+        basic_inequality(q, moved)
+    payload = replay_payload(err)
+    assert payload["t"] == 10 and third in payload["subcurve"]
+
+
+def test_a_table_built_under_unsafe_t_still_checks_the_twist():
+    split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
+    q = expand(split, BlowupConfig({("C1", "C2"): 2}))
+    case = boundary_case(q, 5, {"C1"}, unsafe_t=True)
+    assert q._row_cache[5].rows is not None
+    with pytest.raises(DomainError, match="at least 10"):
+        boundary_case(q, 5, {"C1"})
+    assert boundary_case(q, 5, {"C1"}, unsafe_t=True) == case
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+def test_cached_sign_lane_equals_its_byte_construction(width):
+    for n in range(13):
+        expected = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * (1 << n), "little")
+        assert graphs._lane_format((1 << (width - 2)) - 1, n) == (width, expected)
+        assert graphs._lane_format(1 << (width // 2 - 1), n) == (width, expected)
+
+
+def test_node_matrix_equals_the_lookup_construction(quasistable_corpus):
+    for graph in [*quasistable_corpus, *models(quasistable_corpus)]:
+        ids = graph.ids
+        assert graph._matrix == tuple(
+            tuple(graph._adjacency[u].get(v, 0) for v in ids) for u in ids
+        )
 
 
 # The packed scan keeps (g-1) k(Y) -+ X(Y), X(Y) = 2(g-1) d(Y) - d w(Y), in

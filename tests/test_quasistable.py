@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 import spinpicard.quasistable as quasistable
-from spin_oracles import product_blowup_configs
+from spin_oracles import neighbor_sum_odd_vertex, product_blowup_configs
 from spinpicard import (
     BlowupConfig,
     BlowupError,
@@ -270,6 +270,23 @@ def test_spin_multidegree_parity_error():
     q = expand(SPLIT3, BlowupConfig({("C1", "C2"): 1}))
     with pytest.raises(ParityError):
         spin_multidegree(q, 10)
+
+
+def test_parity_error_names_the_neighbor_sum_oracles_vertex(quasistable_corpus):
+    odd = 0
+    for graph in quasistable_corpus[::3]:
+        for config in iter_blowup_configs(graph):
+            found = neighbor_sum_odd_vertex(graph, config)
+            if found is None:
+                continue
+            with pytest.raises(ParityError) as err:
+                spin_multidegree(expand(graph, config), 10)
+            assert str(err.value) == (
+                f"no spin structure: vertex {found[0]!r} keeps {found[1]} nodes with "
+                f"non-exceptional neighbors (odd)"
+            )
+            odd += 1
+    assert odd > 100
 
 
 def test_spin_multidegree_twist_bound():
