@@ -5,8 +5,9 @@ on stdout with sorted keys, so identical invocations are byte-identical.
 Rationals are printed as exact fractions ("19", "39/2"), never as decimals.
 Diagnostics go to stderr and the exit code is 0 exactly when no error occurred.
 
-Each handler imports the library modules it calls, and only those, so that a
-command compiles no module it does not run.
+Each handler returns its JSON payload and its text lines, and imports the
+library modules it calls, and only those, so that a command compiles no
+module it does not run.
 """
 
 from __future__ import annotations
@@ -15,25 +16,11 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import SpinPicardError
 
 PROG = "spinpicard"
-
-
-@dataclass
-class Envelope:
-    """What a subcommand produced: the JSON payload plus its human rendering."""
-
-    command: str
-    inputs: dict
-    result: dict
-    lines: list = field(default_factory=list)
-
-    def payload(self) -> dict:
-        return {"command": self.command, "inputs": self.inputs, "result": self.result}
 
 
 def _q(x) -> str:
@@ -74,20 +61,19 @@ def _parse_degree_list(text: str, graph):
     return Multidegree.from_values(graph, values)
 
 
-def _listing(command: str, inputs: dict, mode: str, graph, found, headline: str) -> Envelope:
+def _listing(command: str, inputs: dict, mode: str, graph, found, headline: str):
     """A list of multidegrees as id-ordered degree vectors, under a headline."""
     rows = [list(md.values(graph.ids)) for md in found]
     result = {"mode": mode, "vertex_order": list(graph.ids), "count": len(rows), "multidegrees": rows}
-    env = Envelope(command=command, inputs=inputs, result=result)
-    env.lines += [headline, f"vertex order: {', '.join(graph.ids)}"]
-    env.lines += ["  (" + ", ".join(map(str, row)) + ")" for row in rows]
-    return env
+    lines = [headline, f"vertex order: {', '.join(graph.ids)}"]
+    lines += ["  (" + ", ".join(map(str, row)) + ")" for row in rows]
+    return {"command": command, "inputs": inputs, "result": result}, lines
 
 
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_info(args) -> Envelope:
+def cmd_info(args):
     from .graphs import arithmetic_genus, is_stable
 
     graph = _load_graph(args.graph)
@@ -95,31 +81,25 @@ def cmd_info(args) -> Envelope:
     stable = is_stable(graph)
     pair_nodes = sum(m for _, _, m in graph.pairs())
     self_nodes = sum(v.self_nodes for v in graph.vertices)
-    env = Envelope(
-        command="info",
-        inputs={"graph": args.graph},
-        result={
-            "genus": genus,
-            "stable": stable,
-            "vertex_count": graph.n,
-            "pair_node_count": pair_nodes,
-            "self_node_count": self_nodes,
-            **graph.to_dict(),
-        },
-    )
-    env.lines.append(f"genus {genus}, {'stable' if stable else 'NOT stable'}")
-    env.lines.append(
+    result = {
+        "genus": genus,
+        "stable": stable,
+        "vertex_count": graph.n,
+        "pair_node_count": pair_nodes,
+        "self_node_count": self_nodes,
+        **graph.to_dict(),
+    }
+    lines = [
+        f"genus {genus}, {'stable' if stable else 'NOT stable'}",
         f"{graph.n} vertices, {pair_nodes} nodes between distinct components, "
-        f"{self_nodes} self-nodes"
-    )
-    for v in graph.vertices:
-        env.lines.append(f"  {v.id}: pa={v.pa}, self_nodes={v.self_nodes}")
-    for u, v, m in graph.pairs():
-        env.lines.append(f"  {u} -- {v}: {m}")
-    return env
+        f"{self_nodes} self-nodes",
+    ]
+    lines += [f"  {v.id}: pa={v.pa}, self_nodes={v.self_nodes}" for v in graph.vertices]
+    lines += [f"  {u} -- {v}: {m}" for u, v, m in graph.pairs()]
+    return {"command": "info", "inputs": {"graph": args.graph}, "result": result}, lines
 
 
-def cmd_bi(args) -> Envelope:
+def cmd_bi(args):
     from .graphs import basic_inequality, enumerate_multidegrees
 
     graph = _load_graph(args.graph)
@@ -132,35 +112,29 @@ def cmd_bi(args) -> Envelope:
             )
         report = basic_inequality(graph, md, max_vertices=args.max_vertices)
         inputs["multidegree"] = md.as_dict()
-        env = Envelope(
-            command="bi",
-            inputs=inputs,
-            result={
-                "mode": "check",
-                "satisfied": report.satisfied,
-                "violations": [
-                    {
-                        "subcurve": sorted(v.subcurve),
-                        "degree": v.degree,
-                        "lower": _q(v.lower),
-                        "upper": _q(v.upper),
-                    }
-                    for v in report.violations
-                ],
-            },
-        )
+        result = {
+            "mode": "check",
+            "satisfied": report.satisfied,
+            "violations": [
+                {
+                    "subcurve": sorted(v.subcurve),
+                    "degree": v.degree,
+                    "lower": _q(v.lower),
+                    "upper": _q(v.upper),
+                }
+                for v in report.violations
+            ],
+        }
         if report.satisfied:
-            env.lines.append("basic inequality: satisfied on every subcurve")
+            lines = ["basic inequality: satisfied on every subcurve"]
         else:
-            env.lines.append(
-                f"basic inequality: VIOLATED on {len(report.violations)} subcurve(s)"
-            )
+            lines = [f"basic inequality: VIOLATED on {len(report.violations)} subcurve(s)"]
             for v in report.violations:
                 names = ", ".join(sorted(v.subcurve))
-                env.lines.append(
+                lines.append(
                     f"  Y={{{names}}}: degree {v.degree} outside [{_q(v.lower)}, {_q(v.upper)}]"
                 )
-        return env
+        return {"command": "bi", "inputs": inputs, "result": result}, lines
 
     found = enumerate_multidegrees(graph, args.total, max_vertices=args.max_vertices)
     return _listing(
@@ -169,7 +143,7 @@ def cmd_bi(args) -> Envelope:
     )
 
 
-def cmd_spin(args) -> Envelope:
+def cmd_spin(args):
     if args.max_vertices is not None and not args.locus:
         args.usage_error("argument --max-vertices: only --locus reads it")
     if args.genus is not None and not args.split_curve:
@@ -184,25 +158,19 @@ def cmd_spin(args) -> Envelope:
             raise SpinPicardError("--split-curve needs -g/--genus")
         rows = split_curve_table(args.genus, t, unsafe_t=unsafe)
         bidegrees = sorted({(r.d1, r.d2) for r in rows})
-        env = Envelope(
-            command="spin",
-            inputs={"mode": "split-curve", "genus": args.genus, "t": t},
-            result={
-                "rows": [
-                    {"s": r.s, "sigma": r.sigma, "d1": r.d1, "d2": r.d2} for r in rows
-                ],
-                "bidegrees": [list(b) for b in bidegrees],
-                "count": len(bidegrees),
-            },
-        )
-        env.lines.append(
+        result = {
+            "rows": [{"s": r.s, "sigma": r.sigma, "d1": r.d1, "d2": r.d2} for r in rows],
+            "bidegrees": [list(b) for b in bidegrees],
+            "count": len(bidegrees),
+        }
+        lines = [
             f"split curve of genus {args.genus} at t={t}: "
-            f"{len(rows)} (s, sigma) rows, {len(bidegrees)} distinct bidegrees"
-        )
-        env.lines.append("  s  sigma    d1    d2")
-        for r in rows:
-            env.lines.append(f"  {r.s:<2} {r.sigma:<5} {r.d1:>5} {r.d2:>5}")
-        return env
+            f"{len(rows)} (s, sigma) rows, {len(bidegrees)} distinct bidegrees",
+            "  s  sigma    d1    d2",
+        ]
+        lines += [f"  {r.s:<2} {r.sigma:<5} {r.d1:>5} {r.d2:>5}" for r in rows]
+        inputs = {"mode": "split-curve", "genus": args.genus, "t": t}
+        return {"command": "spin", "inputs": inputs, "result": result}, lines
 
     if args.graph is None:
         raise SpinPicardError("a graph file is required unless --split-curve is used")
@@ -216,10 +184,9 @@ def cmd_spin(args) -> Envelope:
         parity = spin_parity(graph, config)
         inputs["blowups"] = args.blowups
         result = {"mode": "blowups", "spin_parity": parity}
-        env = Envelope(command="spin", inputs=inputs, result=result)
+        payload = {"command": "spin", "inputs": inputs, "result": result}
         if not parity:
-            env.lines.append("spin parity: FAILS (no spin structure on this model)")
-            return env
+            return payload, ["spin parity: FAILS (no spin structure on this model)"]
         q = expand(graph, config)
         md = spin_multidegree(q, t, unsafe_t=unsafe)
         stable = git_stable(q, t, unsafe_t=unsafe)
@@ -234,16 +201,14 @@ def cmd_spin(args) -> Envelope:
                 "orbit_closed": True,
             }
         )
-        env.lines.append("spin parity: holds")
-        env.lines.append(
-            f"expanded model: {q.n} vertices, {len(q.exceptional)} exceptional"
-        )
-        env.lines.append(f"spin multidegree (total {md.total}):")
-        for vid, deg in md.items:
-            env.lines.append(f"  {vid}: {deg}")
-        env.lines.append(f"GIT stable: {'yes' if stable else 'no'}")
-        env.lines.append("orbit closed: yes")
-        return env
+        lines = [
+            "spin parity: holds",
+            f"expanded model: {q.n} vertices, {len(q.exceptional)} exceptional",
+            f"spin multidegree (total {md.total}):",
+        ]
+        lines += [f"  {vid}: {deg}" for vid, deg in md.items]
+        lines += [f"GIT stable: {'yes' if stable else 'no'}", "orbit closed: yes"]
+        return payload, lines
 
     if args.decide is not None:
         from .spin_locus import decide_spin_component
@@ -253,15 +218,12 @@ def cmd_spin(args) -> Envelope:
         witness = decide_spin_component(graph, t, md, unsafe_t=unsafe)
         inputs["multidegree"] = md.as_dict()
         result = {"mode": "decide", "met": True, "witness": witness.to_dict()}
-        env = Envelope(command="spin", inputs=inputs, result=result)
-        env.lines.append("witness found:")
-        for u, v, c in witness.s_items():
-            env.lines.append(f"  s[{u}, {v}] = {c}")
-        for u, v, c in witness.sigma_items():
-            env.lines.append(f"  sigma[{u}, {v}] = {c}")
+        lines = ["witness found:"]
+        lines += [f"  s[{u}, {v}] = {c}" for u, v, c in witness.s_items()]
+        lines += [f"  sigma[{u}, {v}] = {c}" for u, v, c in witness.sigma_items()]
         if not witness.s_items():
-            env.lines.append("  (no blow-ups needed)")
-        return env
+            lines.append("  (no blow-ups needed)")
+        return {"command": "spin", "inputs": inputs, "result": result}, lines
 
     # The mode group is required, so --locus is the one mode left.
     from .spin_locus import enumerate_spin_multidegrees
@@ -273,7 +235,7 @@ def cmd_spin(args) -> Envelope:
     )
 
 
-def cmd_numerics(args) -> Envelope:
+def cmd_numerics(args):
     from . import numerics
 
     g = args.genus
@@ -286,34 +248,32 @@ def cmd_numerics(args) -> Envelope:
     inputs = {"verb": verb, "g": g}
     if needs_d:
         inputs["d"] = args.degree
-    env = Envelope(command="numerics", inputs=inputs, result={})
 
     if verb == "kdg":
         import math
 
         value = numerics.kouvidakis_class(g, args.degree)
         divisor = math.gcd(2 * g - 2, g + args.degree - 1)
-        env.lines.append(
+        line = (
             f"kouvidakis class = (2g-2)/gcd(2g-2, g+d-1) "
             f"= {2 * g - 2}/{divisor} = {value}"
         )
     elif verb == "coarse":
         value = numerics.coarse_moduli_predicate(g, args.degree)
-        env.lines.append(
+        line = (
             f"gcd(d-g+1, 2g-2) = gcd({args.degree - g + 1}, {2 * g - 2}) "
             f"{'= 1: coarse moduli space exists' if value else '> 1: no coarse moduli space'}"
         )
     elif verb == "rank":
         value = numerics.class_group_rank(g)
-        env.lines.append(f"class group rank = floor(g/2) + 3 = {g // 2} + 3 = {value}")
+        line = f"class group rank = floor(g/2) + 3 = {g // 2} + 3 = {value}"
     else:  # normalize
         value = numerics.normalize_degree(g, args.degree)
-        env.lines.append(
+        line = (
             f"smallest degree >= 20(g-1) = {20 * (g - 1)} congruent to "
             f"{args.degree} mod {2 * g - 2}: {value}"
         )
-    env.result = {"value": value}
-    return env
+    return {"command": "numerics", "inputs": inputs, "result": {"value": value}}, [line]
 
 
 # -- wiring ----------------------------------------------------------------
@@ -387,14 +347,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        envelope = args.handler(args)
+        payload, lines = args.handler(args)
     except SpinPicardError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(envelope.payload(), sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for line in envelope.lines:
+        for line in lines:
             print(line)
     return 0
 

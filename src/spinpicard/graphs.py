@@ -23,7 +23,10 @@ singleton bounds are integers, enumeration lists orientations instead.
 Graphs built from data the library has checked itself (the node rows of
 parsed JSON, a blow-up, a contraction or a relabeling) come from one
 builder, ``DualGraph._trusted``, which skips re-validation but still checks
-connectivity.
+connectivity.  Every other value the library derives itself (vertices,
+multidegrees, violations, blow-up configs, boundary cases, witnesses and
+split-curve rows) comes from one helper, `_unchecked`, which sets its
+attributes without running the class's validating constructor.
 
 The twist check, the spin base, and the per-pair count tables that blow-up
 models and spin witnesses share live here as well, so
@@ -71,6 +74,28 @@ __all__ = [
 MAX_SUBSET_VERTICES = 12
 
 
+_WHOLE = object()
+
+
+def _unchecked(cls: type, attrs, value=_WHOLE, _new=object.__new__, _set=object.__setattr__):
+    """An instance of ``cls`` built without ``__init__`` or ``__post_init__``,
+    for values the library checked or derived itself.  ``attrs`` is its whole
+    attribute dict, holding what the validating constructor would set, in
+    its order, so the two agree on eq, hash, repr and vars; or, given
+    ``value``, the name of one attribute, set as an assignment sets it: a
+    multidegree's one field, or the first of a plain class, whose others the
+    caller assigns.  Attributes set that way need no dict per instance; a
+    dict each would double the memory of an enumeration's multidegrees and
+    the time of a blow-up config.  (``_new`` and ``_set`` save two lookups
+    per call.)"""
+    instance = _new(cls)
+    if value is _WHOLE:
+        _set(instance, "__dict__", attrs)
+    else:
+        _set(instance, attrs, value)
+    return instance
+
+
 @dataclass(frozen=True)
 class Vertex:
     """One irreducible component: identifier, arithmetic genus, self-node count.
@@ -86,14 +111,6 @@ class Vertex:
 
     def __post_init__(self) -> None:
         _check_vertex(self.id, self.pa, self.self_nodes)
-
-    @classmethod
-    def _trusted(cls, vid: str, pa: int, self_nodes: int) -> "Vertex":
-        """A vertex of fields the library has checked or derived itself,
-        without the frozen dataclass's per-field assignments."""
-        vertex = object.__new__(cls)
-        object.__setattr__(vertex, "__dict__", {"id": vid, "pa": pa, "self_nodes": self_nodes})
-        return vertex
 
 
 def _check_vertex(vid, pa, self_nodes) -> None:
@@ -322,7 +339,7 @@ def validate_graph(raw) -> DualGraph:
             raise GraphError(f"vertices[{i}]: 'id' and 'pa' are required")
         vid, pa, self_nodes = entry["id"], entry["pa"], entry.get("self_nodes", 0)
         _check_vertex(vid, pa, self_nodes)
-        vertices.append(Vertex._trusted(vid, pa, self_nodes))
+        vertices.append(_unchecked(Vertex, {"id": vid, "pa": pa, "self_nodes": self_nodes}))
 
     edges_raw = raw.get("edges", [])
     if not isinstance(edges_raw, list):
@@ -436,14 +453,6 @@ class Multidegree:
             raise GraphError("multidegree assigns a vertex id twice")
         object.__setattr__(self, "items", norm)
 
-    @classmethod
-    def _trusted(cls, items: Iterable[tuple[str, int]]) -> "Multidegree":
-        """A multidegree the library built itself, without re-validation:
-        ``items`` (id, int) pairs, the ids sorted and distinct (a graph's)."""
-        md = object.__new__(cls)
-        object.__setattr__(md, "items", tuple(items))
-        return md
-
     @cached_property
     def _lookup(self) -> dict[str, int]:
         # Not a dataclass field, so eq, hash and repr ignore it.
@@ -486,6 +495,8 @@ class Multidegree:
 
 
 def _check_multidegree(graph: DualGraph, md: Multidegree) -> None:
+    if not isinstance(md, Multidegree):
+        raise GraphError(f"multidegree must be a Multidegree, got {type(md).__name__}")
     have, want = {vid for vid, _ in md.items}, set(graph.ids)
     if have != want:
         parts = [
@@ -562,6 +573,11 @@ def _mask_numbers(graph: DualGraph, mask: int) -> tuple[int, int, int]:
     return genus, contact, internal
 
 
+def _check_total(d_total: int) -> None:
+    if isinstance(d_total, bool) or not isinstance(d_total, int):
+        raise DomainError(f"d_total must be an integer, got {d_total!r}")
+
+
 def _require_genus(graph: DualGraph) -> int:
     """The graph's genus, which degree bounds need to be at least 2."""
     g = graph.genus
@@ -609,6 +625,7 @@ def subcurve_profile(
     lower bound divides by g - 1.
     """
     Y, mask = _as_subcurve(graph, subcurve)
+    _check_total(d_total)
     g = _require_genus(graph)
     g_y, k_y, _ = _mask_numbers(graph, mask)
     lower = _exact_lower(d_total, g, g_y, k_y)
@@ -632,16 +649,6 @@ class BIViolation:
     lower: Fraction
     upper: Fraction
 
-    @classmethod
-    def _trusted(cls, subcurve: frozenset, degree: int, window: tuple[Fraction, Fraction]):
-        """A violation with bounds ``window``, set without per-field assignments."""
-        violation = object.__new__(cls)
-        lower, upper = window
-        object.__setattr__(violation, "__dict__", {
-            "subcurve": subcurve, "degree": degree, "lower": lower, "upper": upper,
-        })
-        return violation
-
 
 @dataclass(frozen=True)
 class BIReport:
@@ -653,6 +660,8 @@ class BIReport:
 
 def _check_cap(graph: DualGraph, max_vertices: Optional[int]) -> None:
     limit = MAX_SUBSET_VERTICES if max_vertices is None else max_vertices
+    if isinstance(limit, bool) or not isinstance(limit, int):
+        raise DomainError(f"max_vertices must be an integer or None, got {max_vertices!r}")
     if graph.n > limit:
         raise GraphTooLargeError(
             f"graph has {graph.n} vertices; subset scans are capped at {limit} "
@@ -749,7 +758,7 @@ def basic_inequality(
         (_subset_sums(column[:split], zero), _subset_sums(column[split:], zero))
         for column, zero in ((degrees, 0), (weights, 0), ([(vid,) for vid in ids], ()))
     )
-    windows: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    windows: dict[tuple[int, int], dict[str, Fraction]] = {}
     violations = []
     for mask in masks:
         low, high = mask & ((1 << split) - 1), mask >> split
@@ -758,10 +767,11 @@ def basic_inequality(
         if window is None:
             w_y, k_y = key
             lower = _exact_lower(d_total, g, (w_y - k_y) // 2 + 1, k_y)  # g(Y) from w(Y)
-            window = windows[key] = (lower, lower + k_y)
-        violations.append(BIViolation._trusted(
-            frozenset(ids_low[low] + ids_high[high]), deg_low[low] + deg_high[high], window
-        ))
+            window = windows[key] = {"lower": lower, "upper": lower + k_y}
+        violations.append(_unchecked(BIViolation, {
+            "subcurve": frozenset(ids_low[low] + ids_high[high]),
+            "degree": deg_low[low] + deg_high[high], **window,
+        }))
     return BIReport(satisfied=False, violations=tuple(violations))
 
 
@@ -1016,7 +1026,7 @@ def _score_vectors(graph: DualGraph, base: Sequence[int]) -> list[Multidegree]:
     for vid, w, c, b in zip(graph.ids, weights, graph._contacts, base):
         entries = [(vid, b + x) for x in range(c + 1)]
         columns.append([entries[code // w % (c + 1)] for code in codes])
-    return [Multidegree._trusted(items) for items in zip(*columns)]
+    return [_unchecked(Multidegree, "items", items) for items in zip(*columns)]
 
 
 def enumerate_multidegrees(
@@ -1033,8 +1043,7 @@ def enumerate_multidegrees(
     The output can grow exponentially with the vertex count, so the vertex
     cap (``max_vertices``) stays.  Requires a stable graph of genus >= 2.
     """
-    if isinstance(d_total, bool) or not isinstance(d_total, int):
-        raise DomainError(f"total degree must be an integer, got {d_total!r}")
+    _check_total(d_total)
     g = _require_genus(graph)
     if not is_stable(graph):
         raise DomainError("multidegree enumeration expects a stable graph")
@@ -1065,7 +1074,7 @@ def enumerate_multidegrees(
     def descend(i: int, remaining: int) -> None:
         if i == n:
             if kernel.meet([scale * x - low for x, low in zip(stack, lower)]) is None:
-                found.append(Multidegree._trusted(zip(ids, stack)))
+                found.append(_unchecked(Multidegree, "items", tuple(zip(ids, stack))))
             return
         for value in range(lo[i], hi[i] + 1):
             rest = remaining - value

@@ -62,6 +62,7 @@ from .graphs import (
     _require_genus,
     _scaled_lower,
     _spin_base,
+    _unchecked,
     check_t,
 )
 
@@ -99,14 +100,6 @@ class BlowupConfig:
             if not (isinstance(vid, str) and vid):
                 raise BlowupError(f"r[{vid!r}]: vertex id must be a non-empty string")
             _record(self._r, vid, count, f"r[{vid}]", BlowupError)
-
-    @classmethod
-    def _trusted(cls, s: dict, r: dict) -> "BlowupConfig":
-        """A config built in range by the library, without re-validation: ``s``
-        by sorted pair, ``r`` by vertex, no zero counts, in sorted order."""
-        config = object.__new__(cls)
-        config._s, config._r = s, r
-        return config
 
     def s(self, u: str, v: str) -> int:
         return self._s.get(_pair(u, v), 0)
@@ -323,13 +316,14 @@ def expand(graph: DualGraph, config: BlowupConfig) -> QuasistableGraph:
     vertices = list(graph.vertices)
     for vid, count in config.r_items():
         i = graph._index[vid]
-        vertices[i] = Vertex._trusted(vid, vertices[i].pa - count, vertices[i].self_nodes - count)
+        pa, self_nodes = vertices[i].pa - count, vertices[i].self_nodes - count
+        vertices[i] = _unchecked(Vertex, {"id": vid, "pa": pa, "self_nodes": self_nodes})
         for idx in range(1, count + 1):
             eid = _fresh_id(f"E({vid}|{vid})#{idx}", taken)
             adjacency[eid] = {vid: 2}
             adjacency[vid][eid] = 2
             origin[eid] = ("self", vid)
-    vertices += [Vertex._trusted(eid, 0, 0) for eid in origin]
+    vertices += [_unchecked(Vertex, {"id": eid, "pa": 0, "self_nodes": 0}) for eid in origin]
     return QuasistableGraph._trusted(
         vertices, adjacency, exceptional=origin, origin=origin, source=graph, config=config
     )
@@ -353,7 +347,8 @@ def _contraction(q: QuasistableGraph) -> tuple[tuple[Vertex, ...], dict[str, dic
             (v,) = ends
             blown[v] += 1
     vertices = tuple(
-        Vertex._trusted(v.id, v.pa + blown[v.id], v.self_nodes + blown[v.id]) if blown[v.id] else v
+        _unchecked(Vertex, {"id": v.id, "pa": v.pa + b, "self_nodes": v.self_nodes + b})
+        if (b := blown[v.id]) else v
         for v in q._vertices if v.id not in exc
     )
     return vertices, adjacency
@@ -393,10 +388,10 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
             f"no spin structure: vertex {q.ids[odd]!r} keeps {core_contact[odd]} nodes with "
             f"non-exceptional neighbors (odd)"
         )
-    md = Multidegree._trusted([
+    md = _unchecked(Multidegree, "items", tuple([
         (vid, 1 if vid in exc else base + c // 2)
         for vid, base, c in zip(q.ids, _spin_base(q, t), core_contact)
-    ])
+    ]))
     expected = (2 * t + 1) * (q.genus - 1)
     if md.total != expected:
         raise _model_error(
@@ -534,20 +529,6 @@ class BoundaryCase:
     def upper(self) -> Fraction:
         return self.lower + self.contact
 
-    @classmethod
-    def _trusted(cls, subcurve: frozenset, lower: Fraction, contact: int, row: tuple):
-        """A case built from one boundary row, without the frozen dataclass's
-        per-field assignments."""
-        case = object.__new__(cls)
-        degree, core_contact, inner_ok, outer_ok, at_min, at_max = row
-        object.__setattr__(case, "__dict__", {
-            "subcurve": subcurve, "degree": degree, "lower": lower, "contact": contact,
-            "core_contact": core_contact, "at_min": at_min, "at_max": at_max,
-            "inner_exceptionals_avoid_complement": inner_ok,
-            "outer_exceptionals_avoid_subcurve": outer_ok,
-        })
-        return case
-
 
 def _lane_columns(q: QuasistableGraph, width: int, *sums: list[int]) -> list[int]:
     """Packed columns of every mask, ``width``-bit lanes doubled over the
@@ -681,7 +662,15 @@ def boundary_case(
         spin_multidegree(q, t, unsafe_t=unsafe_t)
         rows = None if q.n > MAX_SUBSET_VERTICES else _table_rows(q, t)
     Y, mask = _as_subcurve(q, subcurve)
-    return BoundaryCase._trusted(Y, *(_direct_row(q, t, mask) if rows is None else rows[mask]))
+    lower, contact, (degree, core_contact, inner_ok, outer_ok, at_min, at_max) = (
+        _direct_row(q, t, mask) if rows is None else rows[mask]
+    )
+    return _unchecked(BoundaryCase, {
+        "subcurve": Y, "degree": degree, "lower": lower, "contact": contact,
+        "core_contact": core_contact, "at_min": at_min, "at_max": at_max,
+        "inner_exceptionals_avoid_complement": inner_ok,
+        "outer_exceptionals_avoid_subcurve": outer_ok,
+    })
 
 
 def git_stable(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> bool:
@@ -752,4 +741,6 @@ def iter_blowup_configs(graph: DualGraph, *, spin_only: bool = False) -> Iterato
         if spin_only and _odd_vertex(graph, s) is not None:
             continue
         for r in r_tables:
-            yield BlowupConfig._trusted(s, r)
+            config = _unchecked(BlowupConfig, "_s", s)
+            config._r = r
+            yield config

@@ -52,6 +52,7 @@ from .graphs import (
     _record,
     _score_vectors,
     _spin_base,
+    _unchecked,
     check_t,
     is_stable,
     subcurve_profile,
@@ -105,15 +106,6 @@ class SpinWitness:
         for (u, v), count in given.items():
             if count:
                 raise WitnessError(f"sigma[{u}, {v}] = {count} but s[{u}, {v}] = 0")
-
-    @classmethod
-    def _trusted(cls, s: dict, sigma: dict) -> "SpinWitness":
-        """A witness the library built itself, without re-validation: ``s``
-        keyed by sorted pair with no zero counts, ``sigma`` holding both
-        directions of every blown pair, in the constructor's order."""
-        witness = object.__new__(cls)
-        witness._s, witness._sigma = s, sigma
-        return witness
 
     def s(self, u: str, v: str) -> int:
         return self._s.get(_pair(u, v), 0)
@@ -179,7 +171,8 @@ def grouped_multidegree(
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
     witness.validate(graph)
-    md = Multidegree._trusted(zip(graph.ids, _replay(graph, witness, _spin_base(graph, t))))
+    degrees = _replay(graph, witness, _spin_base(graph, t))
+    md = _unchecked(Multidegree, "items", tuple(zip(graph.ids, degrees)))
     expected = (2 * t + 1) * (graph.genus - 1)
     if md.total != expected:
         raise _internal_error(
@@ -281,7 +274,8 @@ def decide_spin_component(
             s[(u, v)] = abs(shift)
             sigma[(u, v)] = max(shift, 0)
             sigma[(v, u)] = max(-shift, 0)
-    witness = SpinWitness._trusted(s, sigma)
+    witness = _unchecked(SpinWitness, "_s", s)
+    witness._sigma = sigma
     witness.validate(graph)
     if _replay(graph, witness, base) != list(values):
         raise _internal_error(
@@ -341,15 +335,6 @@ class SplitCurveRow:
         if self.d1 + self.d2 != (2 * self.t + 1) * (self.genus - 1):
             raise WitnessError("split-curve row total is not (2t+1)(g-1)")
 
-    @classmethod
-    def _trusted(cls, genus: int, t: int, s: int, sigma: int, d1: int, d2: int):
-        """A row `split_curve_table` built in range, without the frozen
-        dataclass's per-field assignments and checks."""
-        row = object.__new__(cls)
-        fields = {"genus": genus, "t": t, "s": s, "sigma": sigma, "d1": d1, "d2": d2}
-        object.__setattr__(row, "__dict__", fields)
-        return row
-
 
 def split_curve_table(genus: int, t: int, *, unsafe_t: bool = False) -> list[SplitCurveRow]:
     """Closed-form bidegrees on the split curve, one row per (s, sigma).
@@ -367,7 +352,10 @@ def split_curve_table(genus: int, t: int, *, unsafe_t: bool = False) -> list[Spl
     for s in range((genus + 1) % 2, genus + 2, 2):
         low = t * (genus + 1) + (genus + 1 - s) // 2 - (2 * t + 1)
         rows += [
-            SplitCurveRow._trusted(genus, t, s, sigma, low + sigma, total - low - sigma)
+            _unchecked(SplitCurveRow, {
+                "genus": genus, "t": t, "s": s, "sigma": sigma,
+                "d1": low + sigma, "d2": total - low - sigma,
+            })
             for sigma in range(s + 1)
         ]
     return rows

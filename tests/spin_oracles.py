@@ -8,7 +8,8 @@ reachable degree vector, the 2^n subset criterion for splitting pair counts
 to meet per-vertex quotas, and multidegree enumeration as every candidate of
 the singleton boxes filtered through the basic-inequality scan.  All of them
 take exponential time; keep inputs at desk scale.  ``spanning_trees`` is
-Kirchhoff's count, which the enumeration must reach at coprime totals,
+Kirchhoff's count, which the enumeration must reach at coprime totals and
+``stratum_trees`` takes on a graph with a blow-up's nodes removed,
 ``forest_count`` is Stanley's, which it must reach where the singleton
 bounds are integers, ``tuple_sumset`` lists the spin locus as the pair sumset
 over tuples, and ``named_violation`` reads back the subcurve a
@@ -36,6 +37,7 @@ from spinpicard import (
     BlowupConfig,
     DomainError,
     DualGraph,
+    GraphError,
     Multidegree,
     SpinWitness,
     WitnessError,
@@ -221,12 +223,18 @@ def named_violation(exc: BasicInequalityError) -> tuple[frozenset, int, Fraction
     return frozenset(names.split(", ")), int(degree), Fraction(lower), Fraction(upper)
 
 
-def box_enumeration(graph: DualGraph, d_total: int) -> list[Multidegree]:
+def box_enumeration(
+    graph: DualGraph, d_total: int, fixed: Optional[Mapping[str, int]] = None
+) -> list[Multidegree]:
     """Every vector of the singleton boxes [ceil m(v), floor m(v) + k(v)]
     with the right total that passes the subset scan, in lexicographic order:
-    the route enumeration took before the orientation kernel decided leaves."""
+    the route enumeration took before the orientation kernel decided leaves.
+    A vertex in ``fixed`` takes the degree it names instead of its box."""
     boxes = []
     for vid in graph.ids:
+        if fixed and vid in fixed:
+            boxes.append((fixed[vid],))
+            continue
         prof = subcurve_profile(graph, {vid}, d_total)
         boxes.append(range(math.ceil(prof.lower), math.floor(prof.upper) + 1))
     found = []
@@ -259,6 +267,20 @@ def spanning_trees(graph: DualGraph) -> int:
                 rows[r][c] = (rows[r][c] * rows[col][col] - rows[r][col] * rows[col][c]) // prev
         prev = rows[col][col]
     return sign * prev if size else 1
+
+
+def stratum_trees(graph: DualGraph, config: BlowupConfig) -> int:
+    """``spanning_trees`` of the graph with the config's blown pair nodes
+    removed (a blown self-node is a loop, which no tree uses), 0 when that
+    graph is disconnected."""
+    try:
+        rest = DualGraph(
+            [(v.id, v.pa) for v in graph.vertices],
+            [(u, v, k - config.s(u, v)) for u, v, k in graph.pairs()],
+        )
+    except GraphError:  # the one fault possible here: a disconnected graph
+        return 0
+    return spanning_trees(rest)
 
 
 def forest_count(graph: DualGraph) -> int:

@@ -67,7 +67,7 @@ def _corrupt(fault):
         elif fault == "origin":  # a pair blow-up recorded as a self-node one
             origin = {**origin, "E(a|b)#1": ("self", "a")}
         else:  # the self-node blow-up not taken off its vertex
-            vertices = [Vertex._trusted("a", 2, 1) if v.id == "a" else v for v in vertices]
+            vertices = [Vertex("a", 2, 1) if v.id == "a" else v for v in vertices]
         return build(
             cls, vertices, adjacency,
             exceptional=exceptional, origin=origin, source=source, config=config,

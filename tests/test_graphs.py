@@ -274,6 +274,39 @@ def test_none_for_a_table_or_a_subcurve_is_a_graph_error(call, argument):
         call()
 
 
+_GENUS5 = DualGraph([("a", 1), ("b", 0), ("c", 1)], {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 1})
+_SPIN5 = Multidegree.from_values(_GENUS5, [38, 39, 42])  # total 21 * (5 - 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: basic_inequality(_GENUS5, _SPIN5, max_vertices="12"), DomainError, "max_vertices"),
+    (lambda: enumerate_spin_multidegrees(_GENUS5, 10, max_vertices="x"), DomainError,
+     "max_vertices"),
+    (lambda: basic_inequality(_GENUS5, _SPIN5, max_vertices=True), DomainError, "max_vertices"),
+    (lambda: basic_inequality(_GENUS5, _SPIN5, max_vertices=2.5), DomainError, "max_vertices"),
+    (lambda: subcurve_profile(_GENUS5, {"a"}, 2.5), DomainError, "d_total"),
+    (lambda: subcurve_profile(_GENUS5, {"a"}, "7"), DomainError, "d_total"),
+    (lambda: subcurve_profile(_GENUS5, {"a"}, None), DomainError, "d_total"),
+    (lambda: subcurve_profile(_GENUS5, {"a"}, True), DomainError, "d_total"),
+    (lambda: enumerate_multidegrees(_GENUS5, True), DomainError, "d_total"),
+    (lambda: basic_inequality(_GENUS5, _SPIN5.as_dict()), GraphError, "multidegree"),
+    (lambda: subcurve_profile(_GENUS5, {"a"}, 84, _SPIN5.as_dict()), GraphError,
+     "multidegree"),
+    (lambda: decide_spin_component(_GENUS5, 10, list(_SPIN5.items)), GraphError,
+     "multidegree"),
+], ids=[
+    "bi-cap-str", "locus-cap-str", "bi-cap-bool", "bi-cap-float", "profile-total-float",
+    "profile-total-str", "profile-total-none", "profile-total-bool", "enumerate-total-bool",
+    "bi-dict", "profile-dict", "decide-list",
+])
+def test_public_arguments_of_the_wrong_type_raise_library_errors(call, error, message):
+    """A cap, a total or a multidegree of the wrong type raises the library's
+    error naming the argument, never the TypeError or AttributeError of
+    using it, and a bool is no integer here."""
+    with pytest.raises(error, match=f"^{message} must be"):
+        call()
+
+
 def test_multidegree_checks_every_entry_before_sorting():
     """Sorting compares entries, so each one is checked first: a key that is
     not a string, a degree that is not an integer, or an entry that is not

@@ -31,6 +31,7 @@ from spin_oracles import (
     lexmin_witness,
     named_violation,
     spanning_trees,
+    stratum_trees,
     subset_feasible,
     swept_locus,
     tuple_sumset,
@@ -43,7 +44,9 @@ from spinpicard import (
     decide_spin_component,
     enumerate_multidegrees,
     enumerate_spin_multidegrees,
+    expand,
     grouped_multidegree,
+    iter_blowup_configs,
     orientation_feasible,
     split_curve_graph,
     subcurve_profile,
@@ -336,6 +339,28 @@ def test_enumeration_counts_spanning_trees_at_coprime_totals(quasistable_corpus)
                 assert len(enumerate_multidegrees(graph, d)) == trees, (graph, d)
                 checked += 1
     assert checked > 1000
+
+
+def test_blowup_strata_count_spanning_trees_at_coprime_totals(quasistable_corpus):
+    """At the total d = g, where gcd(d - g + 1, 2g - 2) = 1, the multidegrees
+    of a blow-up model that give every exceptional vertex degree 1 and pass
+    the basic inequality are as many as the spanning trees of the graph with
+    the blown nodes removed, and none where that graph is disconnected: the
+    stratum of the blow-up in Caporaso's fiber.  The equality is the one
+    measured on every model of at most 9 vertices of the corpus; the scan on
+    models off their spin multidegree is what it checks."""
+    cases = disconnected = 0
+    for graph in quasistable_corpus[::5]:
+        for config in iter_blowup_configs(graph):
+            if graph.n + config.total > 9:
+                continue
+            q = expand(graph, config)
+            found = box_enumeration(q, graph.genus, dict.fromkeys(q.exceptional, 1))
+            trees = stratum_trees(graph, config)
+            assert len(found) == trees, (graph.to_dict(), config)
+            cases += 1
+            disconnected += not trees
+    assert cases > 1500 and 500 < disconnected < cases - 500, (cases, disconnected)
 
 
 def _random_small_stable(rng: random.Random) -> DualGraph:

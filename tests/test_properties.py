@@ -17,10 +17,12 @@ check must match the per-vertex neighbor sums they replaced, errors included,
 and blow-up iteration the product of every count range filtered by
 spin_parity, on graphs with self-nodes.
 A kernel reused across stuck and feasible quotas and settles must answer
-as a fresh kernel does.  On JSON-shaped values the graph, multidegree,
-blow-up, witness and model constructors must build a value or raise a
-library error, and `cli.main` on such files must exit 0, 1 or 2 without a
-traceback.
+as a fresh kernel does.  On random blow-ups at coprime totals, the model
+multidegrees with exceptional degree 1 that pass the basic inequality must
+be as many as the spanning trees of the graph less the blown nodes.  On
+JSON-shaped values the graph, multidegree, blow-up, witness and model
+constructors must build a value or raise a library error, and `cli.main` on
+such files must exit 0, 1 or 2 without a traceback.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ from hypothesis import strategies as st
 import spinpicard.cli as cli
 import spinpicard.quasistable as quasistable
 from spin_oracles import (
+    box_enumeration,
     named_violation,
     neighbor_sum_grouped,
     neighbor_sum_odd_vertex,
     node_columns,
     product_blowup_configs,
+    stratum_trees,
     subcurve_table,
 )
 from spinpicard import (
@@ -439,6 +443,29 @@ def test_blowup_iteration_matches_the_product_then_parity_oracle(base, data):
         got = list(iter_blowup_configs(graph, spin_only=spin_only))
         want = list(product_blowup_configs(graph, spin_only=spin_only))
         assert got == want and list(map(repr, got)) == list(map(repr, want)), graph
+
+
+@PROPERTY_SETTINGS
+@given(stable_graphs(sizes=(2, 5)), st.data())
+def test_blowup_strata_count_spanning_trees_on_random_graphs(base, data):
+    """On a random stable graph, self-nodes on some positive-genus
+    components, a random blow-up whose model has at most 9 vertices and a
+    random total d with gcd(d - g + 1, 2g - 2) = 1, the model multidegrees
+    with every exceptional degree 1 that pass the basic inequality are as
+    many as the spanning trees of the graph with the blown nodes removed."""
+    graph = DualGraph(
+        [Vertex(v.id, v.pa, data.draw(st.integers(0, min(v.pa, 1)))) for v in base.vertices],
+        [(u, v, k) for u, v, k in base.pairs()],
+    )
+    s = {(u, v): data.draw(st.integers(0, k)) for u, v, k in graph.pairs()}
+    r = {v.id: data.draw(st.integers(0, v.self_nodes)) for v in graph.vertices}
+    config = BlowupConfig(s, r)
+    assume(graph.n + config.total <= 9)
+    g = graph.genus
+    shift = data.draw(st.sampled_from([x for x in range(-60, 61) if math.gcd(x, 2 * g - 2) == 1]))
+    q = expand(graph, config)
+    found = box_enumeration(q, g - 1 + shift, dict.fromkeys(q.exceptional, 1))
+    assert len(found) == stratum_trees(graph, config), (graph.to_dict(), config, shift)
 
 
 #: Field names of the blow-up, witness and graph JSON forms.

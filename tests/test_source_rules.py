@@ -99,10 +99,12 @@ def test_every_cli_option_is_read():
 
 
 def test_every_trusted_constructor_has_an_equality_check():
-    """A ``_trusted`` constructor skips validation, so every class defining
-    one must appear in the parametrization of the test holding its objects
-    equal to validated ones."""
-    defining = set()
+    """Values built without validation, every class handed to the one
+    helper `_unchecked` plus the graph builders defined as ``_trusted``,
+    must each appear in the parametrization of the test holding them equal
+    to validated ones; only `DualGraph` and `QuasistableGraph` define
+    ``_trusted``."""
+    unchecked, defining = set(), set()
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ClassDef) and any(
@@ -110,9 +112,35 @@ def test_every_trusted_constructor_has_an_equality_check():
                 for item in node.body
             ):
                 defining.add(node.name)
-    assert defining == set(TRUSTED), (
-        f"classes defining _trusted {sorted(defining)} vs checked {sorted(TRUSTED)}"
+            elif (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_unchecked"
+            ):
+                unchecked.add(ast.unparse(node.args[0]))
+    assert defining == {"DualGraph", "QuasistableGraph"}, sorted(defining)
+    assert unchecked | defining == set(TRUSTED), (
+        f"classes built unchecked {sorted(unchecked | defining)} vs checked {sorted(TRUSTED)}"
     )
+
+
+def test_object_new_only_in_the_builders():
+    """`object.__new__` skips a class's constructor, so it is named only in
+    `graphs._unchecked`, the helper behind every value built without
+    validation, and in `DualGraph._trusted`, which runs the graph's own
+    ``_build``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__new__":
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert sorted(found) == ["graphs.DualGraph._trusted", "graphs._unchecked"], found
 
 
 def test_graph_kernels_come_from_on_graph():
@@ -143,7 +171,8 @@ def test_validating_constructors_only_where_outside_input_arrives():
     field they are given, so the library calls them by name only where data
     from outside arrives: tuples handed to the graph constructor, the new ids
     of a relabeling, and a split curve's genus.  Graphs, models and vertices
-    it derives from checked data come from the ``_trusted`` builders."""
+    it derives from checked data come from the ``_trusted`` builders and
+    `_unchecked`."""
     names = {"DualGraph", "QuasistableGraph", "Vertex"}
     calls = []
 

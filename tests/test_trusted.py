@@ -1,12 +1,13 @@
 """Objects the library builds without re-validation, against the objects its
 validating constructors build from the same data.
 
-Every class of `spinpicard` that defines a ``_trusted`` constructor has an
-entry in ``TRUSTED`` (`tests/test_source_rules.py` holds the library to
-that).  Each entry yields batches (trusted, validated, view, layout): two
-lists of objects built from the same data, a function reading every accessor
-callers use, and the positions at which to check the layout.  The objects
-must agree on ``==``, ``hash``, ``repr``, ``vars`` and the view.  Equal
+Every class of `spinpicard` whose instances the library builds through
+`graphs._unchecked`, and each graph class that defines a ``_trusted``
+builder, has an entry in ``TRUSTED`` (`tests/test_source_rules.py` holds the
+library to that).  Each entry yields batches (trusted, validated, view,
+layout): two lists of objects built from the same data, a function reading
+every accessor callers use, and the positions at which to check the layout.
+The objects must agree on ``==``, ``hash``, ``repr``, ``vars`` and the view.  Equal
 ``vars`` on objects of one class fix what ``dataclasses.asdict`` reads and
 how the class guards its fields, so those are checked at the ``layout``
 positions of the dataclasses: every object but split-curve rows, whose
