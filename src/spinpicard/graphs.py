@@ -7,7 +7,9 @@ self-nodes included) and its number of self-nodes, plus a symmetric table
 
 Degree bounds are exact.  Every lower bound ``m(Y)`` handed back is a
 `fractions.Fraction`; subcurve scans compare integers scaled by 2(g - 1),
-which is equally exact.  No floats are used anywhere in this module.
+which is equally exact.  No floats are used anywhere in this module.  The
+first rational built (`_fraction`) imports `fractions`, which loads
+`decimal`, so a process that builds none loads neither.
 
 Scaled by 2(g - 1), the basic inequality at any total is Hakimi's condition
 for splitting the nodes of each pair between its two ends with prescribed
@@ -24,9 +26,12 @@ Graphs built from data the library has checked itself (the node rows of
 parsed JSON, a blow-up, a contraction or a relabeling) come from one
 builder, ``DualGraph._trusted``, which skips re-validation but still checks
 connectivity.  Every other value the library derives itself (vertices,
-multidegrees, violations, blow-up configs, boundary cases, witnesses and
-split-curve rows) comes from one helper, `_unchecked`, which sets its
-attributes without running the class's validating constructor.
+multidegrees, profiles, violations and reports, blow-up configs, boundary
+cases, witnesses and split-curve rows) comes from one helper, `_unchecked`,
+which sets its attributes without running the class's validating
+constructor.  The value classes are frozen records (`errors._Record`), not
+dataclasses: their fields are the parameters of their ``__init__``, and
+``vars()`` gives them.
 
 The twist check, the spin base, and the per-pair count tables that blow-up
 models and spin witnesses share live here as well, so
@@ -42,14 +47,12 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import DomainError, GraphError, GraphTooLargeError
+from .errors import DomainError, GraphError, GraphTooLargeError, _Record
 
 __all__ = [
     "MAX_SUBSET_VERTICES",
@@ -78,8 +81,8 @@ _WHOLE = object()
 
 
 def _unchecked(cls: type, attrs, value=_WHOLE, _new=object.__new__, _set=object.__setattr__):
-    """An instance of ``cls`` built without ``__init__`` or ``__post_init__``,
-    for values the library checked or derived itself.  ``attrs`` is its whole
+    """An instance of ``cls`` built without its checking ``__init__``, for
+    values the library checked or derived itself.  ``attrs`` is its whole
     attribute dict, holding what the validating constructor would set, in
     its order, so the two agree on eq, hash, repr and vars; or, given
     ``value``, the name of one attribute, set as an assignment sets it: a
@@ -96,8 +99,7 @@ def _unchecked(cls: type, attrs, value=_WHOLE, _new=object.__new__, _set=object.
     return instance
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(_Record):
     """One irreducible component: identifier, arithmetic genus, self-node count.
 
     ``pa`` is the arithmetic genus of the (possibly singular) component itself,
@@ -105,12 +107,9 @@ class Vertex:
     genus is ``pa - self_nodes`` and must be non-negative.
     """
 
-    id: str
-    pa: int
-    self_nodes: int = 0
-
-    def __post_init__(self) -> None:
-        _check_vertex(self.id, self.pa, self.self_nodes)
+    def __init__(self, id: str, pa: int, self_nodes: int = 0) -> None:
+        _check_vertex(id, pa, self_nodes)
+        vars(self).update(id=id, pa=pa, self_nodes=self_nodes)
 
 
 def _check_vertex(vid, pa, self_nodes) -> None:
@@ -412,8 +411,15 @@ def _node_rows(ids: Sequence[str], edges: Iterable[tuple]) -> dict[str, dict[str
     return adjacency
 
 
+def _check_kind(value, kind: type, name: str, error: type = GraphError) -> None:
+    """Raise ``error`` naming the argument ``name`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def arithmetic_genus(graph: DualGraph) -> int:
     """Arithmetic genus of the curve the graph encodes."""
+    _check_kind(graph, DualGraph, "graph")
     return graph.genus
 
 
@@ -424,21 +430,19 @@ def is_stable(graph: DualGraph) -> bool:
     formula covers both the rational case (needs at least 3 contact points) and
     the genus-one case (needs at least 1).
     """
+    _check_kind(graph, DualGraph, "graph")
     return all(2 * v.pa - 2 + c > 0 for v, c in zip(graph.vertices, graph._contacts))
 
 
 # -- multidegrees ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Multidegree:
+class Multidegree(_Record):
     """An integer degree per vertex, stored as id-sorted (id, degree) pairs.
     The dict behind lookups by id is built on the first such lookup."""
 
-    items: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        entries = _converted(tuple, self.items, "items", "an iterable of (id, degree) pairs")
+    def __init__(self, items: Iterable[tuple[str, int]]) -> None:
+        entries = _converted(tuple, items, "items", "an iterable of (id, degree) pairs")
         # Every entry is checked before sorting, which would compare them.
         for entry in entries:
             if not isinstance(entry, tuple) or len(entry) != 2:
@@ -451,11 +455,11 @@ class Multidegree:
         norm = tuple(sorted(entries))
         if len({vid for vid, _ in norm}) != len(norm):
             raise GraphError("multidegree assigns a vertex id twice")
-        object.__setattr__(self, "items", norm)
+        vars(self).update(items=norm)
 
     @cached_property
     def _lookup(self) -> dict[str, int]:
-        # Not a dataclass field, so eq, hash and repr ignore it.
+        # Not a field, so eq, hash and repr ignore it.
         return dict(self.items)
 
     @classmethod
@@ -495,8 +499,7 @@ class Multidegree:
 
 
 def _check_multidegree(graph: DualGraph, md: Multidegree) -> None:
-    if not isinstance(md, Multidegree):
-        raise GraphError(f"multidegree must be a Multidegree, got {type(md).__name__}")
+    _check_kind(md, Multidegree, "multidegree")
     have, want = {vid for vid, _ in md.items}, set(graph.ids)
     if have != want:
         parts = [
@@ -509,8 +512,7 @@ def _check_multidegree(graph: DualGraph, md: Multidegree) -> None:
 # -- subcurves -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubcurveProfile:
+class SubcurveProfile(_Record):
     """Invariants of one subcurve Y (any nonempty set of components).
 
     ``lower`` is the exact rational m(Y) = d/(g-1) * (g(Y) - 1 + k(Y)/2) - k(Y)/2;
@@ -518,11 +520,13 @@ class SubcurveProfile:
     m(Y) <= d(Y) <= m(Y) + k(Y), both ends included.
     """
 
-    subcurve: frozenset
-    genus: int
-    contact: int
-    lower: Fraction
-    degree: Optional[int] = None
+    def __init__(
+        self, subcurve: frozenset, genus: int, contact: int, lower: Fraction,
+        degree: Optional[int] = None,
+    ) -> None:
+        vars(self).update(
+            subcurve=subcurve, genus=genus, contact=contact, lower=lower, degree=degree
+        )
 
     @property
     def upper(self) -> Fraction:
@@ -597,9 +601,23 @@ def _spin_base(graph: DualGraph, t: int) -> list[int]:
     return [(2 * t + 1) * (v.pa - 1) + t * c for v, c in zip(graph.vertices, graph._contacts)]
 
 
+#: `fractions.Fraction` once `_fraction` has imported it.  `fractions` loads
+#: `decimal`, which a call that builds no rational has no use for; a
+#: function-level import would cost each call about 0.8 us.
+Fraction = None
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """numerator / denominator as an exact rational: every Fraction the library builds."""
+    global Fraction
+    if Fraction is None:
+        from fractions import Fraction
+    return Fraction(numerator, denominator)
+
+
 def _exact_lower(d_total: int, g: int, genus: int, contact: int) -> Fraction:
     """m(Y), the lower end of a subcurve's degree window, as an exact rational."""
-    return Fraction(_scaled_lower(d_total, g, genus, contact), 2 * (g - 1))
+    return _fraction(_scaled_lower(d_total, g, genus, contact), 2 * (g - 1))
 
 
 def _internal_error(message: str, graph: DualGraph, **context) -> RuntimeError:
@@ -624,6 +642,7 @@ def subcurve_profile(
     additive formula as the whole graph.  Requires total genus >= 2, since the
     lower bound divides by g - 1.
     """
+    _check_kind(graph, DualGraph, "graph")
     Y, mask = _as_subcurve(graph, subcurve)
     _check_total(d_total)
     g = _require_genus(graph)
@@ -637,25 +656,23 @@ def subcurve_profile(
                 f"multidegree total {multidegree.total} does not match d_total {d_total}"
             )
         degree = multidegree.degree_on(Y)
-    return SubcurveProfile(subcurve=Y, genus=g_y, contact=k_y, lower=lower, degree=degree)
+    return _unchecked(SubcurveProfile, {
+        "subcurve": Y, "genus": g_y, "contact": k_y, "lower": lower, "degree": degree,
+    })
 
 
-@dataclass(frozen=True)
-class BIViolation:
+class BIViolation(_Record):
     """One subcurve whose degree falls outside [m(Y), m(Y) + k(Y)]."""
 
-    subcurve: frozenset
-    degree: int
-    lower: Fraction
-    upper: Fraction
+    def __init__(self, subcurve: frozenset, degree: int, lower: Fraction, upper: Fraction) -> None:
+        vars(self).update(subcurve=subcurve, degree=degree, lower=lower, upper=upper)
 
 
-@dataclass(frozen=True)
-class BIReport:
+class BIReport(_Record):
     """Outcome of checking the basic inequality on every nonempty subcurve."""
 
-    satisfied: bool
-    violations: tuple[BIViolation, ...]
+    def __init__(self, satisfied: bool, violations: tuple[BIViolation, ...]) -> None:
+        vars(self).update(satisfied=satisfied, violations=violations)
 
 
 def _check_cap(graph: DualGraph, max_vertices: Optional[int]) -> None:
@@ -675,6 +692,7 @@ def iter_subcurves(
     """All nonempty subcurves in a deterministic order (ascending bitmask
     over the id-sorted vertex list).  With ``proper=True`` the full curve is
     skipped."""
+    _check_kind(graph, DualGraph, "graph")
     _check_cap(graph, max_vertices)
     ids = graph.ids
     # Low ten bits' members from a table, the rest once per table block.
@@ -720,11 +738,12 @@ def basic_inequality(
     curve too (where the bounds are trivially tight), in exact arithmetic.  A
     blow-up model answers for its spin multidegrees from its kernel's lanes.
     """
+    _check_kind(graph, DualGraph, "graph")
     _check_multidegree(graph, multidegree)
     _check_cap(graph, max_vertices)
     g = _require_genus(graph)
     if graph._lane_verdict(multidegree):
-        return BIReport(satisfied=True, violations=())
+        return _unchecked(BIReport, {"satisfied": True, "violations": ()})
     d_total = multidegree.total
     ids, half = graph.ids, g - 1
     # 2(g-1) m(Y) = d w(Y) - (g-1) k(Y) with w(Y) = 2 g(Y) - 2 + k(Y) additive
@@ -748,7 +767,7 @@ def basic_inequality(
     scaled = half * contact + signs
     kept = (scaled - offset) & (scaled + offset) & signs
     if kept == signs:
-        return BIReport(satisfied=True, violations=())
+        return _unchecked(BIReport, {"satisfied": True, "violations": ()})
     # Violating masks ascend where kept's sign flag is clear.  d(Y), w(Y) and
     # members come from half-id tables, bounds once per distinct window (w, k).
     split = graph.n // 2
@@ -772,7 +791,7 @@ def basic_inequality(
             "subcurve": frozenset(ids_low[low] + ids_high[high]),
             "degree": deg_low[low] + deg_high[high], **window,
         }))
-    return BIReport(satisfied=False, violations=tuple(violations))
+    return _unchecked(BIReport, {"satisfied": False, "violations": tuple(violations)})
 
 
 # -- twists and per-pair counts, shared by blow-ups and witnesses ----------
@@ -1043,6 +1062,7 @@ def enumerate_multidegrees(
     The output can grow exponentially with the vertex count, so the vertex
     cap (``max_vertices``) stays.  Requires a stable graph of genus >= 2.
     """
+    _check_kind(graph, DualGraph, "graph")
     _check_total(d_total)
     g = _require_genus(graph)
     if not is_stable(graph):

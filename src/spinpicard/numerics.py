@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _Record
 
 __all__ = [
     "PicardParams",
@@ -68,16 +67,13 @@ def normalize_degree(g: int, d: int) -> int:
     return shifted
 
 
-@dataclass(frozen=True)
-class PicardParams:
+class PicardParams(_Record):
     """Validated (genus, degree) pair with the scalar invariants attached."""
 
-    g: int
-    d: int
-
-    def __post_init__(self) -> None:
-        _check_g(self.g)
-        _check_d(self.d)
+    def __init__(self, g: int, d: int) -> None:
+        _check_g(g)
+        _check_d(d)
+        vars(self).update(g=g, d=d)
 
     @property
     def kouvidakis(self) -> int:

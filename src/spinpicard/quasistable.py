@@ -33,14 +33,12 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import not_
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .errors import BlowupError, GraphError, ParityError
+from .errors import BlowupError, GraphError, ParityError, _Record
 from .graphs import (
     MAX_SUBSET_VERTICES,
     DualGraph,
@@ -48,9 +46,11 @@ from .graphs import (
     Vertex,
     _as_subcurve,
     _check_cap,
+    _check_kind,
     _check_pair_bounds,
     _converted,
     _count_items,
+    _fraction,
     _internal_error,
     _lane_format,
     _lanes,
@@ -65,6 +65,9 @@ from .graphs import (
     _unchecked,
     check_t,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BlowupConfig",
@@ -297,6 +300,8 @@ def expand(graph: DualGraph, config: BlowupConfig) -> QuasistableGraph:
     The arithmetic genus is preserved.  With an all-zero config the result has
     no exceptional vertices and equals the input graph.
     """
+    _check_kind(graph, DualGraph, "graph")
+    _check_kind(config, BlowupConfig, "config", BlowupError)
     config.validate(graph)
     taken = set(graph.ids)
     adjacency = {vid: row.copy() for vid, row in graph._adjacency.items()}
@@ -356,6 +361,7 @@ def _contraction(q: QuasistableGraph) -> tuple[tuple[Vertex, ...], dict[str, dic
 
 def contract(q: QuasistableGraph) -> DualGraph:
     """Contract every exceptional vertex, restoring the node it replaced."""
+    _check_kind(q, QuasistableGraph, "q")
     return DualGraph._trusted(*_contraction(q))
 
 
@@ -365,6 +371,8 @@ def spin_parity(graph: DualGraph, config: BlowupConfig) -> bool:
 
     Self-node blow-ups are irrelevant to parity.
     """
+    _check_kind(graph, DualGraph, "graph")
+    _check_kind(config, BlowupConfig, "config", BlowupError)
     config.validate(graph)
     return _odd_vertex(graph, config._s) is None
 
@@ -376,6 +384,7 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
     Raises ParityError when the model admits no spin structure: a core
     vertex keeps an odd number of nodes with other core vertices.
     """
+    _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
     if t in q._spin_cache:
         return q._spin_cache[t]
@@ -471,8 +480,7 @@ def _checked_row(
     return degree, core_contact, not inner, not outer, at_min, at_max
 
 
-@dataclass(frozen=True)
-class ExceptionalProfile:
+class ExceptionalProfile(_Record):
     """Exceptional-component bookkeeping for one subcurve Y of a blow-up model.
 
     components / core_components count the vertices of Y and its
@@ -482,31 +490,34 @@ class ExceptionalProfile:
     non-exceptional part of the complement.
     """
 
-    subcurve: frozenset
-    components: int
-    core_components: int
-    internal_nodes: int
-    core_internal_nodes: int
-    core_contact: int
+    def __init__(
+        self, subcurve: frozenset, components: int, core_components: int,
+        internal_nodes: int, core_internal_nodes: int, core_contact: int,
+    ) -> None:
+        vars(self).update(
+            subcurve=subcurve, components=components, core_components=core_components,
+            internal_nodes=internal_nodes, core_internal_nodes=core_internal_nodes,
+            core_contact=core_contact,
+        )
 
 
 def exceptional_profile(q: QuasistableGraph, subcurve: Iterable[str]) -> ExceptionalProfile:
+    _check_kind(q, QuasistableGraph, "q")
     Y, mask = _as_subcurve(q, subcurve)
     _, k_y, internal = _mask_numbers(q, mask)
     counts = _node_counts(q, mask)
     _checked_row(q, mask, k_y, internal, counts)
-    return ExceptionalProfile(
-        subcurve=Y,
-        components=mask.bit_count(),
-        core_components=(mask & ~q._exceptional_mask).bit_count(),
-        internal_nodes=internal,
-        core_internal_nodes=counts[1],
-        core_contact=counts[0],
-    )
+    return _unchecked(ExceptionalProfile, {
+        "subcurve": Y,
+        "components": mask.bit_count(),
+        "core_components": (mask & ~q._exceptional_mask).bit_count(),
+        "internal_nodes": internal,
+        "core_internal_nodes": counts[1],
+        "core_contact": counts[0],
+    })
 
 
-@dataclass(frozen=True)
-class BoundaryCase:
+class BoundaryCase(_Record):
     """Whether a subcurve's spin degree sits at an end of its admissible range.
 
     ``at_min`` / ``at_max`` come from exact comparison of the degree with the
@@ -515,15 +526,17 @@ class BoundaryCase:
     constructor of this report has already cross-checked the two routes).
     """
 
-    subcurve: frozenset
-    degree: int
-    lower: Fraction
-    contact: int
-    core_contact: int
-    at_min: bool
-    at_max: bool
-    inner_exceptionals_avoid_complement: bool
-    outer_exceptionals_avoid_subcurve: bool
+    def __init__(
+        self, subcurve: frozenset, degree: int, lower: Fraction, contact: int,
+        core_contact: int, at_min: bool, at_max: bool,
+        inner_exceptionals_avoid_complement: bool, outer_exceptionals_avoid_subcurve: bool,
+    ) -> None:
+        vars(self).update(
+            subcurve=subcurve, degree=degree, lower=lower, contact=contact,
+            core_contact=core_contact, at_min=at_min, at_max=at_max,
+            inner_exceptionals_avoid_complement=inner_exceptionals_avoid_complement,
+            outer_exceptionals_avoid_subcurve=outer_exceptionals_avoid_subcurve,
+        )
 
     @property
     def upper(self) -> Fraction:
@@ -626,7 +639,7 @@ def _table_rows(q: QuasistableGraph, t: int) -> list:
         )
         scale = 2 * (q.genus - 1)
         scaled = [scale * d - x for d, x in zip(degree, offset)]  # 2(g-1) m(Y)
-        lowers = {x: Fraction(x, scale) for x in set(scaled)}
+        lowers = {x: _fraction(x, scale) for x in set(scaled)}
         rows = zip(degree, core_contact, *(map(not_, x) for x in (inner, outer, offset, room)))
         table.rows = list(zip(map(lowers.__getitem__, scaled), contact, rows))
         table.columns = None
@@ -641,7 +654,7 @@ def _direct_row(q: QuasistableGraph, t: int, mask: int) -> tuple[Fraction, int, 
     degree = sum(d for i, d in enumerate(degrees) if mask >> i & 1)
     offset = 2 * (g - 1) * degree - _scaled_lower((2 * t + 1) * (g - 1), g, g_y, k_y)
     row = _checked_row(q, mask, k_y, internal, _node_counts(q, mask), t, degree, offset)
-    return degree - Fraction(offset, 2 * (g - 1)), k_y, row
+    return degree - _fraction(offset, 2 * (g - 1)), k_y, row
 
 
 def boundary_case(
@@ -656,6 +669,7 @@ def boundary_case(
     this is a lookup in the model's boundary table for t, decoded once from
     its packed columns; larger models compute the one row directly.
     """
+    _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
     rows = getattr(q._row_cache.get(t), "rows", None)
     if rows is None:  # the first call at t: the spin structure, then the table
@@ -679,6 +693,7 @@ def git_stable(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> bool:
     The twist only needs to be in range and the model spin, which
     spin_multidegree checks (once per twist); the verdict does not depend on t.
     """
+    _check_kind(q, QuasistableGraph, "q")
     spin_multidegree(q, t, unsafe_t=unsafe_t)
     core = q.core_ids
     return len(q._reached(core[0], q.exceptional)) == len(core)
@@ -695,6 +710,7 @@ def git_stable_exhaustive(
     lanes of the model's packed columns for t where the offset 2(g-1)(d(Y) -
     m(Y)) reaches 2(g-1) k(Y), checked against the structural clauses.
     """
+    _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
     _check_cap(q, max_vertices)
     if q.n == 1:
@@ -715,6 +731,7 @@ def orbit_closed_check(
     check performs the scan for real instead, on every lane of the model's
     packed columns for t, checked against the structural clauses.
     """
+    _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
     _check_cap(q, max_vertices)
     spin_multidegree(q, t, unsafe_t=unsafe_t)
@@ -730,6 +747,7 @@ def iter_blowup_configs(graph: DualGraph, *, spin_only: bool = False) -> Iterato
     the self-node counts (parity ignores them); configs are built in range,
     unchecked.  Their number is the product of the ranges: keep graphs small.
     """
+    _check_kind(graph, DualGraph, "graph")
     pairs = list(graph.pairs())
     selfs = [v for v in graph.vertices if v.self_nodes]
     r_tables = [

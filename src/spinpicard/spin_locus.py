@@ -32,15 +32,15 @@ the inequality.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import BasicInequalityError, DomainError, WitnessError
+from .errors import BasicInequalityError, DomainError, GraphError, WitnessError, _Record
 from .graphs import (
     DualGraph,
     Multidegree,
     _Orientation,
     _check_cap,
+    _check_kind,
     _check_multidegree,
     _check_pair_bounds,
     _count_items,
@@ -157,6 +157,7 @@ class SpinWitness:
 
 
 def _require_spin_graph(graph: DualGraph) -> None:
+    _check_kind(graph, DualGraph, "graph")
     if graph.genus < 3:
         raise DomainError(f"spin-locus operations need genus >= 3, got {graph.genus}")
     if not is_stable(graph):
@@ -170,6 +171,7 @@ def grouped_multidegree(
     replayed once the witness passes its checks (s within k, then parity)."""
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
+    _check_kind(witness, SpinWitness, "witness", WitnessError)
     witness.validate(graph)
     degrees = _replay(graph, witness, _spin_base(graph, t))
     md = _unchecked(Multidegree, "items", tuple(zip(graph.ids, degrees)))
@@ -210,11 +212,21 @@ def orientation_feasible(
     lying inside A: sum(quotas over A) >= sum(counts inside A).  Decided by
     shortest augmenting paths in polynomial time, without the 2^n subsets.
     """
-    items = pairs.items() if isinstance(pairs, Mapping) else ((p, c) for *p, c in pairs)
-    items = [(u, v, count) for (u, v), count in items]
+    _check_kind(quotas, Mapping, "quotas")
+    try:
+        items = pairs.items() if isinstance(pairs, Mapping) else ((p, c) for *p, c in pairs)
+        items = [(u, v, count) for (u, v), count in items]
+        names = dict.fromkeys([*quotas, *(x for u, v, _ in items for x in (u, v))])
+    except (TypeError, ValueError):
+        raise GraphError(
+            f"pairs must be (u, v, count) triples or {{(u, v): count}}, got {pairs!r}"
+        ) from None
+    for label, values in (("pairs", [count for _, _, count in items]), ("quotas", quotas.values())):
+        for x in values:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise GraphError(f"{label} must hold integer counts, got {x!r}")
     if any(count < 0 for _, _, count in items):
         return False  # a negative count has no split into non-negative shares
-    names = dict.fromkeys([*quotas, *(x for u, v, _ in items for x in (u, v))])
     index = {x: i for i, x in enumerate(names)}
     kernel = _Orientation(len(index), [(index[u], index[v], count) for u, v, count in items])
     return kernel.meet([quotas.get(x, 0) for x in index]) is None
@@ -316,24 +328,17 @@ def split_curve_graph(genus: int) -> DualGraph:
     return DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): genus + 1})
 
 
-@dataclass(frozen=True)
-class SplitCurveRow:
+class SplitCurveRow(_Record):
     """One admissible (s, sigma) choice on the split curve and its bidegree."""
 
-    genus: int
-    t: int
-    s: int
-    sigma: int
-    d1: int
-    d2: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.sigma <= self.s <= self.genus + 1:
+    def __init__(self, genus: int, t: int, s: int, sigma: int, d1: int, d2: int) -> None:
+        if not 0 <= sigma <= s <= genus + 1:
             raise WitnessError("split-curve row out of range: need 0 <= sigma <= s <= g+1")
-        if (self.genus + 1 - self.s) % 2:
+        if (genus + 1 - s) % 2:
             raise WitnessError("split-curve row violates parity: g + 1 - s must be even")
-        if self.d1 + self.d2 != (2 * self.t + 1) * (self.genus - 1):
+        if d1 + d2 != (2 * t + 1) * (genus - 1):
             raise WitnessError("split-curve row total is not (2t+1)(g-1)")
+        vars(self).update(genus=genus, t=t, s=s, sigma=sigma, d1=d1, d2=d2)
 
 
 def split_curve_table(genus: int, t: int, *, unsafe_t: bool = False) -> list[SplitCurveRow]:

@@ -11,24 +11,33 @@ import pytest
 import spinpicard.graphs as graphs
 from spinpicard import (
     BlowupConfig,
+    BlowupError,
     DomainError,
     DualGraph,
     GraphError,
     GraphTooLargeError,
     Multidegree,
     Vertex,
+    WitnessError,
     arithmetic_genus,
     basic_inequality,
     boundary_case,
+    contract,
     decide_spin_component,
     enumerate_multidegrees,
     enumerate_spin_multidegrees,
     exceptional_profile,
     expand,
+    git_stable,
+    git_stable_exhaustive,
     grouped_multidegree,
     is_stable,
     iter_blowup_configs,
     iter_subcurves,
+    orbit_closed_check,
+    orientation_feasible,
+    spin_multidegree,
+    spin_parity,
     subcurve_profile,
     validate_graph,
 )
@@ -304,6 +313,43 @@ def test_public_arguments_of_the_wrong_type_raise_library_errors(call, error, me
     error naming the argument, never the TypeError or AttributeError of
     using it, and a bool is no integer here."""
     with pytest.raises(error, match=f"^{message} must be"):
+        call()
+
+
+@pytest.mark.parametrize("call, error, argument", [
+    (lambda: spin_multidegree(_GENUS5, 10), GraphError, "q"),
+    (lambda: git_stable(_GENUS5, 10), GraphError, "q"),
+    (lambda: git_stable_exhaustive(_GENUS5, 10), GraphError, "q"),
+    (lambda: orbit_closed_check(_GENUS5, 10), GraphError, "q"),
+    (lambda: boundary_case(_GENUS5, 10, {"a"}), GraphError, "q"),
+    (lambda: contract(_GENUS5), GraphError, "q"),
+    (lambda: exceptional_profile(_GENUS5, {"a"}), GraphError, "q"),
+    (lambda: expand(_GENUS5, {}), BlowupError, "config"),
+    (lambda: spin_parity(_GENUS5, None), BlowupError, "config"),
+    (lambda: grouped_multidegree(_GENUS5, {}, 10), WitnessError, "witness"),
+    (lambda: basic_inequality(_GENUS5.to_dict(), _SPIN5), GraphError, "graph"),
+    (lambda: decide_spin_component(_GENUS5.to_dict(), 10, _SPIN5), GraphError, "graph"),
+    (lambda: next(iter_blowup_configs(_GENUS5.to_dict())), GraphError, "graph"),
+    (lambda: enumerate_multidegrees(None, 10), GraphError, "graph"),
+    (lambda: enumerate_spin_multidegrees(None, 10), GraphError, "graph"),
+    (lambda: subcurve_profile(None, ["a"], 10), GraphError, "graph"),
+    (lambda: is_stable(None), GraphError, "graph"),
+    (lambda: orientation_feasible(None, {}), GraphError, "pairs"),
+    (lambda: orientation_feasible({("a", "b"): "1"}, {"a": 1}), GraphError, "pairs"),
+    (lambda: orientation_feasible({("a", "b"): 1}, None), GraphError, "quotas"),
+], ids=[
+    "spin-degree-plain", "git-plain", "git-scan-plain", "orbit-scan-plain", "boundary-plain",
+    "contract-plain", "exceptional-plain", "expand-dict", "parity-none", "grouped-dict",
+    "bi-graph-dict", "decide-graph-dict", "configs-graph-dict", "enumerate-none",
+    "locus-none", "profile-none", "stable-none", "orientation-pairs-none",
+    "orientation-count-str", "orientation-quotas-none",
+])
+def test_objects_of_the_wrong_kind_raise_library_errors(call, error, argument):
+    """A plain graph where a blow-up model belongs, or an object of the wrong
+    kind for a graph, config, witness, pair table or quota table, raises the
+    library's error naming the argument, never the AttributeError or
+    TypeError of using it."""
+    with pytest.raises(error, match=f"^{argument} must "):
         call()
 
 

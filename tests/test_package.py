@@ -124,38 +124,54 @@ print(json.dumps([bare, dir_ok, after, bound, submodules]))
     assert submodules == [f"spinpicard.{name}" for name in LIBRARY]
 
 
+#: Standard modules no command needs: ``dataclasses`` loads ``inspect``.
+COSTLY = ("dataclasses", "inspect")
+#: What building one ``Fraction`` loads; a command loads it only when it
+#: builds a rational.
+RATIONAL = ("decimal", "fractions")
+
 RUN_CLI = f"""
 import contextlib, io, json, sys
+before = set(sys.modules)
 from spinpicard.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, {LOADED}]))
+added = set(sys.modules) - before
+print(json.dumps([code, {LOADED}, sorted(added & {{*{COSTLY!r}, *{RATIONAL!r}}})]))
 """
 
-
-#: A command line of each mode, and the library modules it should load.
+#: A command line of each mode, the library modules it should load, whether
+#: it builds a rational (a violated basic inequality, a refused multidegree)
+#: and its exit code.
 COMMANDS = [
-    (["numerics", "rank", "-g", "9"], ["numerics"]),
-    (["numerics", "kdg", "-g", "5", "-d", "30"], ["numerics"]),
-    (["info", SPLIT3], ["graphs"]),
-    (["bi", SPLIT3, "--total", "42", "--multidegree", "18,24"], ["graphs"]),
-    (["bi", SPLIT3, "--total", "42", "--enumerate"], ["graphs"]),
-    (["spin", SPLIT3, "-t", "10", "--decide", "19,23"], ["graphs", "spin_locus"]),
-    (["spin", SPLIT3, "-t", "10", "--locus"], ["graphs", "spin_locus"]),
-    (["spin", "-t", "10", "--split-curve", "-g", "3"], ["graphs", "spin_locus"]),
-    (["spin", SPLIT3, "-t", "10", "--blowups", BLOW_ALL], ["graphs", "quasistable"]),
+    (["numerics", "rank", "-g", "9"], ["numerics"], False, 0),
+    (["numerics", "kdg", "-g", "5", "-d", "30"], ["numerics"], False, 0),
+    (["info", SPLIT3], ["graphs"], False, 0),
+    (["bi", SPLIT3, "--total", "42", "--multidegree", "18,24"], ["graphs"], True, 0),
+    (["bi", SPLIT3, "--total", "42", "--multidegree", "21,21"], ["graphs"], False, 0),
+    (["bi", SPLIT3, "--total", "42", "--enumerate"], ["graphs"], False, 0),
+    (["spin", SPLIT3, "-t", "10", "--decide", "19,23"], ["graphs", "spin_locus"], False, 0),
+    (["spin", SPLIT3, "-t", "10", "--decide", "0,42"], ["graphs", "spin_locus"], True, 1),
+    (["spin", SPLIT3, "-t", "10", "--locus"], ["graphs", "spin_locus"], False, 0),
+    (["spin", "-t", "10", "--split-curve", "-g", "3"], ["graphs", "spin_locus"], False, 0),
+    (["spin", SPLIT3, "-t", "10", "--blowups", BLOW_ALL], ["graphs", "quasistable"], False, 0),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, modules", COMMANDS, ids=[" ".join(Path(a).name for a in argv) for argv, _ in COMMANDS]
+    "argv, modules, rational, exit_code", COMMANDS,
+    ids=[" ".join(Path(a).name for a in argv) for argv, *_ in COMMANDS],
 )
-def test_each_command_loads_only_the_modules_it_uses(argv, modules):
-    code, loaded = _fresh(RUN_CLI, *argv)
-    assert code == 0
+def test_each_command_loads_only_the_modules_it_uses(argv, modules, rational, exit_code):
+    """Each command loads the library modules it calls and no standard
+    module it does not need: never ``dataclasses`` or ``inspect``, and
+    ``fractions`` with ``decimal`` only when it builds a rational."""
+    code, loaded, added = _fresh(RUN_CLI, *argv)
+    assert code == exit_code
     assert loaded == sorted(
         ["spinpicard", "spinpicard.cli", "spinpicard.errors", *(f"spinpicard.{m}" for m in modules)]
     )
+    assert added == (sorted(RATIONAL) if rational else [])
 
 
 def test_package_surface_is_that_of_an_eager_import():

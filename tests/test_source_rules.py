@@ -25,6 +25,19 @@ def test_no_assert_statements_in_the_library():
     assert not found, f"assert statements in src/spinpicard: {', '.join(found)}"
 
 
+def test_no_dataclasses_import_in_the_library():
+    """``dataclasses`` loads ``inspect``, about 13 ms of a command's cold
+    start: the value classes are frozen records on `errors._Record`."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert not found, f"dataclasses imported in src/spinpicard: {', '.join(found)}"
+
+
 def test_every_max_vertices_parameter_is_read():
     """A cap that a function accepts but never reads is a dead knob: callers
     would believe it bounds a scan that no longer runs."""

@@ -7,33 +7,34 @@ builder, has an entry in ``TRUSTED`` (`tests/test_source_rules.py` holds the
 library to that).  Each entry yields batches (trusted, validated, view,
 layout): two lists of objects built from the same data, a function reading
 every accessor callers use, and the positions at which to check the layout.
-The objects must agree on ``==``, ``hash``, ``repr``, ``vars`` and the view.  Equal
-``vars`` on objects of one class fix what ``dataclasses.asdict`` reads and
-how the class guards its fields, so those are checked at the ``layout``
-positions of the dataclasses: every object but split-curve rows, whose
+The objects must agree on ``==``, ``hash``, ``repr``, ``vars`` and the view.  At
+the ``layout`` positions of the frozen records the fields, ``__match_args__``,
+must lead the instance dict in their order, and assigning or deleting one
+must raise ``AttributeError``: every object but split-curve rows, whose
 212,040 rows get them on the first row of each table.  Graphs, witnesses
-and blow-up configs are no dataclasses and have no layout positions.  A
+and blow-up configs are no records and have no layout positions.  A
 multidegree builds its lookup dict on first use, so one more test looks
 trusted ones up before reading them.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import spinpicard.quasistable as quasistable
 from conftest import quasistable_graphs, spin_graphs
 from spinpicard import (
+    BIReport,
     BIViolation,
     BlowupConfig,
     BoundaryCase,
     DualGraph,
+    ExceptionalProfile,
     Multidegree,
     QuasistableGraph,
     SpinWitness,
     SplitCurveRow,
+    SubcurveProfile,
     Vertex,
     basic_inequality,
     boundary_case,
@@ -41,6 +42,7 @@ from spinpicard import (
     decide_spin_component,
     enumerate_multidegrees,
     enumerate_spin_multidegrees,
+    exceptional_profile,
     expand,
     grouped_multidegree,
     iter_blowup_configs,
@@ -140,6 +142,59 @@ def _violations():
                 for p in profiles if not p.lower <= p.degree <= p.upper
             ]
             yield trusted, validated, lambda v: v.upper - v.lower, range(len(trusted))
+
+
+def _reports():
+    """Basic-inequality reports on every tenth spin corpus graph: the spin
+    multidegrees at t = 10 (satisfied, a blow-up model's from its lanes)
+    and lopsided ones (violated)."""
+    for graph in spin_graphs()[::10]:
+        g = graph.genus
+        mds = enumerate_spin_multidegrees(graph, 10)[:3]
+        mds.append(Multidegree.from_values(graph, [0] * (graph.n - 1) + [4 * (g - 1)]))
+        models = [expand(graph, config) for config in iter_blowup_configs(graph, spin_only=True)]
+        trusted = [basic_inequality(graph, md) for md in mds]
+        trusted += [basic_inequality(q, spin_multidegree(q, 10)) for q in models[-3:]]
+        validated = [BIReport(r.satisfied, r.violations) for r in trusted]
+        assert any(r.satisfied for r in trusted) and not all(r.satisfied for r in trusted)
+        yield trusted, validated, lambda r: (r.satisfied, r.violations), range(len(trusted))
+
+
+def _profiles():
+    """The profile of every subcurve of every tenth spin corpus graph, with
+    and without a multidegree, against the constructor on the same data
+    (the genus and contact from the subcurve's members)."""
+    for graph in spin_graphs()[::10]:
+        d_total = 21 * (graph.genus - 1)
+        md = enumerate_spin_multidegrees(graph, 10)[0]
+        trusted, validated = [], []
+        for Y in iter_subcurves(graph):
+            internal = sum(m for u, v, m in graph.pairs() if u in Y and v in Y)
+            genus = sum(graph.pa(v) - 1 for v in Y) + internal + 1
+            contact = sum(graph.contact(v) for v in Y) - 2 * internal
+            for multidegree in (None, md):
+                trusted.append(subcurve_profile(graph, Y, d_total, multidegree))
+                lower = trusted[-1].lower
+                degree = None if multidegree is None else md.degree_on(Y)
+                validated.append(SubcurveProfile(Y, genus, contact, lower, degree))
+        yield trusted, validated, lambda p: p.upper, range(len(trusted))
+
+
+def _exceptional_profiles():
+    """The exceptional profile of every subcurve of the most blown-up spin
+    model of every hundredth small corpus graph, against the constructor
+    with the component counts taken from the subcurve's members."""
+    for graph in quasistable_graphs()[::100]:
+        q = expand(graph, [*iter_blowup_configs(graph, spin_only=True)][-1])
+        trusted = [exceptional_profile(q, Y) for Y in iter_subcurves(q)]
+        validated = [
+            ExceptionalProfile(
+                p.subcurve, len(p.subcurve), len(p.subcurve - q.exceptional),
+                p.internal_nodes, p.core_internal_nodes, p.core_contact,
+            )
+            for p in trusted
+        ]
+        yield trusted, validated, lambda p: (), range(len(trusted))
 
 
 def _witnesses():
@@ -264,14 +319,17 @@ def _vertices():
 
 
 TRUSTED = {
+    "BIReport": _reports,
     "BIViolation": _violations,
     "BlowupConfig": _configs,
     "BoundaryCase": _boundary_cases,
     "DualGraph": _graphs,
+    "ExceptionalProfile": _exceptional_profiles,
     "Multidegree": _multidegrees,
     "QuasistableGraph": _models,
     "SpinWitness": _witnesses,
     "SplitCurveRow": _split_rows,
+    "SubcurveProfile": _profiles,
     "Vertex": _vertices,
 }
 
@@ -287,12 +345,14 @@ def test_trusted_instances_equal_validated_ones(name):
         assert [vars(x) for x in trusted] == [vars(x) for x in validated]
         assert [view(x) for x in trusted] == [view(x) for x in validated]
         for i in layout:
-            assert dataclasses.asdict(trusted[i]) == dataclasses.asdict(validated[i])
-            for field in dataclasses.fields(trusted[i]):
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    setattr(trusted[i], field.name, None)
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    delattr(trusted[i], field.name)
+            fields = type(trusted[i]).__match_args__
+            for x in (trusted[i], validated[i]):
+                assert tuple(vars(x))[:len(fields)] == fields
+            for field in fields:
+                with pytest.raises(AttributeError):
+                    setattr(trusted[i], field, None)
+                with pytest.raises(AttributeError):
+                    delattr(trusted[i], field)
         count += len(trusted)
     assert count >= 100
 
