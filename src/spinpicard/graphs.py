@@ -115,8 +115,6 @@ class Vertex(_Record):
 def _check_vertex(vid, pa, self_nodes) -> None:
     """Raise GraphError unless the fields make a vertex: a non-empty string
     id, non-negative integers, and no more self-nodes than pa."""
-    if type(vid) is str and vid and type(pa) is type(self_nodes) is int and 0 <= self_nodes <= pa:
-        return  # the common case; the checks below name the fault
     if not isinstance(vid, str) or not vid:
         raise GraphError(f"vertex id must be a non-empty string, got {vid!r}")
     for field, value in (("pa", pa), ("self_nodes", self_nodes)):
@@ -333,11 +331,17 @@ def validate_graph(raw) -> DualGraph:
         raise GraphError("'vertices' must be a non-empty array")
     vertices = []
     for i, entry in enumerate(verts_raw):
-        _check_object(entry, _VERTEX_FIELDS, "vertices", i)
-        if "id" not in entry or "pa" not in entry:
-            raise GraphError(f"vertices[{i}]: 'id' and 'pa' are required")
-        vid, pa, self_nodes = entry["id"], entry["pa"], entry.get("self_nodes", 0)
-        _check_vertex(vid, pa, self_nodes)
+        if not (  # a plain entry; off it, the helpers name the fault
+            type(entry) is dict and _VERTEX_FIELDS.issuperset(entry)
+            and type(vid := entry.get("id")) is str and vid
+            and type(pa := entry.get("pa")) is type(self_nodes := entry.get("self_nodes", 0)) is int
+            and 0 <= self_nodes <= pa
+        ):
+            _check_object(entry, _VERTEX_FIELDS, "vertices", i)
+            if "id" not in entry or "pa" not in entry:
+                raise GraphError(f"vertices[{i}]: 'id' and 'pa' are required")
+            vid, pa, self_nodes = entry["id"], entry["pa"], entry.get("self_nodes", 0)
+            _check_vertex(vid, pa, self_nodes)
         vertices.append(_unchecked(Vertex, {"id": vid, "pa": pa, "self_nodes": self_nodes}))
 
     edges_raw = raw.get("edges", [])
@@ -345,14 +349,16 @@ def validate_graph(raw) -> DualGraph:
         raise GraphError("'edges' must be an array")
     triples = []
     for i, entry in enumerate(edges_raw):
-        _check_object(entry, _EDGE_FIELDS, "edges", i)
-        if len(entry) < 3:  # a field is missing: name the first
-            for field in ("u", "v", "multiplicity"):
-                if field not in entry:
-                    raise GraphError(f"edges[{i}]: '{field}' is required")
-        mult = entry["multiplicity"]
-        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-            raise GraphError(f"edges[{i}]: multiplicity must be a positive integer")
+        if not (type(entry) is dict and len(entry) == 3 and _EDGE_FIELDS.issuperset(entry)
+                and type(mult := entry["multiplicity"]) is int and mult > 0):
+            _check_object(entry, _EDGE_FIELDS, "edges", i)
+            if len(entry) < 3:  # a field is missing: name the first
+                for field in ("u", "v", "multiplicity"):
+                    if field not in entry:
+                        raise GraphError(f"edges[{i}]: '{field}' is required")
+            mult = entry["multiplicity"]
+            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+                raise GraphError(f"edges[{i}]: multiplicity must be a positive integer")
         triples.append((entry["u"], entry["v"], mult))
 
     return DualGraph._trusted(vertices, _node_rows(_unique_ids(vertices), triples))
@@ -468,14 +474,18 @@ class Multidegree(_Record):
 
     @classmethod
     def from_values(cls, graph: DualGraph, values: Sequence[int]) -> "Multidegree":
-        """Pair values with the graph's vertex ids in sorted-id order."""
+        """Pair values with the graph's vertex ids in sorted-id order.  The
+        ids are the graph's, sorted and distinct, so only degrees are checked."""
         values = _converted(tuple, values, "values", "a sequence of degrees")
         if len(values) != graph.n:
             raise GraphError(
                 f"multidegree has {len(values)} entries but the graph has "
                 f"{graph.n} vertices (order: {', '.join(graph.ids)})"
             )
-        return cls(tuple(zip(graph.ids, values)))
+        items = tuple(zip(graph._ids, values))
+        if all([type(deg) is int for deg in values]):
+            return _unchecked(Multidegree, "items", items)
+        return Multidegree(items)  # names the first degree that is no integer
 
     @property
     def total(self) -> int:
@@ -500,6 +510,8 @@ class Multidegree(_Record):
 
 def _check_multidegree(graph: DualGraph, md: Multidegree) -> None:
     _check_kind(md, Multidegree, "multidegree")
+    if tuple([vid for vid, _ in md.items]) == graph._ids:
+        return  # the graph's ids in id order: the common case
     have, want = {vid for vid, _ in md.items}, set(graph.ids)
     if have != want:
         parts = [
@@ -691,17 +703,19 @@ def iter_subcurves(
 ) -> Iterator[frozenset]:
     """All nonempty subcurves in a deterministic order (ascending bitmask
     over the id-sorted vertex list).  With ``proper=True`` the full curve is
-    skipped."""
+    skipped.  The arguments are checked on the call, before any iteration."""
     _check_kind(graph, DualGraph, "graph")
     _check_cap(graph, max_vertices)
     ids = graph.ids
     # Low ten bits' members from a table, the rest once per table block.
     low = _subset_sums([(vid,) for vid in ids[:10]], ())
-    high: tuple = ()
-    for mask in range(1, (1 << graph.n) - 1 if proper else 1 << graph.n):
-        if not mask % len(low):
-            high = tuple(vid for i, vid in enumerate(ids) if i >= 10 and mask >> i & 1)
-        yield frozenset(low[mask % len(low)] + high)
+    def subcurves() -> Iterator[frozenset]:
+        high: tuple = ()
+        for mask in range(1, (1 << graph.n) - 1 if proper else 1 << graph.n):
+            if not mask % len(low):
+                high = tuple(vid for i, vid in enumerate(ids) if i >= 10 and mask >> i & 1)
+            yield frozenset(low[mask % len(low)] + high)
+    return subcurves()
 
 
 #: memoryview formats of signed lanes by width, on little-endian hosts.
@@ -902,7 +916,7 @@ def _odd_vertex(graph: DualGraph, s: Mapping) -> Optional[tuple[str, int]]:
 class _Orientation:
     """Units of each pair (i, j, total) split between its ends: ``a[p]`` go
     into i and ``total - a[p]`` into j.  A settled pair leaves both of its
-    incidence lists, so no later search moves its units.
+    incidence lists, so no later search or move changes its units.
 
     Moving units of in-degree from one end of a pair to the other changes no
     third vertex, so moves along a path shift in-degree from its first vertex
@@ -926,9 +940,12 @@ class _Orientation:
 
     @classmethod
     def on_graph(cls, graph: DualGraph, units: int) -> "_Orientation":
-        """The kernel splitting ``units`` per node of each pair, in id order."""
-        index = graph._index
-        return cls(graph.n, [(index[u], index[v], units * k) for u, v, k in graph.pairs()])
+        """The kernel splitting ``units`` per node of each pair, pairs in id
+        order, read off the node rows (indices follow the sorted ids)."""
+        index, adjacency = graph._index, graph._adjacency
+        pairs = [(i, index[v], units * k) for i, u in enumerate(graph._ids)
+                 for v, k in adjacency[u].items() if u < v]
+        return cls(graph.n, sorted(pairs))
 
     def _path(
         self, sources: Sequence[int], targets
@@ -971,7 +988,7 @@ class _Orientation:
     def meet(self, quota: Sequence[int]) -> Optional[set[int]]:
         """Reshape the split so that vertex x receives quota[x] units and
         return None; when no split does, return the vertex set R the last
-        search reached.
+        search reached.  Units move along single pairs first, then along paths.
 
         R holds every vertex over its quota and none under it, and no pair can
         move a unit out of R, so its pairs to the rest send them every unit:
@@ -979,13 +996,24 @@ class _Orientation:
         condition fails on R).  Quotas totalling more than the units are
         refused even when no vertex is over its quota (R is then empty).
         """
+        ends, a, total, incident = self.ends, self.a, self.total, self.incident
         excess = [-q for q in quota]
-        for (i, j), a, total in zip(self.ends, self.a, self.total):
-            excess[i] += a
-            excess[j] += total - a
-        # A path moves units from one vertex over its quota to one under it,
-        # never past either quota, so both sets only shrink.
+        for (i, j), units, whole in zip(ends, a, total):
+            excess[i] += units
+            excess[j] += whole - units
+        # A move, along one pair (one pass, no search) or a path, takes units
+        # from a vertex over its quota to one under it, never past either.
         sources = [x for x, e in enumerate(excess) if e > 0]
+        for x in sources:
+            for p in incident[x]:
+                i, j = ends[p]
+                y = j if x == i else i
+                if excess[y] < 0:
+                    moved = min(excess[x], -excess[y], a[p] if x == i else total[p] - a[p])
+                    a[p] += -moved if x == i else moved
+                    excess[x] -= moved
+                    excess[y] += moved
+        sources = [x for x in sources if excess[x]]
         targets = {x for x, e in enumerate(excess) if e < 0}
         while sources or targets:
             found = self._path(sources, targets)
@@ -1006,13 +1034,15 @@ class _Orientation:
         takes up the change, then return where it stopped.
 
         The values a[p] takes over the splits that meet the quotas form an
-        interval, so the walk ends at its point nearest the target.
+        interval, so the walk ends at its point nearest the target.  Where an
+        end of p has no other unsettled pair, no path reaches it and the
+        interval is the point a[p]: that settle runs no search.
         """
         i, j = self.ends[p]
-        a = self.a
-        self.incident[i].remove(p)
-        self.incident[j].remove(p)
-        while a[p] != target:
+        a, at_i, at_j = self.a, self.incident[i], self.incident[j]
+        at_i.remove(p)
+        at_j.remove(p)
+        while at_i and at_j and a[p] != target:
             # Lowering a[p] moves in-degree from i to j; a path from j to i
             # moves it back (and the other way round for raising).
             down = a[p] > target

@@ -746,6 +746,7 @@ def iter_blowup_configs(graph: DualGraph, *, spin_only: bool = False) -> Iterato
     ``spin_only`` each choice of pair counts is tested for parity once, before
     the self-node counts (parity ignores them); configs are built in range,
     unchecked.  Their number is the product of the ranges: keep graphs small.
+    The graph is checked on the call, before any iteration.
     """
     _check_kind(graph, DualGraph, "graph")
     pairs = list(graph.pairs())
@@ -754,11 +755,13 @@ def iter_blowup_configs(graph: DualGraph, *, spin_only: bool = False) -> Iterato
         {v.id: c for v, c in zip(selfs, choice) if c}
         for choice in itertools.product(*[range(v.self_nodes + 1) for v in selfs])
     ]
-    for choice in itertools.product(*[range(k + 1) for _, _, k in pairs]):
-        s = {(u, v): c for (u, v, _), c in zip(pairs, choice) if c}
-        if spin_only and _odd_vertex(graph, s) is not None:
-            continue
-        for r in r_tables:
-            config = _unchecked(BlowupConfig, "_s", s)
-            config._r = r
-            yield config
+    def configs() -> Iterator[BlowupConfig]:
+        for choice in itertools.product(*[range(k + 1) for _, _, k in pairs]):
+            s = {(u, v): c for (u, v, _), c in zip(pairs, choice) if c}
+            if spin_only and _odd_vertex(graph, s) is not None:
+                continue
+            for r in r_tables:
+                config = _unchecked(BlowupConfig, "_s", s)
+                config._r = r
+                yield config
+    return configs()

@@ -251,15 +251,15 @@ def decide_spin_component(
     check_t(t, unsafe_t=unsafe_t)
     _require_spin_graph(graph)
     _check_multidegree(graph, multidegree)
-    d_total = (2 * t + 1) * (graph.genus - 1)
-    if multidegree.total != d_total:
+    ids, d_total = graph.ids, (2 * t + 1) * (graph.genus - 1)
+    values = multidegree.values(ids)
+    if sum(values) != d_total:
         raise BasicInequalityError(
-            f"total degree {multidegree.total} does not equal "
+            f"total degree {sum(values)} does not equal "
             f"(2t+1)(g-1) = {d_total}"
         )
 
-    ids = graph.ids
-    base, values = _spin_base(graph, t), multidegree.values(ids)
+    base = _spin_base(graph, t)
     kernel = _Orientation.on_graph(graph, 2)
     stuck = kernel.meet([2 * (d - b) for d, b in zip(values, base)])
     if stuck is not None:

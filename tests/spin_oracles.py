@@ -18,6 +18,10 @@ decide rejection names, for comparison with the scan.  ``neighbor_sum_grouped`` 
 replaced by one pass over a witness's pairs, and ``product_blowup_configs``
 is blow-up iteration as every candidate of the count ranges, built by the
 validating constructor and filtered through ``spin_parity``.
+``greedy_witness`` builds the lexicographically smallest witness pair by
+pair from `orientation_feasible` answers alone, in polynomial time, so it
+reaches graphs past the exhaustive routes without the settle walks decide
+runs.
 ``subcurve_table`` and ``node_columns`` are the per-mask list tables the
 blow-up scans read before their packed-lane kernel: genus, contact and
 internal nodes of every mask, and a model's core contact, core-internal,
@@ -42,6 +46,7 @@ from spinpicard import (
     SpinWitness,
     WitnessError,
     basic_inequality,
+    orientation_feasible,
     spin_parity,
     subcurve_profile,
 )
@@ -175,6 +180,32 @@ def lexmin_witness(graph: DualGraph, t: int, multidegree: Multidegree) -> Option
                     {(u, v): a for (u, v, _), a in zip(blown_pairs, split)},
                 )
     return None
+
+
+def greedy_witness(graph: DualGraph, t: int, multidegree: Multidegree) -> Optional[SpinWitness]:
+    """The lexicographically smallest witness (s, then sigma), or None,
+    fixed greedily: in doubled units pair (u, v, k) sends a to u and 2k - a
+    to v, with s = |a - k|, and each pair in sorted order takes the a
+    nearest k for which `orientation_feasible` still splits the pairs after
+    it to the quotas left.  Of a - k = -d and +d the smaller sigma(u, v),
+    k - d, comes first, as decide orders them.  No vertex cap."""
+    base = _base(graph, t)
+    quotas = {vid: 2 * (multidegree[vid] - base[vid]) for vid in graph.ids}
+    pairs = list(graph.pairs())
+    s, sigma = {}, {}
+    for p, (u, v, k) in enumerate(pairs):
+        rest = [(x, y, 2 * m) for x, y, m in pairs[p + 1:]]
+        for a in sorted(range(2 * k + 1), key=lambda a: (abs(a - k), a)):
+            left = {**quotas, u: quotas[u] - a, v: quotas[v] - (2 * k - a)}
+            if orientation_feasible(rest, left):
+                break
+        else:
+            return None
+        quotas = left
+        if a != k:
+            s[(u, v)] = abs(a - k)
+            sigma[(u, v)], sigma[(v, u)] = max(a - k, 0), max(k - a, 0)
+    return SpinWitness(s, sigma)
 
 
 def swept_locus(graph: DualGraph, t: int) -> list[tuple[int, ...]]:

@@ -353,6 +353,27 @@ def test_objects_of_the_wrong_kind_raise_library_errors(call, error, argument):
         call()
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: iter_subcurves(None), GraphError, "graph must be a DualGraph"),
+    (lambda: iter_subcurves(_GENUS5, max_vertices="x"), DomainError, "max_vertices must be"),
+    (lambda: iter_blowup_configs({}), GraphError, "graph must be a DualGraph"),
+], ids=["subcurves-none", "subcurves-cap-str", "configs-dict"])
+def test_generator_arguments_are_checked_on_the_call(call, error, message):
+    """`iter_subcurves` and `iter_blowup_configs` return generators, but
+    they check their arguments when called, not on the first ``next()``."""
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
+def test_from_values_names_the_first_degree_that_is_no_integer():
+    """`Multidegree.from_values` checks only the degrees, the ids being the
+    graph's, and names a fault as the validating constructor does."""
+    for values, shown in (([21, "x"], "'C2'.*'x'"), ([True, 41], "'C1'.*True"), ([1.5, 2], "'C1'.*1.5")):
+        with pytest.raises(GraphError, match=f"^degree of {shown}$"):
+            Multidegree.from_values(SPLIT3, values)
+    assert Multidegree.from_values(SPLIT3, [21, 21]) == Multidegree((("C2", 21), ("C1", 21)))
+
+
 def test_multidegree_checks_every_entry_before_sorting():
     """Sorting compares entries, so each one is checked first: a key that is
     not a string, a degree that is not an integer, or an entry that is not
@@ -368,8 +389,8 @@ def test_multidegree_checks_every_entry_before_sorting():
 
 
 def test_trusted_multidegree_equals_validated():
-    """Enumeration outputs skip validation; they must be the objects
-    from_values builds, in every respect callers can see."""
+    """Enumeration outputs skip validation; they must be the objects the
+    validating constructor builds, in every respect callers can see."""
     graph = DualGraph(
         [("a", 1), ("b", 0), ("c", 1)], {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 1}
     )
@@ -377,7 +398,7 @@ def test_trusted_multidegree_equals_validated():
     outputs += enumerate_spin_multidegrees(graph, 10)
     assert outputs
     for md in outputs:
-        checked = Multidegree.from_values(graph, md.values(graph.ids))
+        checked = Multidegree(zip(graph.ids, md.values(graph.ids)))
         assert md == checked and hash(md) == hash(checked)
         assert repr(md) == repr(checked)
         assert [md[v] for v in graph.ids] == [checked[v] for v in graph.ids]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -207,6 +208,65 @@ def test_orientation_feasible_refuses_negative_counts():
     pairs = {("a", "b"): -1, ("b", "a"): 1}
     assert subset_feasible(pairs, {"a": 0, "b": 0})
     assert not orientation_feasible(pairs, {"a": 0, "b": 0})
+
+
+#: Breadth-first searches of every kernel built while deciding each of the 201
+#: components of K_4 (m = 2) at t = 10, as measured: 144 in `meet` and 434 in
+#: `settle`.  A kernel that searched before moving units along single pairs,
+#: and ran a search for every settle off its target, ran 1,496.
+K4_DECIDE_SEARCHES = 578
+
+
+def test_deciding_every_k4_component_runs_few_searches():
+    """Work count, independent of the machine: `meet` moves units along
+    single pairs before it searches, and a settle that no path can change
+    runs no search, so deciding every component of K_4 (m = 2) stays within
+    the measured number of searches."""
+    graph = _complete(4, 2)
+    kernels = []
+    on_graph = _Orientation.on_graph
+
+    def counted(cls, graph, units):
+        kernels.append(on_graph(graph, units))
+        return kernels[-1]
+
+    components = enumerate_spin_multidegrees(graph, 10)
+    with mock.patch.object(_Orientation, "on_graph", classmethod(counted)):
+        for md in components:
+            decide_spin_component(graph, 10, md)
+    assert len(components) == len(kernels) == 201
+    assert sum(kernel.searches for kernel in kernels) <= K4_DECIDE_SEARCHES
+
+
+def test_a_settle_no_path_can_change_runs_no_search():
+    """Once the other pairs at an end of pair p are settled, no path reaches
+    that end, so settling p keeps its units and runs no search, whatever
+    the target."""
+    kernel = _Orientation.on_graph(_complete(4, 2), 2)
+    assert kernel.meet([6, 6, 6, 6]) is None
+    for p in (0, 1):  # (v0, v1) and (v0, v2): settled where they stand
+        assert kernel.settle(p, kernel.a[p]) == kernel.a[p]
+    searches, units = kernel.searches, kernel.a[2]
+    assert kernel.ends[2] == (0, 3)
+    assert kernel.settle(2, 0 if units else kernel.total[2]) == units
+    assert kernel.searches == searches
+    # (v2, v3) once (v1, v3) is settled: only its second end is left alone.
+    assert kernel.settle(4, kernel.a[4]) == kernel.a[4]
+    units = kernel.a[5]
+    assert kernel.ends[5] == (2, 3) and kernel.incident[2]
+    assert kernel.settle(5, 0 if units else kernel.total[5]) == units
+    assert kernel.searches == searches
+
+
+def test_a_settled_pair_keeps_its_units_in_later_meets():
+    """Neither the single-pair moves nor the searches of a later `meet`
+    touch a settled pair: its units stay, and quotas that only it could
+    meet are refused."""
+    kernel = _Orientation(2, [(0, 1, 4)])
+    assert kernel.meet([2, 2]) is None
+    assert kernel.settle(0, 2) == 2
+    assert kernel.meet([3, 1]) == {1}
+    assert kernel.a == [2]
 
 
 def _perturbed(md: Multidegree, rng: random.Random) -> Multidegree:

@@ -43,6 +43,7 @@ import spinpicard.cli as cli
 import spinpicard.quasistable as quasistable
 from spin_oracles import (
     box_enumeration,
+    greedy_witness,
     named_violation,
     neighbor_sum_grouped,
     neighbor_sum_odd_vertex,
@@ -153,6 +154,31 @@ def test_an_overloaded_vertex_is_rejected_with_a_violated_subcurve(case, rng):
         decide_spin_component(graph, t, overloaded)
     subcurve, degree, lower, upper = named_violation(caught.value)
     profile = subcurve_profile(graph, subcurve, overloaded.total, overloaded)
+    assert (profile.degree, profile.lower, profile.upper) == (degree, lower, upper)
+    assert not profile.lower <= profile.degree <= profile.upper
+
+
+@PROPERTY_SETTINGS
+@given(components(sizes=(13, 40)), st.booleans(), st.randoms(use_true_random=False))
+def test_decide_equals_the_greedy_witness_past_the_subset_cap(case, moved, rng):
+    """Past the exhaustive oracles' reach, decide equals the witness fixed
+    pair by pair from `orientation_feasible` answers.  Where units moved
+    between two vertices leave no split, the greedy oracle finds none, and
+    decide raises BasicInequalityError naming a subcurve whose profile
+    confirms the violation."""
+    graph, t, md = case
+    if moved:
+        i, j = rng.sample(list(graph.ids), 2)
+        units = rng.randint(1, graph.contact(i) + 1)
+        md = Multidegree.of({**md.as_dict(), i: md[i] + units, j: md[j] - units})
+    expected = greedy_witness(graph, t, md)
+    if expected is not None:
+        assert decide_spin_component(graph, t, md) == expected
+        return
+    with pytest.raises(BasicInequalityError) as caught:
+        decide_spin_component(graph, t, md)
+    subcurve, degree, lower, upper = named_violation(caught.value)
+    profile = subcurve_profile(graph, subcurve, md.total, md)
     assert (profile.degree, profile.lower, profile.upper) == (degree, lower, upper)
     assert not profile.lower <= profile.degree <= profile.upper
 

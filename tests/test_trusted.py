@@ -56,9 +56,10 @@ from spinpicard import (
 
 def _multidegrees():
     """Enumeration outputs, at small totals and at 21(g-1), replayed
-    witnesses, and the spin multidegrees of blow-up models at t = 10 and 13,
-    exceptional vertices included; every degree an ``int``, an absent id a
-    ``KeyError``."""
+    witnesses, `Multidegree.from_values` on each, and the spin multidegrees
+    of blow-up models at t = 10 and 13, exceptional vertices included;
+    every degree an ``int``, an absent id a ``KeyError``.  The validated
+    ones come from the constructor, which checks ids as well."""
     graph = DualGraph(
         [("a", 1), ("b", 0), ("c", 1)], {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 1}
     )
@@ -78,7 +79,8 @@ def _multidegrees():
     outputs = [md for d in totals for md in enumerate_multidegrees(graph, d)]
     for md in enumerate_spin_multidegrees(graph, 10):
         outputs += [md, grouped_multidegree(graph, decide_spin_component(graph, 10, md), 10)]
-    validated = [Multidegree.from_values(graph, md.values(ids)) for md in outputs]
+    outputs += [Multidegree.from_values(graph, md.values(ids)) for md in outputs]
+    validated = [Multidegree(zip(ids, md.values(ids))) for md in outputs]
     yield outputs, validated, viewer(ids), range(len(outputs))
 
     models = [expand(graph, config) for config in iter_blowup_configs(graph, spin_only=True)]
@@ -88,7 +90,7 @@ def _multidegrees():
     assert any(origin[0] == "pair" for q in models for origin in q.origin.values())
     for q in models:
         outputs = [spin_multidegree(q, t) for t in (10, 13)]
-        validated = [Multidegree.from_values(q, md.values(q.ids)) for md in outputs]
+        validated = [Multidegree(zip(q.ids, md.values(q.ids))) for md in outputs]
         yield outputs, validated, viewer(q.ids), range(len(outputs))
 
 
