@@ -23,13 +23,6 @@ from .errors import SpinPicardError
 PROG = "spinpicard"
 
 
-def _q(x) -> str:
-    """Exact rendering of a rational (Fraction or int) as a string."""
-    from fractions import Fraction
-
-    return str(Fraction(x))
-
-
 def _load_json(path: str):
     try:
         text = Path(path).read_text()
@@ -119,8 +112,8 @@ def cmd_bi(args):
                 {
                     "subcurve": sorted(v.subcurve),
                     "degree": v.degree,
-                    "lower": _q(v.lower),
-                    "upper": _q(v.upper),
+                    "lower": str(v.lower),
+                    "upper": str(v.upper),
                 }
                 for v in report.violations
             ],
@@ -131,9 +124,7 @@ def cmd_bi(args):
             lines = [f"basic inequality: VIOLATED on {len(report.violations)} subcurve(s)"]
             for v in report.violations:
                 names = ", ".join(sorted(v.subcurve))
-                lines.append(
-                    f"  Y={{{names}}}: degree {v.degree} outside [{_q(v.lower)}, {_q(v.upper)}]"
-                )
+                lines.append(f"  Y={{{names}}}: degree {v.degree} outside [{v.lower}, {v.upper}]")
         return {"command": "bi", "inputs": inputs, "result": result}, lines
 
     found = enumerate_multidegrees(graph, args.total, max_vertices=args.max_vertices)

@@ -505,7 +505,10 @@ class Multidegree(_Record):
 
     def degree_on(self, subcurve: Iterable[str]) -> int:
         """Total degree carried by the components in the subcurve."""
-        return sum(self._lookup[v] for v in subcurve)
+        try:
+            return sum(self._lookup[v] for v in subcurve)
+        except (KeyError, TypeError):
+            raise GraphError(f"subcurve must hold ids with a degree, got {subcurve!r}") from None
 
 
 def _check_multidegree(graph: DualGraph, md: Multidegree) -> None:
@@ -743,6 +746,21 @@ def _lanes(value: int, signs: int, width: int) -> list[int]:
     return [int.from_bytes(raw[i:i + k], "little", signed=True) for i in range(0, len(raw), k)]
 
 
+def _subset_lanes(matrix: Sequence, contacts: Sequence, values: Sequence, width: int) -> tuple:
+    """k(Y) and the sum of ``values`` over Y for every mask Y of the node
+    ``matrix`` with row sums ``contacts``, one ``width``-bit lane per mask: the
+    doubling recurrence of every 2^n scan, k(Y + h) = k(Y) + c_h - 2 (nodes
+    from h to Y), those cross terms doubled alongside as row subset sums."""
+    contact, total, across, ones, shift = 0, 0, [0] * len(contacts), 1, width
+    for h, (row, c, x) in enumerate(zip(matrix, contacts, values)):
+        contact += (contact + c * ones - 2 * across[0]) << shift
+        total += (total + x * ones) << shift
+        across = [a + ((a + m * ones) << shift) for a, m in zip(across[1:], row[h + 1:])]
+        ones |= ones << shift
+        shift <<= 1
+    return contact, total
+
+
 def basic_inequality(
     graph: DualGraph, multidegree: Multidegree, *, max_vertices: Optional[int] = None
 ) -> BIReport:
@@ -763,21 +781,14 @@ def basic_inequality(
     # 2(g-1) m(Y) = d w(Y) - (g-1) k(Y) with w(Y) = 2 g(Y) - 2 + k(Y) additive
     # over the components of Y, so scaled by 2(g-1) the window is |X(Y)| <=
     # (g-1) k(Y) with X(Y) = 2(g-1) d(Y) - d w(Y).  X and k are packed, one
-    # lane per mask, and doubled over the vertices: k(Y + h) = k(Y) + c_h - 2
-    # (nodes from h to Y), those cross terms doubled alongside as subset sums
-    # of the rows.  Offset by its sign bit, no lane of (g-1) k -+ X leaves the
-    # lane, so a cleared sign bit marks a violation.  Mask 0 always passes.
+    # lane per mask, by `_subset_lanes`.  Offset by its sign bit, no lane of
+    # (g-1) k -+ X leaves the lane, so a cleared sign bit marks a violation.
+    # Mask 0 always passes.
     degrees = multidegree.values(ids)
     weights = [2 * v.pa - 2 + c for v, c in zip(graph.vertices, graph._contacts)]
     offsets = [2 * half * deg - d_total * w for deg, w in zip(degrees, weights)]
     width, signs = _lane_format(sum(map(abs, offsets)) + half * sum(graph._contacts), graph.n)
-    contact, offset, across, ones, shift = 0, 0, [0] * graph.n, 1, width
-    for h, (row, c, x) in enumerate(zip(graph._matrix, graph._contacts, offsets)):
-        contact += (contact + c * ones - 2 * across[0]) << shift
-        offset += (offset + x * ones) << shift
-        across = [a + ((a + m * ones) << shift) for a, m in zip(across[1:], row[h + 1:])]
-        ones |= ones << shift
-        shift <<= 1
+    contact, offset = _subset_lanes(graph._matrix, graph._contacts, offsets, width)
     scaled = half * contact + signs
     kept = (scaled - offset) & (scaled + offset) & signs
     if kept == signs:

@@ -24,9 +24,10 @@ The boundary predicates decide whether a subcurve sits at an end of its
 admissible degree range, whether the model is GIT-stable, and whether its
 orbit is closed.  Within the subset cap they and `basic_inequality` on the
 spin multidegree read one kernel pass per model and twist (`_model_lanes`,
-one lane per subcurve), checked on whole integers by the identities of
-`_checked_row`, which also checks single subcurves past the cap.  The lane
-format, the count helpers and ``check_t`` come from :mod:`spinpicard.graphs`.
+one lane per subcurve): two calls of the doubling recurrence that
+`basic_inequality` runs, every other column linear in theirs.  Past the cap,
+`_checked_row` checks single subcurves.  The lane format, the recurrence,
+the count helpers and ``check_t`` come from :mod:`spinpicard.graphs`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from functools import cached_property
-from operator import not_
+from operator import mul, not_
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
@@ -62,6 +63,7 @@ from .graphs import (
     _require_genus,
     _scaled_lower,
     _spin_base,
+    _subset_lanes,
     _unchecked,
     check_t,
 )
@@ -122,6 +124,7 @@ class BlowupConfig:
         return sum(self._s.values()) + sum(self._r.values())
 
     def validate(self, graph: DualGraph) -> None:
+        _check_kind(graph, DualGraph, "graph")
         _check_pair_bounds(graph, self._s, BlowupError)
         for vid, count in self.r_items():
             if count > graph.self_nodes(vid):
@@ -279,6 +282,17 @@ class QuasistableGraph(DualGraph):
     def _exceptional_mask(self) -> int:
         return sum(1 << self._index[vid] for vid in self.exceptional)
 
+    @cached_property
+    def _core_nodes(self) -> tuple:
+        """The node matrix with exceptional rows and columns zeroed, its row
+        sums cc_v, and delta_v: 2 on an exceptional vertex, cc_v - c_v on a core one."""
+        keep = [vid not in self.exceptional for vid in self.ids]
+        zero = [0] * self.n
+        rows = [list(map(mul, row, keep)) if k else zero for row, k in zip(self._matrix, keep)]
+        contacts = list(map(sum, rows))
+        deltas = [cc - c if k else 2 for cc, c, k in zip(contacts, self._contacts, keep)]
+        return rows, contacts, deltas
+
     def __repr__(self) -> str:
         return (
             f"QuasistableGraph({self.n} vertices, {len(self.exceptional)} exceptional, "
@@ -388,9 +402,7 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
     check_t(t, unsafe_t=unsafe_t)
     if t in q._spin_cache:
         return q._spin_cache[t]
-    exc, index, core_contact = q.exceptional, q._index, list(q._contacts)
-    for v, m in itertools.chain.from_iterable(q._adjacency[e].items() for e in exc):
-        core_contact[index[v]] -= m  # an exceptional vertex meets core vertices only
+    exc, core_contact = q.exceptional, q._core_nodes[1]
     odd = next((i for i, c in enumerate(core_contact) if c % 2), None)
     if odd is not None:
         raise ParityError(
@@ -422,9 +434,9 @@ def _model_error(q: QuasistableGraph, message: str, mask: int = 0, **context) ->
 
 
 def _node_counts(q: QuasistableGraph, mask: int) -> tuple[int, int, int, int]:
-    """Core contact, core-internal, inner and outer nodes of one mask (its
-    lanes of `_lane_columns`) in one O(n^2) pass over the core rows
-    of the node matrix, which see every node: exceptionals are never joined."""
+    """Core contact, core-internal, inner and outer nodes of one mask in one
+    O(n^2) pass over the core rows of the node matrix, which see every node
+    (exceptionals are never joined): the per-mask route past the cap."""
     exc = q._exceptional_mask
     core_contact = core_internal = inner = outer = 0
     for i, row in enumerate(q._matrix):
@@ -543,85 +555,48 @@ class BoundaryCase(_Record):
         return self.lower + self.contact
 
 
-def _lane_columns(q: QuasistableGraph, width: int, *sums: list[int]) -> list[int]:
-    """Packed columns of every mask, ``width``-bit lanes doubled over the
-    id-sorted vertices: contact, internal, core contact, core internal, inner
-    and outer nodes (each later vertex's nodes to the core and to exceptionals
-    of the masks so far doubled alongside as row subset sums), then subset
-    sums of 2 slots per exceptional vertex, 1 per core vertex and ``sums``."""
-    is_core = [not q._exceptional_mask >> j & 1 for j in range(q.n)]
-    slots = [2 * (not core) for core in is_core]
-    contact = internal = core_contact = core_internal = inner = outer = 0
-    packed, to_core, to_exc, ones, shift = [0] * (len(sums) + 2), [0] * q.n, [0] * q.n, 1, width
-    for h, (row, c, *values) in enumerate(zip(q._matrix, q._contacts, slots, is_core, *sums)):
-        xc, xe, later = to_core[0], to_exc[0], row[h + 1:]
-        c_core = sum(itertools.compress(row, is_core))
-        contact += (contact + c * ones - 2 * (xc + xe)) << shift
-        internal += (internal + xc + xe) << shift
-        if is_core[h]:
-            core_contact += (core_contact + c_core * ones - 2 * xc) << shift
-            core_internal += (core_internal + xc) << shift
-            inner += (inner - xe) << shift
-            outer += (outer + (c - c_core) * ones - xe) << shift
-            to_core = [a + ((a + m * ones) << shift) for a, m in zip(to_core[1:], later)]
-            to_exc = [a + (a << shift) for a in to_exc[1:]]
-        else:  # an exceptional vertex meets core vertices only
-            core_contact += core_contact << shift
-            core_internal += core_internal << shift
-            inner += (inner + c_core * ones - xc) << shift
-            outer += (outer - xc) << shift
-            to_core = [a + (a << shift) for a in to_core[1:]]
-            to_exc = [a + ((a + m * ones) << shift) for a, m in zip(to_exc[1:], later)]
-        packed = [column + ((column + x * ones) << shift) for column, x in zip(packed, values)]
-        ones |= ones << shift
-        shift <<= 1
-    return [contact, internal, core_contact, core_internal, inner, outer, *packed]
-
-
 def _model_lanes(q: QuasistableGraph, t: int) -> SimpleNamespace:
     """Every scan verdict and the packed columns of the model at twist t, one
-    lane per mask, cached for the latest twist: `_lane_columns`, d(Y) and the
-    offset 2(g-1)(d(Y) - m(Y)); `_table_rows` decodes them.  `_lane_format`
-    sizes the lanes from sum |d_i| + sum |offset_i| + 3(g-1) sum c_i, a bound
-    on every column and both sides of every identity: sign bits read signs,
-    packed equality is lane-wise, and `_checked_row` runs mask by mask only
-    when an identity fails on the whole integers.  The basic inequality holds
-    where the offset and 2(g-1) k(Y) - offset, by the identities (g-1)(core
-    contact + 2 inner) and (g-1)(core contact + 2 outer), are not negative;
-    zero lanes mark the two ends.  Callers run spin_multidegree at t first."""
+    lane per mask, for the latest twist (callers run spin_multidegree at t
+    first).  `_subset_lanes` gives k(Y) and d(Y) on the node matrix, and cc(Y)
+    and D(Y) = inner - outer on `_core_nodes`.  So 2 inner = k - cc + D, 2
+    outer = k - cc - D, and the offset 2(g-1)(d(Y) - m(Y)) and the room 2(g-1)
+    k(Y) - offset are (g-1)(k + D) and (g-1)(k - D).  With internal(Y) = (sum c
+    - k)/2 the offset identity is additive, so it is checked vertex by vertex
+    (a failure replays that singleton through `_direct_row`); every lane of 2
+    inner and 2 outer must be even and not negative.  The lanes hold sum |d_i|
+    + sum (g-1)(c_i + delta_i) + 3(g-1) sum c_i, a bound on every column."""
     if t in q._row_cache:
         return q._row_cache[t]
     g = _require_genus(q)
     half = g - 1
     degrees = q._spin_cache[t].values(q.ids)
-    singles = [
-        2 * half * d - _scaled_lower((2 * t + 1) * half, g, v.pa, c)
-        for d, v, c in zip(degrees, q.vertices, q._contacts)
-    ]
-    width, signs = _lane_format(sum(map(abs, (*degrees, *singles))) + 3 * half * sum(q._contacts), q.n)
-    contact, internal, core_contact, core_internal, inner, outer, slots, cores, degree, offset = (
-        _lane_columns(q, width, degrees, singles)
-    )
-    offset -= 2 * half * internal
-    if not (
-        (core_contact + signs) & (inner + signs) & (outer + signs) & signs == signs
-        and internal - core_internal + inner == slots
-        and core_contact + inner + outer == contact
-        and half * (core_contact + 2 * inner) == offset
-    ):
-        columns = (contact, internal, core_contact, core_internal, inner, outer, degree, offset)
-        lanes = zip(*(_lanes(column, signs, width) for column in columns))
-        for mask, (k_y, e_y, *counts, d_y, x_y) in enumerate(lanes):
-            if mask:
-                _checked_row(q, mask, k_y, e_y, tuple(counts), t, d_y, x_y)
-        raise _model_error(q, "boundary columns fail on no single subcurve", t=t)
-    lows = signs - (signs >> (width - 1))  # v + lows: sign bit clear exactly when v = 0
-    room = 2 * half * contact - offset
-    # The GIT scan passes over the unions of exceptional components (no
-    # core vertex) and the full curve (the top lane).
+    core_matrix, core_contacts, deltas = q._core_nodes
+    singles = [half * (c + delta) for c, delta in zip(q._contacts, deltas)]
+    for i, (d, v, c, x) in enumerate(zip(degrees, q.vertices, q._contacts, singles)):
+        if 2 * half * d - _scaled_lower((2 * t + 1) * half, g, v.pa, c) != x:
+            _direct_row(q, t, 1 << i)
+            raise _model_error(q, "boundary columns fail on no single subcurve", t=t)
+    bound = sum(map(abs, (*degrees, *singles))) + 3 * half * sum(q._contacts)
+    width, signs = _lane_format(bound, q.n)
+    contact, degree = _subset_lanes(q._matrix, q._contacts, degrees, width)
+    core_contact, balance = _subset_lanes(core_matrix, core_contacts, deltas, width)
+    inner, outer = contact - core_contact + balance, contact - core_contact - balance  # doubled
+    ones = signs >> (width - 1)
+    # 2 inner and 2 outer differ by 2D, so one low bit tests both for evenness.
+    if (inner + signs) & (outer + signs) & (signs | ones) != signs:
+        lanes = zip(_lanes(inner, signs, width), _lanes(outer, signs, width))
+        mask = next((mask for mask, (a, b) in enumerate(lanes) if min(a, b) < 0 or a % 2), 0)
+        raise _model_error(q, "exceptional node slots unaccounted for", mask, t=t)
+    offset, room = half * (contact + balance), half * (contact - balance)
+    lows = signs - ones  # v + lows: sign bit clear exactly when v = 0
+    # The GIT scan skips the top lane (the full curve) and unions of exceptionals.
+    unions = 1 << (width - 1)
+    for vid in q.exceptional:
+        unions |= unions << (width << q._index[vid])
     q._row_cache = {t: SimpleNamespace(
         satisfied=(offset + signs) & (room + signs) & signs == signs,
-        git_stable=not (~(room + lows) & (cores + lows) & signs >> width),
+        git_stable=not (~(room + lows) & signs >> width & ~unions),
         orbit_closed=not (~(offset + lows) & (core_contact + lows) & signs),
         signs=signs, width=width, rows=None,
         columns=(degree, core_contact, inner, outer, offset, room, contact),
@@ -713,8 +688,6 @@ def git_stable_exhaustive(
     _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
     _check_cap(q, max_vertices)
-    if q.n == 1:
-        return True  # a single component has no proper subcurve
     spin_multidegree(q, t, unsafe_t=unsafe_t)
     return _model_lanes(q, t).git_stable
 

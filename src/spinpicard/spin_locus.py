@@ -121,6 +121,7 @@ class SpinWitness:
 
     def validate(self, graph: DualGraph) -> None:
         """Check bounds against the graph and the per-vertex parity condition."""
+        _check_kind(graph, DualGraph, "graph")
         _check_pair_bounds(graph, self._s, WitnessError)
         odd = _odd_vertex(graph, self._s)
         if odd:
@@ -132,6 +133,7 @@ class SpinWitness:
     def sort_key(self, graph: DualGraph) -> tuple:
         """Key realizing the lexicographic order on (s, then sigma) used by
         the decision procedure, relative to the graph's sorted pair list."""
+        _check_kind(graph, DualGraph, "graph")
         pairs = [(u, v) for u, v, _ in graph.pairs()]
         return (
             tuple(self.s(u, v) for u, v in pairs),
@@ -332,6 +334,9 @@ class SplitCurveRow(_Record):
     """One admissible (s, sigma) choice on the split curve and its bidegree."""
 
     def __init__(self, genus: int, t: int, s: int, sigma: int, d1: int, d2: int) -> None:
+        for name, value in zip(self.__match_args__, (genus, t, s, sigma, d1, d2)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise WitnessError(f"{name} must be an integer, got {value!r}")
         if not 0 <= sigma <= s <= genus + 1:
             raise WitnessError("split-curve row out of range: need 0 <= sigma <= s <= g+1")
         if (genus + 1 - s) % 2:

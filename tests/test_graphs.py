@@ -17,6 +17,8 @@ from spinpicard import (
     GraphError,
     GraphTooLargeError,
     Multidegree,
+    SpinWitness,
+    SplitCurveRow,
     Vertex,
     WitnessError,
     arithmetic_genus,
@@ -337,12 +339,18 @@ def test_public_arguments_of_the_wrong_type_raise_library_errors(call, error, me
     (lambda: orientation_feasible(None, {}), GraphError, "pairs"),
     (lambda: orientation_feasible({("a", "b"): "1"}, {"a": 1}), GraphError, "pairs"),
     (lambda: orientation_feasible({("a", "b"): 1}, None), GraphError, "quotas"),
+    (lambda: BlowupConfig().validate(None), GraphError, "graph"),
+    (lambda: SpinWitness().validate(None), GraphError, "graph"),
+    (lambda: SpinWitness().sort_key(None), GraphError, "graph"),
+    (lambda: SplitCurveRow("x", 10, 0, 0, 1, 2), WitnessError, "genus"),
+    (lambda: _SPIN5.degree_on(["z"]), GraphError, "subcurve"),
 ], ids=[
     "spin-degree-plain", "git-plain", "git-scan-plain", "orbit-scan-plain", "boundary-plain",
     "contract-plain", "exceptional-plain", "expand-dict", "parity-none", "grouped-dict",
     "bi-graph-dict", "decide-graph-dict", "configs-graph-dict", "enumerate-none",
     "locus-none", "profile-none", "stable-none", "orientation-pairs-none",
-    "orientation-count-str", "orientation-quotas-none",
+    "orientation-count-str", "orientation-quotas-none", "config-validate-none",
+    "witness-validate-none", "witness-sort-key-none", "split-row-str", "degree-on-unknown",
 ])
 def test_objects_of_the_wrong_kind_raise_library_errors(call, error, argument):
     """A plain graph where a blow-up model belongs, or an object of the wrong

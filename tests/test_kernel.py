@@ -271,16 +271,19 @@ def test_basic_inequality_on_models_equals_a_plain_copy(quasistable_corpus):
 
 
 def test_scans_after_basic_inequality_build_no_lanes_again(quasistable_corpus, monkeypatch):
-    built = []
-    columns = quasistable._lane_columns
-    monkeypatch.setattr(quasistable, "_lane_columns", lambda *args: built.append(1) or columns(*args))
+    """One lane build per model and twist, two `_subset_lanes` calls (the
+    node matrix and the core-only one), and none again for the scans and the
+    boundary table after `basic_inequality`."""
+    calls = []
+    lanes = quasistable._subset_lanes
+    monkeypatch.setattr(quasistable, "_subset_lanes", lambda *args: calls.append(1) or lanes(*args))
     for count, q in enumerate(models(quasistable_corpus, step=17), 1):
         assert basic_inequality(q, spin_multidegree(q, 10)).satisfied
-        assert len(built) == count
+        assert len(calls) == 2 * count
         git_stable_exhaustive(q, 10)
         orbit_closed_check(q, 10)
         boundary_case(q, 10, q.ids[:1])
-        assert len(built) == count
+        assert len(calls) == 2 * count
     assert count > 100
 
 
@@ -620,26 +623,31 @@ def test_row_disagreement_raises_a_replayable_payload(monkeypatch):
     assert case.at_min or case.at_max
 
 
-def _inflate_internal(monkeypatch, bumps: dict[int, int]) -> None:
-    """Add ``bumps[mask]`` nodes to that mask's lane of the kernel's
-    all-nodes internal column."""
-    exact = quasistable._lane_columns
+def _inflate_internal(monkeypatch, q, bumps: dict[int, int]) -> None:
+    """Add ``bumps[mask]`` internal nodes to that mask of q in the kernel's
+    lanes: k(Y) = sum c - 2 internal(Y) loses two per node in the lanes of
+    the call on q's node matrix."""
+    exact = quasistable._subset_lanes
 
-    def inflated(q, width, *sums):
-        contact, internal, *rest = exact(q, width, *sums)
-        return [contact, internal + sum(count << mask * width for mask, count in bumps.items()), *rest]
+    def inflated(matrix, contacts, values, width):
+        contact, total = exact(matrix, contacts, values, width)
+        if matrix is q._matrix:
+            contact -= sum(2 * count << mask * width for mask, count in bumps.items())
+        return contact, total
 
-    monkeypatch.setattr(quasistable, "_lane_columns", inflated)
+    monkeypatch.setattr(quasistable, "_subset_lanes", inflated)
 
 
 def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
     """Inflate the internal-node count of every subcurve holding an
-    exceptional vertex, in the kernel's lanes and in the direct helper."""
+    exceptional vertex, in the kernel's lanes, where the inner and outer
+    counts turn negative, and in the direct helper, where the slot bound
+    fails."""
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
     q = expand(split, BlowupConfig({("C1", "C2"): 2}))
     exc = q._exceptional_mask
-    _inflate_internal(monkeypatch, {m: 5 for m in range(1 << q.n) if m & exc})
-    with pytest.raises(RuntimeError, match="exceeds its bound") as err:
+    _inflate_internal(monkeypatch, q, {m: 5 for m in range(1 << q.n) if m & exc})
+    with pytest.raises(RuntimeError, match="slots unaccounted for") as err:
         git_stable_exhaustive(q, 12)
     payload = replay_payload(err)
     assert payload["t"] == 12 and payload["subcurve"] == ["E(C1|C2)#1"]
@@ -660,13 +668,13 @@ def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
 @pytest.mark.parametrize("scan", [git_stable_exhaustive, orbit_closed_check])
 @pytest.mark.parametrize("masks", ["every", "empty"])
 def test_inflated_internal_column_raises_a_replayable_payload(scan, masks, monkeypatch):
-    """One more internal node on every mask, or on the empty mask alone,
-    breaks the whole-integer check; the rerun must raise, not hand back a
-    verdict, and name the model when no subcurve fails alone."""
+    """One more internal node on every subcurve, or on the empty mask alone,
+    breaks the lane check; the scan must raise, not hand back a verdict, and
+    name the model when only the empty mask fails."""
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
     q = expand(split, BlowupConfig({("C1", "C2"): 2}))
-    bumped = range(1 << q.n) if masks == "every" else [0]
-    _inflate_internal(monkeypatch, dict.fromkeys(bumped, 1))
+    bumped = range(1, 1 << q.n) if masks == "every" else [0]
+    _inflate_internal(monkeypatch, q, dict.fromkeys(bumped, 1))
     with pytest.raises(RuntimeError) as err:
         scan(q, 12)
     monkeypatch.undo()
@@ -674,6 +682,27 @@ def test_inflated_internal_column_raises_a_replayable_payload(scan, masks, monke
     replayed = expand(validate_graph(payload["source"]), BlowupConfig.from_dict(payload["blowups"]))
     assert replayed == q and replayed.exceptional == q.exceptional
     assert payload["t"] == 12 and ("subcurve" in payload) == (masks == "every")
+
+
+def test_an_odd_core_contact_lane_names_its_mask(monkeypatch):
+    """One more node in the core-contact call's lane of {C1, E1}, where inner
+    and outer are 1 each, leaves 2 inner and 2 outer odd but not negative:
+    the parity half of the lane check alone must name that subcurve."""
+    split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
+    q = expand(split, BlowupConfig({("C1", "C2"): 2}))
+    mask = mask_of(q, {"C1", "E(C1|C2)#1"})
+    exact = quasistable._subset_lanes
+
+    def bumped(matrix, contacts, values, width):
+        contact, total = exact(matrix, contacts, values, width)
+        if matrix is not q._matrix:
+            contact += 1 << mask * width
+        return contact, total
+
+    monkeypatch.setattr(quasistable, "_subset_lanes", bumped)
+    with pytest.raises(RuntimeError, match="slots unaccounted for") as err:
+        git_stable_exhaustive(q, 10)
+    assert replay_payload(err)["subcurve"] == ["C1", "E(C1|C2)#1"]
 
 
 def _first_failing_mask(q, t: int, bumps: dict[int, int]) -> tuple[int, int]:
@@ -710,9 +739,10 @@ def test_column_failure_names_the_first_failing_mask(fault, monkeypatch):
         # One exceptional component of degree 2 moves every subcurve holding it.
         q._spin_cache[10] = Multidegree.of({**md.as_dict(), third: 2})
     else:
-        # Five extra internal nodes break a slot bound on both masks.
+        # Five extra internal nodes on two masks break the lane check and,
+        # mask by mask, the slot bound on both.
         bumps = {mask_of(q, {third, fourth}): 5, mask_of(q, {"C2", fourth}): 5}
-        _inflate_internal(monkeypatch, bumps)
+        _inflate_internal(monkeypatch, q, bumps)
     first, count = _first_failing_mask(q, 10, bumps)
     assert count > 1
     with pytest.raises(RuntimeError) as err:

@@ -380,17 +380,18 @@ def test_column_rows_match_the_direct_row_on_every_mask(case):
     spin_multidegree(q, t, unsafe_t=unsafe)
     # Valid models never fall back to the per-mask rows.
     with mock.patch.object(quasistable, "_checked_row", side_effect=AssertionError("per-mask rerun")):
+        table = quasistable._model_lanes(q, t)
+        _, lane_core_contact, twice_inner, twice_outer, _, _, lane_contact = (
+            quasistable._lanes(column, table.signs, table.width) for column in table.columns
+        )
         rows = quasistable._table_rows(q, t)
     assert len(rows) == 1 << q.n
-    columns = node_columns(q)
-    core_contact, core_internal = columns[:2]
+    core_contact, core_internal, inner, outer, _ = node_columns(q)
     _, contact, internal = subcurve_table(q)
-    # The kernel's node lanes, decoded, are the list tables lane by lane.
-    table = q._row_cache[t]
-    lanes = quasistable._lane_columns(q, table.width)
-    decoded = [quasistable._lanes(column, table.signs, table.width) for column in lanes]
-    cores = [(mask & ~q._exceptional_mask).bit_count() for mask in range(1 << q.n)]
-    assert decoded == [contact, internal, *columns, cores], q
+    # The kernel's k, cc, 2 inner and 2 outer lanes, decoded, are the list
+    # tables lane by lane.
+    assert (lane_contact, lane_core_contact) == (contact, core_contact), q
+    assert (twice_inner, twice_outer) == ([2 * x for x in inner], [2 * x for x in outer]), q
     for mask in range(1, 1 << q.n):
         assert rows[mask] == quasistable._direct_row(q, t, mask), (q, t, mask)
         profile = exceptional_profile(q, [v for i, v in enumerate(q.ids) if mask >> i & 1])

@@ -245,3 +245,27 @@ def test_one_lane_format():
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not used & {"to_bytes", "from_bytes", "memoryview", "_LANE_FORMATS"}, used
+
+
+def test_one_subset_lane_recurrence():
+    """`graphs.py` alone defines the doubling recurrence, `_subset_lanes`, and
+    both 2^n scans call it: `basic_inequality` and the blow-up model kernel,
+    `quasistable._model_lanes`.  Its ``shift <<= 1`` is the package's only
+    augmented left shift, and `quasistable.py` names no ``shift``: it doubles
+    no lanes of its own."""
+    defined, callers, doublings = {}, set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            defined.setdefault(node.name, []).append(path.name)
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "_subset_lanes":
+                    callers.add(f"{path.name}:{node.name}")
+                if isinstance(inner, ast.AugAssign) and isinstance(inner.op, ast.LShift):
+                    doublings.append(f"{path.name}:{node.name}")
+    assert defined["_subset_lanes"] == ["graphs.py"]
+    assert callers == {"graphs.py:basic_inequality", "quasistable.py:_model_lanes"}, callers
+    assert doublings == ["graphs.py:_subset_lanes"], doublings
+    tree = ast.parse((SRC / "quasistable.py").read_text())
+    assert "shift" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
