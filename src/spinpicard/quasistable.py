@@ -586,7 +586,7 @@ def _model_lanes(q: QuasistableGraph, t: int) -> SimpleNamespace:
     # 2 inner and 2 outer differ by 2D, so one low bit tests both for evenness.
     if (inner + signs) & (outer + signs) & (signs | ones) != signs:
         lanes = zip(_lanes(inner, signs, width), _lanes(outer, signs, width))
-        mask = next((mask for mask, (a, b) in enumerate(lanes) if min(a, b) < 0 or a % 2), 0)
+        mask = next((m for m, (a, b) in enumerate(lanes) if m and (min(a, b) < 0 or a % 2)), 0)
         raise _model_error(q, "exceptional node slots unaccounted for", mask, t=t)
     offset, room = half * (contact + balance), half * (contact - balance)
     lows = signs - ones  # v + lows: sign bit clear exactly when v = 0
@@ -688,6 +688,8 @@ def git_stable_exhaustive(
     _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
     _check_cap(q, max_vertices)
+    if q.n == 1:
+        return True  # a single component has no proper subcurve
     spin_multidegree(q, t, unsafe_t=unsafe_t)
     return _model_lanes(q, t).git_stable
 

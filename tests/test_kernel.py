@@ -641,7 +641,7 @@ def _inflate_internal(monkeypatch, q, bumps: dict[int, int]) -> None:
 def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
     """Inflate the internal-node count of every subcurve holding an
     exceptional vertex, in the kernel's lanes, where the inner and outer
-    counts turn negative, and in the direct helper, where the slot bound
+    counts turn negative, and in the per-mask helpers, where the slot bound
     fails."""
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
     q = expand(split, BlowupConfig({("C1", "C2"): 2}))
@@ -659,6 +659,10 @@ def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
         return g_y, k_y, e_y + 5 if mask & exc else e_y
 
     monkeypatch.setattr(quasistable, "_mask_numbers", inflated)
+    # The lanes hold no internal column; the replay of the failing mask
+    # tells an over-full slot from a short one.
+    with pytest.raises(RuntimeError, match="exceeds its bound"):
+        quasistable._direct_row(q, 12, mask_of(q, {"E(C1|C2)#1"}))
     with pytest.raises(RuntimeError, match="exceeds its bound") as err:
         exceptional_profile(q, {"C1", "E(C1|C2)#2"})
     payload = replay_payload(err)
@@ -668,12 +672,13 @@ def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
 @pytest.mark.parametrize("scan", [git_stable_exhaustive, orbit_closed_check])
 @pytest.mark.parametrize("masks", ["every", "empty"])
 def test_inflated_internal_column_raises_a_replayable_payload(scan, masks, monkeypatch):
-    """One more internal node on every subcurve, or on the empty mask alone,
-    breaks the lane check; the scan must raise, not hand back a verdict, and
-    name the model when only the empty mask fails."""
+    """One more internal node on every mask, or on the empty mask alone,
+    breaks the lane check; the scan must raise, not hand back a verdict, name
+    the first failing subcurve, and name the model only when the empty mask
+    alone fails."""
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
     q = expand(split, BlowupConfig({("C1", "C2"): 2}))
-    bumped = range(1, 1 << q.n) if masks == "every" else [0]
+    bumped = range(1 << q.n) if masks == "every" else [0]
     _inflate_internal(monkeypatch, q, dict.fromkeys(bumped, 1))
     with pytest.raises(RuntimeError) as err:
         scan(q, 12)

@@ -419,12 +419,14 @@ def test_git_stable_examples():
     assert git_stable(expand(SPLIT3, BlowupConfig()), 10)
     assert git_stable(blown_split(2), 10)
     assert not git_stable(blown_split(4), 10)
-    # A one-vertex graph, unblown (one vertex, no proper subcurve) and with a
-    # self-node blown (two vertices): the exhaustive scan needs no case of its own.
+    # One-vertex graphs, unblown (one vertex, no proper subcurve) and with a
+    # self-node blown (two vertices); an unblown one of genus 1 is stable too.
     one = DualGraph([("a", 3, 2)])
     for config, n in ((BlowupConfig(), 1), (BlowupConfig(r={"a": 1}), 2)):
         q = expand(one, config)
         assert q.n == n and git_stable_exhaustive(q, 10) and git_stable(q, 10)
+    q = expand(DualGraph([("a", 1)]), BlowupConfig())
+    assert q.genus == 1 and git_stable_exhaustive(q, 10) and git_stable(q, 10)
 
 
 def test_git_stable_matches_oracle_on_samples(quasistable_corpus):
