@@ -22,12 +22,13 @@ blow-ups to replay.
 
 The boundary predicates decide whether a subcurve sits at an end of its
 admissible degree range, whether the model is GIT-stable, and whether its
-orbit is closed.  Within the subset cap they and `basic_inequality` on the
-spin multidegree read one kernel pass per model and twist (`_model_lanes`,
-one lane per subcurve): two calls of the doubling recurrence that
-`basic_inequality` runs, every other column linear in theirs.  Past the cap,
-`_checked_row` checks single subcurves.  The lane format, the recurrence,
-the count helpers and ``check_t`` come from :mod:`spinpicard.graphs`.
+orbit is closed.  Within the subset cap they and `basic_inequality` on a
+spin multidegree read one twist-free kernel per model (`_model_lanes`, one
+lane per subcurve): two calls of the recurrence `basic_inequality` runs,
+every other column linear in theirs; the twist enters where `_table_rows`
+decodes rows.  Past the cap, `_checked_row` checks single subcurves.  The
+lane format, the recurrence, the count helpers and ``check_t`` come from
+:mod:`spinpicard.graphs`.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ class QuasistableGraph(DualGraph):
         self.source = source
         self.config = config
         self._spin_cache: dict[int, Multidegree] = {}
-        self._row_cache: dict[int, SimpleNamespace] = {}
+        self._kernel: Optional[SimpleNamespace] = None
 
         for vid in sorted(exc, key=str):
             i = self.index(vid)
@@ -274,9 +275,9 @@ class QuasistableGraph(DualGraph):
         return sum(m for nbr, m in self._adjacency[vid].items() if nbr not in self.exceptional)
 
     def _lane_verdict(self, multidegree: Multidegree) -> Optional[bool]:
-        """True when the lanes at the twist of this spin multidegree show the basic inequality."""
-        t = next((t for t, md in self._spin_cache.items() if md.items == multidegree.items), None)
-        return None if t is None else _model_lanes(self, t).satisfied
+        """True when the model's lanes show the basic inequality for this spin multidegree."""
+        spin = any(md.items == multidegree.items for md in self._spin_cache.values())
+        return _model_lanes(self).satisfied if spin else None
 
     @cached_property
     def _exceptional_mask(self) -> int:
@@ -396,13 +397,14 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
 
     Exceptional vertices carry degree 1; the total is (2t+1)(g-1).
     Raises ParityError when the model admits no spin structure: a core
-    vertex keeps an odd number of nodes with other core vertices.
+    vertex keeps an odd number of nodes with other core vertices.  Each degree
+    is tied to the model kernel, 2(g-1)(d_v - m(v)) = (g-1)(c_v + delta_v).
     """
     _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
     if t in q._spin_cache:
         return q._spin_cache[t]
-    exc, core_contact = q.exceptional, q._core_nodes[1]
+    exc, (_, core_contact, deltas), half = q.exceptional, q._core_nodes, q.genus - 1
     odd = next((i for i, c in enumerate(core_contact) if c % 2), None)
     if odd is not None:
         raise ParityError(
@@ -413,7 +415,10 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
         (vid, 1 if vid in exc else base + c // 2)
         for vid, base, c in zip(q.ids, _spin_base(q, t), core_contact)
     ]))
-    expected = (2 * t + 1) * (q.genus - 1)
+    for i, ((_, d), v, c, delta) in enumerate(zip(md.items, q.vertices, q._contacts, deltas)):
+        if 2 * half * d - _scaled_lower((2 * t + 1) * half, q.genus, v.pa, c) != half * (c + delta):
+            raise _model_error(q, "boundary predicates disagree on a single component", 1 << i, t=t)
+    expected = (2 * t + 1) * half
     if md.total != expected:
         raise _model_error(
             q, f"spin multidegree totals {md.total}, expected {expected}",
@@ -555,31 +560,23 @@ class BoundaryCase(_Record):
         return self.lower + self.contact
 
 
-def _model_lanes(q: QuasistableGraph, t: int) -> SimpleNamespace:
-    """Every scan verdict and the packed columns of the model at twist t, one
-    lane per mask, for the latest twist (callers run spin_multidegree at t
-    first).  `_subset_lanes` gives k(Y) and d(Y) on the node matrix, and cc(Y)
-    and D(Y) = inner - outer on `_core_nodes`.  So 2 inner = k - cc + D, 2
-    outer = k - cc - D, and the offset 2(g-1)(d(Y) - m(Y)) and the room 2(g-1)
-    k(Y) - offset are (g-1)(k + D) and (g-1)(k - D).  With internal(Y) = (sum c
-    - k)/2 the offset identity is additive, so it is checked vertex by vertex
-    (a failure replays that singleton through `_direct_row`); every lane of 2
-    inner and 2 outer must be even and not negative.  The lanes hold sum |d_i|
-    + sum (g-1)(c_i + delta_i) + 3(g-1) sum c_i, a bound on every column."""
-    if t in q._row_cache:
-        return q._row_cache[t]
-    g = _require_genus(q)
-    half = g - 1
-    degrees = q._spin_cache[t].values(q.ids)
+def _model_lanes(q: QuasistableGraph) -> SimpleNamespace:
+    """The model kernel: every scan verdict and the packed columns, one lane
+    per mask, built once per model and kept for its life; no column depends on
+    the twist.  `_subset_lanes` gives k(Y) and W(Y), the sum of w_v = 2pa_v - 2
+    + c_v, on the node matrix, and cc(Y) and D(Y) = inner - outer on
+    `_core_nodes`.  So 2 inner = k - cc + D, 2 outer = k - cc - D, and at
+    every twist the offset 2(d(Y) - m(Y)) and the room 2k(Y) - offset are k +
+    D and k - D (`spin_multidegree` ties the degrees to these columns); every
+    lane of 2 inner and 2 outer must be even and not negative.  The lanes hold
+    sum |w_v| + 2 sum c_v, a bound on every column."""
+    if q._kernel is not None:
+        return q._kernel
+    _require_genus(q)
     core_matrix, core_contacts, deltas = q._core_nodes
-    singles = [half * (c + delta) for c, delta in zip(q._contacts, deltas)]
-    for i, (d, v, c, x) in enumerate(zip(degrees, q.vertices, q._contacts, singles)):
-        if 2 * half * d - _scaled_lower((2 * t + 1) * half, g, v.pa, c) != x:
-            _direct_row(q, t, 1 << i)
-            raise _model_error(q, "boundary columns fail on no single subcurve", t=t)
-    bound = sum(map(abs, (*degrees, *singles))) + 3 * half * sum(q._contacts)
-    width, signs = _lane_format(bound, q.n)
-    contact, degree = _subset_lanes(q._matrix, q._contacts, degrees, width)
+    weights = [2 * v.pa - 2 + c for v, c in zip(q.vertices, q._contacts)]
+    width, signs = _lane_format(sum(map(abs, weights)) + 2 * sum(q._contacts), q.n)
+    contact, weight = _subset_lanes(q._matrix, q._contacts, weights, width)
     core_contact, balance = _subset_lanes(core_matrix, core_contacts, deltas, width)
     inner, outer = contact - core_contact + balance, contact - core_contact - balance  # doubled
     ones = signs >> (width - 1)
@@ -587,38 +584,39 @@ def _model_lanes(q: QuasistableGraph, t: int) -> SimpleNamespace:
     if (inner + signs) & (outer + signs) & (signs | ones) != signs:
         lanes = zip(_lanes(inner, signs, width), _lanes(outer, signs, width))
         mask = next((m for m, (a, b) in enumerate(lanes) if m and (min(a, b) < 0 or a % 2)), 0)
-        raise _model_error(q, "exceptional node slots unaccounted for", mask, t=t)
-    offset, room = half * (contact + balance), half * (contact - balance)
+        raise _model_error(q, "exceptional node slots unaccounted for", mask)
+    offset, room = contact + balance, contact - balance
     lows = signs - ones  # v + lows: sign bit clear exactly when v = 0
     # The GIT scan skips the top lane (the full curve) and unions of exceptionals.
     unions = 1 << (width - 1)
     for vid in q.exceptional:
         unions |= unions << (width << q._index[vid])
-    q._row_cache = {t: SimpleNamespace(
+    q._kernel = SimpleNamespace(
         satisfied=(offset + signs) & (room + signs) & signs == signs,
         git_stable=not (~(room + lows) & signs >> width & ~unions),
         orbit_closed=not (~(offset + lows) & (core_contact + lows) & signs),
-        signs=signs, width=width, rows=None,
-        columns=(degree, core_contact, inner, outer, offset, room, contact),
-    )}
-    return q._row_cache[t]
+        signs=signs, width=width, twist=None, rows=None,
+        columns=(contact, weight, core_contact, inner, outer, offset, room),
+    )
+    return q._kernel
 
 
 def _table_rows(q: QuasistableGraph, t: int) -> list:
     """(m(Y), k(Y), row) of every mask at twist t (index 0 the empty mask),
-    decoded once from the model's packed columns, one Fraction per distinct m(Y)."""
-    table = _model_lanes(q, t)
-    if table.rows is None:
-        degree, core_contact, inner, outer, offset, room, contact = (
-            _lanes(column, table.signs, table.width) for column in table.columns
+    decoded from the model kernel's columns, in which the rows are linear:
+    2m(Y) = (2t+1) W(Y) - k(Y) and 2d(Y) = 2m(Y) + offset.  One Fraction per
+    distinct m(Y); the kernel keeps the rows of the latest twist only."""
+    kernel = _model_lanes(q)
+    if kernel.twist != t:
+        contact, weight, core_contact, inner, outer, offset, room = (
+            _lanes(column, kernel.signs, kernel.width) for column in kernel.columns
         )
-        scale = 2 * (q.genus - 1)
-        scaled = [scale * d - x for d, x in zip(degree, offset)]  # 2(g-1) m(Y)
-        lowers = {x: _fraction(x, scale) for x in set(scaled)}
+        twice = [(2 * t + 1) * w - k for w, k in zip(weight, contact)]  # 2 m(Y)
+        lowers = {x: _fraction(x, 2) for x in set(twice)}
+        degree = [(x + y) >> 1 for x, y in zip(twice, offset)]
         rows = zip(degree, core_contact, *(map(not_, x) for x in (inner, outer, offset, room)))
-        table.rows = list(zip(map(lowers.__getitem__, scaled), contact, rows))
-        table.columns = None
-    return table.rows
+        kernel.rows, kernel.twist = list(zip(map(lowers.__getitem__, twice), contact, rows)), t
+    return kernel.rows
 
 
 def _direct_row(q: QuasistableGraph, t: int, mask: int) -> tuple[Fraction, int, tuple]:
@@ -642,11 +640,11 @@ def boundary_case(
     clause).  The routes must agree, else RuntimeError: the degree formulas
     and the combinatorics would have come apart.  Within MAX_SUBSET_VERTICES
     this is a lookup in the model's boundary table for t, decoded once from
-    its packed columns; larger models compute the one row directly.
+    its kernel's columns; larger models compute the one row directly.
     """
     _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
-    rows = getattr(q._row_cache.get(t), "rows", None)
+    rows = q._kernel.rows if getattr(q._kernel, "twist", None) == t else None
     if rows is None:  # the first call at t: the spin structure, then the table
         spin_multidegree(q, t, unsafe_t=unsafe_t)
         rows = None if q.n > MAX_SUBSET_VERTICES else _table_rows(q, t)
@@ -665,11 +663,12 @@ def boundary_case(
 def git_stable(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> bool:
     """GIT stability of the spin model: the non-exceptional part is connected.
 
-    The twist only needs to be in range and the model spin, which
-    spin_multidegree checks (once per twist); the verdict does not depend on t.
+    The twist only needs to be in range, the model spin (spin_multidegree
+    checks it once per twist) and its genus 2 or more; the verdict is t-free.
     """
     _check_kind(q, QuasistableGraph, "q")
     spin_multidegree(q, t, unsafe_t=unsafe_t)
+    _require_genus(q)
     core = q.core_ids
     return len(q._reached(core[0], q.exceptional)) == len(core)
 
@@ -682,16 +681,14 @@ def git_stable_exhaustive(
     Unstable exactly when some proper subcurve that is not a union of
     exceptional components attains the top of its degree range.  (The full
     curve always attains it trivially, hence 'proper'.)  The scan reads the
-    lanes of the model's packed columns for t where the offset 2(g-1)(d(Y) -
-    m(Y)) reaches 2(g-1) k(Y), checked against the structural clauses.
+    lanes of the model kernel where the offset 2(d(Y) - m(Y)) reaches 2k(Y),
+    checked against the structural clauses.
     """
     _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
     _check_cap(q, max_vertices)
-    if q.n == 1:
-        return True  # a single component has no proper subcurve
     spin_multidegree(q, t, unsafe_t=unsafe_t)
-    return _model_lanes(q, t).git_stable
+    return _model_lanes(q).git_stable
 
 
 def orbit_closed_check(
@@ -703,14 +700,14 @@ def orbit_closed_check(
     range has core_contact zero.  For spin models this holds universally,
     since d(Y) - m(Y) = core_contact(Y)/2 + (nodes from Y's exceptional
     components to the rest), and the CLI answers from that identity; this
-    check performs the scan for real instead, on every lane of the model's
-    packed columns for t, checked against the structural clauses.
+    check performs the scan for real instead, on every lane of the model
+    kernel, checked against the structural clauses.
     """
     _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
     _check_cap(q, max_vertices)
     spin_multidegree(q, t, unsafe_t=unsafe_t)
-    return _model_lanes(q, t).orbit_closed
+    return _model_lanes(q).orbit_closed
 
 
 def iter_blowup_configs(graph: DualGraph, *, spin_only: bool = False) -> Iterator[BlowupConfig]:

@@ -168,7 +168,7 @@ def test_single_subcurve_calls_build_no_table():
         case = boundary_case(q, 10, subcurve)
         assert case_row(case) == oracle.row(10, frozenset(subcurve))
         assert case.lower == oracle.lower(frozenset(subcurve), d_total)
-    assert q._row_cache == {}
+    assert q._kernel is None
 
 
 # -- basic inequality ------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_basic_inequality_matches_member_loop_on_models(quasistable_corpus):
             assert basic_inequality(q, candidate) == Oracle(q).basic_inequality(candidate)
 
 
-# -- one model-kernel pass per model and twist ---------------------------------
+# -- one model kernel per model ---------------------------------------------------
 
 
 def _plain(q) -> DualGraph:
@@ -258,7 +258,7 @@ def test_basic_inequality_on_models_equals_a_plain_copy(quasistable_corpus):
         for t in (10, 11):
             md = spin_multidegree(q, t)
             got = basic_inequality(q, md)
-            assert list(q._row_cache) == [t]
+            assert q._kernel is not None and q._kernel.rows is None
             assert got == basic_inequality(q, Multidegree(md.items)) == basic_inequality(plain, md)
             assert got == BIReport(True, ())
             if q.n > 1 and checked % 5 == 0:
@@ -271,9 +271,9 @@ def test_basic_inequality_on_models_equals_a_plain_copy(quasistable_corpus):
 
 
 def test_scans_after_basic_inequality_build_no_lanes_again(quasistable_corpus, monkeypatch):
-    """One lane build per model and twist, two `_subset_lanes` calls (the
-    node matrix and the core-only one), and none again for the scans and the
-    boundary table after `basic_inequality`."""
+    """One lane build per model, two `_subset_lanes` calls (the node matrix
+    and the core-only one), and none again for the scans and the boundary
+    table after `basic_inequality`."""
     calls = []
     lanes = quasistable._subset_lanes
     monkeypatch.setattr(quasistable, "_subset_lanes", lambda *args: calls.append(1) or lanes(*args))
@@ -287,23 +287,29 @@ def test_scans_after_basic_inequality_build_no_lanes_again(quasistable_corpus, m
     assert count > 100
 
 
-def test_a_lane_identity_failing_inside_basic_inequality_is_replayable():
+def test_a_lane_identity_failing_inside_basic_inequality_is_replayable(monkeypatch):
+    """The kernel is first built inside `basic_inequality` on the spin
+    multidegree; a lane fault there raises naming the first failing subcurve
+    and the model, with no twist: the source and blow-ups alone replay it."""
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
     q = expand(split, BlowupConfig({("C1", "C2"): 4}))
     md = spin_multidegree(q, 10)
     third = sorted(q.exceptional)[2]
-    q._spin_cache[10] = moved = Multidegree.of({**md.as_dict(), third: 2})
-    with pytest.raises(RuntimeError) as err:
-        basic_inequality(q, moved)
+    _inflate_internal(monkeypatch, q, {mask_of(q, {third}): 1})
+    with pytest.raises(RuntimeError, match="slots unaccounted for") as err:
+        basic_inequality(q, md)
+    monkeypatch.undo()
     payload = replay_payload(err)
-    assert payload["t"] == 10 and third in payload["subcurve"]
+    assert payload["subcurve"] == [third] and "t" not in payload
+    replayed = expand(validate_graph(payload["source"]), BlowupConfig.from_dict(payload["blowups"]))
+    assert replayed == q and basic_inequality(replayed, spin_multidegree(replayed, 10)).satisfied
 
 
 def test_a_table_built_under_unsafe_t_still_checks_the_twist():
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
     q = expand(split, BlowupConfig({("C1", "C2"): 2}))
     case = boundary_case(q, 5, {"C1"}, unsafe_t=True)
-    assert q._row_cache[5].rows is not None
+    assert q._kernel.twist == 5 and q._kernel.rows is not None
     with pytest.raises(DomainError, match="at least 10"):
         boundary_case(q, 5, {"C1"})
     assert boundary_case(q, 5, {"C1"}, unsafe_t=True) == case
@@ -443,13 +449,17 @@ def test_scans_match_boundary_case_loop(quasistable_corpus):
     assert unstable > 0
 
 
-def test_twist_sweep_keeps_one_row_table():
-    """A t sweep on one model rebuilds the rows per twist and keeps only the
-    latest table, with every answer equal to a fresh model's."""
+def test_twist_sweep_keeps_one_row_table(monkeypatch):
+    """A t sweep on one model builds its kernel once, two `_subset_lanes`
+    calls in all, decodes the rows per twist and keeps only the latest
+    twist's, with every answer equal to a fresh model's."""
     source = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 10})
     config = BlowupConfig({("C1", "C2"): 10})
     q = expand(source, config)
     assert q.n == 12
+    calls = []
+    lanes = quasistable._subset_lanes
+    monkeypatch.setattr(quasistable, "_subset_lanes", lambda *args: calls.append(args[0]) or lanes(*args))
     subcurves = [{"C1"}, {"C1", *sorted(q.exceptional)[:4]}, set(q.exceptional)]
     for t in range(10, 20):
         fresh = expand(source, config)
@@ -457,41 +467,45 @@ def test_twist_sweep_keeps_one_row_table():
         assert orbit_closed_check(q, t) == orbit_closed_check(fresh, t)
         for Y in subcurves:
             assert boundary_case(q, t, Y) == boundary_case(fresh, t, Y)
-        assert list(q._row_cache) == [t]
+        assert q._kernel.twist == t and len(q._kernel.rows) == 1 << q.n
+    assert [m for m in calls if m is q._matrix or m is q._core_nodes[0]] == [
+        q._matrix, q._core_nodes[0]
+    ]
+    assert len(calls) == 2 * 11
 
 
 def test_scans_leave_no_rows_until_boundary_case_asks():
-    """Both scans read the packed lanes alone: the model's cache holds no
-    per-mask rows until boundary_case decodes them, once per twist."""
+    """Both scans read the packed lanes alone: the model kernel holds no
+    per-mask rows until boundary_case decodes them, once per twist, and then
+    the latest twist's only."""
     source = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
     q = expand(source, BlowupConfig({("C1", "C2"): 4}))
+    assert git_stable_exhaustive(q, 10) and orbit_closed_check(q, 10)
+    kernel, decoded = q._kernel, None
+    assert kernel.rows is None and kernel.twist is None
     for t in (10, 11):
         assert git_stable_exhaustive(q, t) and orbit_closed_check(q, t)
-        assert list(q._row_cache) == [t] and q._row_cache[t].rows is None
+        assert q._kernel is kernel and kernel.twist == decoded
         case = boundary_case(q, t, {"C1"})
-        rows = q._row_cache[t].rows
-        assert len(rows) == 1 << q.n
+        rows = kernel.rows
+        assert kernel.twist == t and len(rows) == 1 << q.n
         assert orbit_closed_check(q, t) and boundary_case(q, t, {"C2"}).degree == case.degree
-        assert q._row_cache[t].rows is rows
+        assert kernel.rows is rows and q._kernel is kernel
+        decoded = t
 
 
 # The model kernel keeps its columns in lanes of 8, 16, 32 or 64 bits, wider
-# only past 63, sized from sum |d_i| + sum |offset_i| + 3(g-1) sum c_i plus a
-# sign bit, where offset_i = 2(g-1)(d_i - m(i)).  The property reaches twists
-# up to 10^12, and the cases below both sides of each width, up to t ~ 2^62.
+# only past 63, sized from sum |w_i| + 2 sum c_i plus a sign bit, where w_i =
+# 2pa_i - 2 + c_i: the genus sets the width, the twist does not.  The
+# property reaches twists up to 10^12, and the cases below both sides of
+# each width, up to a component of genus ~ 2^61.
 
 
-def _model_lane_bits(q, t: int) -> int:
+def _model_lane_bits(q) -> int:
     """The bits the model kernel sizes its lanes from: the bound and a sign bit."""
-    md = spin_multidegree(q, t, unsafe_t=True)
-    half = q.genus - 1
-    degrees = [md[v] for v in q.ids]
-    singles = [
-        2 * half * d - (2 * t + 1) * half * (2 * q.pa(v) - 2 + q.contact(v)) + half * q.contact(v)
-        for v, d in zip(q.ids, degrees)
-    ]
-    bound = sum(map(abs, degrees)) + sum(map(abs, singles)) + 3 * half * sum(map(q.contact, q.ids))
-    return bound.bit_length() + 1
+    contacts = [q.contact(v) for v in q.ids]
+    weights = [2 * q.pa(v) - 2 + c for v, c in zip(q.ids, contacts)]
+    return (sum(map(abs, weights)) + 2 * sum(contacts)).bit_length() + 1
 
 
 def _assert_model_matches_oracle(q, t: int) -> None:
@@ -550,39 +564,52 @@ def test_model_kernel_matches_the_boundary_case_loop_on_wide_lanes(case):
 
 
 def _lane_models():
-    """Two elliptic curves meeting once, the node blown up, and in three
-    nodes, one blown up: lanes of 8 bits at t = 0; and a rational split
-    curve with four of six nodes blown up, 16 bits at t = 0."""
+    """(source, config) of: two elliptic curves meeting once, the node blown
+    up, and in three nodes, one blown up; a rational split curve with four of
+    six nodes blown up; and a curve of genus 3 with one of its two self-nodes
+    blown up.  All have lanes of 8 bits."""
     once = DualGraph([("A", 1), ("B", 1)], {("A", "B"): 1})
     thrice = DualGraph([("A", 1), ("B", 1)], {("A", "B"): 3})
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
     return [
-        expand(once, BlowupConfig({("A", "B"): 1})),
-        expand(thrice, BlowupConfig({("A", "B"): 1})),
-        expand(split, BlowupConfig({("C1", "C2"): 4})),
+        (once, BlowupConfig({("A", "B"): 1})),
+        (thrice, BlowupConfig({("A", "B"): 1})),
+        (split, BlowupConfig({("C1", "C2"): 4})),
+        (DualGraph([("a", 3, 2)]), BlowupConfig(r={"a": 1})),
     ]
+
+
+def _raised(source: DualGraph, config: BlowupConfig, pa: int):
+    """The blow-up model of ``source`` with its first component of genus ``pa``."""
+    first, *rest = source.vertices
+    raised = DualGraph([Vertex(first.id, pa, first.self_nodes), *rest], list(source.pairs()))
+    return expand(raised, config)
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64])
 def test_model_kernel_on_both_sides_of_a_lane_width(width):
-    """The largest twist whose lanes fit ``width`` bits and the next, whose
-    lanes are twice as wide, on every model that starts below the width."""
+    """The largest genus of the first component whose lanes fit ``width``
+    bits and the next, whose lanes are twice as wide, on every model that
+    starts below the width, at a supported twist and one past 2^40."""
     checked = 0
-    for q in _lane_models():
-        if _model_lane_bits(q, 0) >= width:
+    for source, config in _lane_models():
+        low = source.vertices[0].pa
+        if _model_lane_bits(_raised(source, config, low)) >= width:
             continue
-        low, high = 0, 1
-        while _model_lane_bits(q, high) <= width:
+        high = low + 1
+        while _model_lane_bits(_raised(source, config, high)) <= width:
             low, high = high, 2 * high
         while high - low > 1:
             mid = (low + high) // 2
-            low, high = (mid, high) if _model_lane_bits(q, mid) <= width else (low, mid)
-        assert [_model_lane_bits(q, t) for t in (low, high)] == [width, width + 1]
-        for t, lanes in ((low, width), (high, 2 * width)):
-            _assert_model_matches_oracle(q, t)
-            assert q._row_cache[t].width == lanes
+            low, high = (mid, high) if _model_lane_bits(_raised(source, config, mid)) <= width else (low, mid)
+        models = [_raised(source, config, pa) for pa in (low, high)]
+        assert [_model_lane_bits(q) for q in models] == [width, width + 1]
+        for q, lanes in zip(models, (width, 2 * width)):
+            for t in (10, 3 << 40):
+                _assert_model_matches_oracle(q, t)
+            assert q._kernel.width == lanes
         checked += 1
-    assert checked
+    assert checked == 4
 
 
 # -- boundary_case: table path and direct path --------------------------------------
@@ -596,7 +623,7 @@ def test_boundary_case_direct_path_matches_table(quasistable_corpus, monkeypatch
         with monkeypatch.context() as patch:
             patch.setattr(quasistable, "MAX_SUBSET_VERTICES", 0)
             direct_cases = [boundary_case(fresh, 11, Y) for Y in iter_subcurves(fresh)]
-        assert fresh._row_cache == {}
+        assert fresh._kernel is None
         assert direct_cases == table_cases
         pairs += len(direct_cases)
     assert pairs > 1000
@@ -650,7 +677,7 @@ def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
     with pytest.raises(RuntimeError, match="slots unaccounted for") as err:
         git_stable_exhaustive(q, 12)
     payload = replay_payload(err)
-    assert payload["t"] == 12 and payload["subcurve"] == ["E(C1|C2)#1"]
+    assert "t" not in payload and payload["subcurve"] == ["E(C1|C2)#1"]
 
     exact = quasistable._mask_numbers
 
@@ -686,7 +713,7 @@ def test_inflated_internal_column_raises_a_replayable_payload(scan, masks, monke
     payload = replay_payload(err)
     replayed = expand(validate_graph(payload["source"]), BlowupConfig.from_dict(payload["blowups"]))
     assert replayed == q and replayed.exceptional == q.exceptional
-    assert payload["t"] == 12 and ("subcurve" in payload) == (masks == "every")
+    assert "t" not in payload and ("subcurve" in payload) == (masks == "every")
 
 
 def test_an_odd_core_contact_lane_names_its_mask(monkeypatch):
@@ -710,10 +737,9 @@ def test_an_odd_core_contact_lane_names_its_mask(monkeypatch):
     assert replay_payload(err)["subcurve"] == ["C1", "E(C1|C2)#1"]
 
 
-def _first_failing_mask(q, t: int, bumps: dict[int, int]) -> tuple[int, int]:
-    """The smallest mask whose per-mask row raises with ``bumps[mask]``
-    extra internal nodes, and how many masks do."""
-    degree = spin_multidegree(q, t).values(q.ids)
+def _first_failing_mask(q, t: int, degree: list, bumps: dict[int, int]) -> tuple[int, int]:
+    """The smallest mask whose per-mask row raises with degrees ``degree``
+    and ``bumps[mask]`` extra internal nodes, and how many masks do."""
     genus, contact, internal = subcurve_table(q)
     internal = [e + bumps.get(mask, 0) for mask, e in enumerate(internal)]
     g = q.genus
@@ -734,25 +760,38 @@ def _first_failing_mask(q, t: int, bumps: dict[int, int]) -> tuple[int, int]:
 @pytest.mark.parametrize("fault", ["degree", "internal"])
 def test_column_failure_names_the_first_failing_mask(fault, monkeypatch):
     """The whole-integer checks find a fault without knowing where; the rerun
-    must name the smallest failing mask, not a later one."""
+    must name the smallest failing mask, not a later one.  A degree fault
+    raises from `spin_multidegree`, with its twist; a lane fault from the
+    model kernel, without one."""
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
-    q = expand(split, BlowupConfig({("C1", "C2"): 4}))
-    md = spin_multidegree(q, 10)
+    config = BlowupConfig({("C1", "C2"): 4})
+    q = expand(split, config)
+    degree = list(spin_multidegree(expand(split, config), 10).values(q.ids))
     third, fourth = sorted(q.exceptional)[2:]
     bumps = {}
     if fault == "degree":
-        # One exceptional component of degree 2 moves every subcurve holding it.
-        q._spin_cache[10] = Multidegree.of({**md.as_dict(), third: 2})
+        # C2 one up and C1 one down keep the total: every subcurve holding
+        # one but not the other moves, and only the per-vertex check sees it.
+        moves = {q.index("C1"): -1, q.index("C2"): 1}
+        exact = quasistable._spin_base
+        monkeypatch.setattr(
+            quasistable, "_spin_base",
+            lambda graph, t: [b + moves.get(i, 0) for i, b in enumerate(exact(graph, t))],
+        )
+        degree = [d + moves.get(i, 0) for i, d in enumerate(degree)]
     else:
         # Five extra internal nodes on two masks break the lane check and,
         # mask by mask, the slot bound on both.
         bumps = {mask_of(q, {third, fourth}): 5, mask_of(q, {"C2", fourth}): 5}
         _inflate_internal(monkeypatch, q, bumps)
-    first, count = _first_failing_mask(q, 10, bumps)
+    first, count = _first_failing_mask(q, 10, degree, bumps)
     assert count > 1
     with pytest.raises(RuntimeError) as err:
         orbit_closed_check(q, 10)
-    assert replay_payload(err)["subcurve"] == [v for i, v in enumerate(q.ids) if first >> i & 1]
+    payload = replay_payload(err)
+    assert payload["subcurve"] == [v for i, v in enumerate(q.ids) if first >> i & 1]
+    assert payload.get("t") == (10 if fault == "degree" else None)
+    assert q._kernel is None and (10 in q._spin_cache) == (fault == "internal")
 
 
 def test_witness_check_raises_a_replayable_payload(monkeypatch):

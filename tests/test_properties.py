@@ -380,9 +380,9 @@ def test_column_rows_match_the_direct_row_on_every_mask(case):
     spin_multidegree(q, t, unsafe_t=unsafe)
     # Valid models never fall back to the per-mask rows.
     with mock.patch.object(quasistable, "_checked_row", side_effect=AssertionError("per-mask rerun")):
-        table = quasistable._model_lanes(q, t)
-        _, lane_core_contact, twice_inner, twice_outer, _, _, lane_contact = (
-            quasistable._lanes(column, table.signs, table.width) for column in table.columns
+        kernel = quasistable._model_lanes(q)
+        lane_contact, _, lane_core_contact, twice_inner, twice_outer, _, _ = (
+            quasistable._lanes(column, kernel.signs, kernel.width) for column in kernel.columns
         )
         rows = quasistable._table_rows(q, t)
     assert len(rows) == 1 << q.n

@@ -419,14 +419,27 @@ def test_git_stable_examples():
     assert git_stable(expand(SPLIT3, BlowupConfig()), 10)
     assert git_stable(blown_split(2), 10)
     assert not git_stable(blown_split(4), 10)
-    # One-vertex graphs, unblown (one vertex, no proper subcurve) and with a
-    # self-node blown (two vertices); an unblown one of genus 1 is stable too.
-    one = DualGraph([("a", 3, 2)])
-    for config, n in ((BlowupConfig(), 1), (BlowupConfig(r={"a": 1}), 2)):
-        q = expand(one, config)
-        assert q.n == n and git_stable_exhaustive(q, 10) and git_stable(q, 10)
-    q = expand(DualGraph([("a", 1)]), BlowupConfig())
-    assert q.genus == 1 and git_stable_exhaustive(q, 10) and git_stable(q, 10)
+    # One-vertex graphs of genus 2 or more, unblown (one vertex, no proper
+    # subcurve) and with a self-node blown (two vertices), are stable with a
+    # closed orbit at every twist.  Models of genus 1 lie outside the domain
+    # of all three checks, whatever their number of vertices.
+    checks = (git_stable, git_stable_exhaustive, orbit_closed_check)
+    for one in (DualGraph([("a", 3, 2)]), DualGraph([("a", 2)]), DualGraph([("a", 5, 1)])):
+        for config in [BlowupConfig()] + [BlowupConfig(r={"a": 1})] * (one.self_nodes("a") > 0):
+            q = expand(one, config)
+            for t in (0, 10, 11):
+                assert all(check(q, t, unsafe_t=True) for check in checks), (q, t)
+    pair = DualGraph([("a", 0), ("b", 0)], {("a", "b"): 2})
+    for q in (
+        expand(DualGraph([("a", 1)]), BlowupConfig()),
+        expand(DualGraph([("a", 1, 1)]), BlowupConfig(r={"a": 1})),
+        expand(pair, BlowupConfig()),
+        expand(pair, BlowupConfig({("a", "b"): 2})),
+    ):
+        assert q.genus == 1
+        for check in checks:
+            with pytest.raises(DomainError, match="genus >= 2"):
+                check(q, 10)
 
 
 def test_git_stable_matches_oracle_on_samples(quasistable_corpus):

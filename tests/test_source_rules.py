@@ -269,3 +269,20 @@ def test_one_subset_lane_recurrence():
     assert doublings == ["graphs.py:_subset_lanes"], doublings
     tree = ast.parse((SRC / "quasistable.py").read_text())
     assert "shift" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_the_model_kernel_takes_no_twist():
+    """The blow-up model kernel, `quasistable._model_lanes`, takes the model
+    alone, and its body names neither a twist ``t`` nor the per-twist spin
+    cache: it is built once per model, and no lane depends on the twist."""
+    tree = ast.parse((SRC / "quasistable.py").read_text())
+    (kernel,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_model_lanes"
+    ]
+    params = kernel.args
+    assert len(params.posonlyargs + params.args + params.kwonlyargs) == 1
+    assert params.vararg is params.kwarg is None
+    names = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)}
+    assert not names & {"t", "_spin_cache"}, names & {"t", "_spin_cache"}
