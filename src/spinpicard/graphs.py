@@ -506,6 +506,8 @@ class Multidegree(_Record):
     def degree_on(self, subcurve: Iterable[str]) -> int:
         """Total degree carried by the components in the subcurve."""
         try:
+            if isinstance(subcurve, str):  # an id, not a subcurve of its characters
+                raise TypeError
             return sum(self._lookup[v] for v in subcurve)
         except (KeyError, TypeError):
             raise GraphError(f"subcurve must hold ids with a degree, got {subcurve!r}") from None
@@ -553,6 +555,8 @@ def _as_subcurve(graph: DualGraph, subcurve: Iterable[str]) -> tuple[frozenset, 
     vertex order, validated in one pass."""
     index, mask = graph._index, 0
     try:
+        if isinstance(subcurve, str):  # an id, which frozenset would split into characters
+            raise TypeError
         Y = frozenset(subcurve)
         for vid in Y:
             mask |= 1 << index[vid]

@@ -22,13 +22,12 @@ blow-ups to replay.
 
 The boundary predicates decide whether a subcurve sits at an end of its
 admissible degree range, whether the model is GIT-stable, and whether its
-orbit is closed.  Within the subset cap they and `basic_inequality` on a
-spin multidegree read one twist-free kernel per model (`_model_lanes`, one
-lane per subcurve): two calls of the recurrence `basic_inequality` runs,
-every other column linear in theirs; the twist enters where `_table_rows`
-decodes rows.  Past the cap, `_checked_row` checks single subcurves.  The
-lane format, the recurrence, the count helpers and ``check_t`` come from
-:mod:`spinpicard.graphs`.
+orbit is closed.  Within the subset cap they read one twist-free kernel per
+model (`_model_lanes`, one lane per subcurve, from two calls of the recurrence
+`basic_inequality` runs).  The twist lives in one record per model, the
+latest twist's spin multidegree and, once `boundary_case` asks, its rows.
+Past the cap, `_mask_counts` checks single subcurves.  The lane format, the
+recurrence, the count helpers and ``check_t`` come from :mod:`spinpicard.graphs`.
 """
 
 from __future__ import annotations
@@ -219,8 +218,7 @@ class QuasistableGraph(DualGraph):
         self.origin = _converted(dict, origin, "origin", "a mapping of exceptional ids to origins")
         self.source = source
         self.config = config
-        self._spin_cache: dict[int, Multidegree] = {}
-        self._kernel: Optional[SimpleNamespace] = None
+        self._kernel = self._twist = None  # `_model_lanes` and `spin_multidegree` set them
 
         for vid in sorted(exc, key=str):
             i = self.index(vid)
@@ -275,8 +273,9 @@ class QuasistableGraph(DualGraph):
         return sum(m for nbr, m in self._adjacency[vid].items() if nbr not in self.exceptional)
 
     def _lane_verdict(self, multidegree: Multidegree) -> Optional[bool]:
-        """True when the model's lanes show the basic inequality for this spin multidegree."""
-        spin = any(md.items == multidegree.items for md in self._spin_cache.values())
+        """The kernel's verdict when this is the latest twist's spin multidegree, else None."""
+        record = self._twist
+        spin = record is not None and record.spin.items == multidegree.items
         return _model_lanes(self).satisfied if spin else None
 
     @cached_property
@@ -399,11 +398,12 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
     Raises ParityError when the model admits no spin structure: a core
     vertex keeps an odd number of nodes with other core vertices.  Each degree
     is tied to the model kernel, 2(g-1)(d_v - m(v)) = (g-1)(c_v + delta_v).
+    The model keeps one twist record, ``q._twist``; another t replaces it.
     """
     _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
-    if t in q._spin_cache:
-        return q._spin_cache[t]
+    if (record := q._twist) is not None and record.t == t:
+        return record.spin
     exc, (_, core_contact, deltas), half = q.exceptional, q._core_nodes, q.genus - 1
     odd = next((i for i, c in enumerate(core_contact) if c % 2), None)
     if odd is not None:
@@ -424,7 +424,7 @@ def spin_multidegree(q: QuasistableGraph, t: int, *, unsafe_t: bool = False) -> 
             q, f"spin multidegree totals {md.total}, expected {expected}",
             t=t, multidegree=md.as_dict(),
         )
-    q._spin_cache[t] = md
+    q._twist = SimpleNamespace(t=t, spin=md, rows=None)
     return md
 
 
@@ -464,37 +464,20 @@ def _node_counts(q: QuasistableGraph, mask: int) -> tuple[int, int, int, int]:
     return core_contact, core_internal, inner, outer
 
 
-def _checked_row(
-    q: QuasistableGraph, mask: int, k_y: int, internal: int, counts: tuple,
-    t: Optional[int] = None, degree: int = 0, offset: int = 0,
-) -> Optional[tuple]:
-    """The boundary row (degree, core_contact, inner_ok, outer_ok, at_min,
-    at_max) of one mask from its contact, internal nodes, `_node_counts` and
-    offset 2(g-1)(d(Y) - m(Y)), checked (without ``t``, only the t-free
-    identities): Y's exceptionals fill their 2 slots each with nodes in Y and
-    inner ones; k(Y) = core contact + inner + outer, none negative; and the
-    offset is (g-1)(core contact + 2 inner), so exact ends and structural
-    clauses agree.  A failure raises with a replayable payload."""
-    core_contact, core_internal, inner, outer = counts
+def _mask_counts(q: QuasistableGraph, mask: int) -> tuple[int, ...]:
+    """(genus, contact, internal, core contact, core internal, inner, outer) of
+    one mask, checked t-free: Y's exceptionals fill their 2 slots each with
+    nodes in Y and inner ones, and k(Y) = core contact + inner + outer, none
+    negative.  A failure raises with a payload the source and blow-ups replay."""
+    g_y, k_y, internal = _mask_numbers(q, mask)
+    core_contact, core_internal, inner, outer = counts = _node_counts(q, mask)
     taken = internal - core_internal + inner
     slots = 2 * (mask & q._exceptional_mask).bit_count()
-    context = {} if t is None else {"t": t}
     if taken > slots:
-        raise _model_error(q, "exceptional node count exceeds its bound", mask, **context)
+        raise _model_error(q, "exceptional node count exceeds its bound", mask)
     if taken < slots or min(core_contact, inner, outer) < 0 or core_contact + inner + outer != k_y:
-        raise _model_error(q, "exceptional node slots unaccounted for", mask, **context)
-    if t is None:
-        return None
-    g = q.genus
-    at_min, at_max = offset == 0, offset == 2 * (g - 1) * k_y
-    if offset != (g - 1) * (core_contact + 2 * inner):
-        raise _model_error(
-            q,
-            f"boundary predicates disagree (direct min/max {at_min}/{at_max}, "
-            f"structural {not core_contact and not inner}/{not core_contact and not outer})",
-            mask, t=t,
-        )
-    return degree, core_contact, not inner, not outer, at_min, at_max
+        raise _model_error(q, "exceptional node slots unaccounted for", mask)
+    return (g_y, k_y, internal, *counts)
 
 
 class ExceptionalProfile(_Record):
@@ -521,16 +504,14 @@ class ExceptionalProfile(_Record):
 def exceptional_profile(q: QuasistableGraph, subcurve: Iterable[str]) -> ExceptionalProfile:
     _check_kind(q, QuasistableGraph, "q")
     Y, mask = _as_subcurve(q, subcurve)
-    _, k_y, internal = _mask_numbers(q, mask)
-    counts = _node_counts(q, mask)
-    _checked_row(q, mask, k_y, internal, counts)
+    _, _, internal, core_contact, core_internal, _, _ = _mask_counts(q, mask)
     return _unchecked(ExceptionalProfile, {
         "subcurve": Y,
         "components": mask.bit_count(),
         "core_components": (mask & ~q._exceptional_mask).bit_count(),
         "internal_nodes": internal,
-        "core_internal_nodes": counts[1],
-        "core_contact": counts[0],
+        "core_internal_nodes": core_internal,
+        "core_contact": core_contact,
     })
 
 
@@ -569,7 +550,7 @@ def _model_lanes(q: QuasistableGraph) -> SimpleNamespace:
     every twist the offset 2(d(Y) - m(Y)) and the room 2k(Y) - offset are k +
     D and k - D (`spin_multidegree` ties the degrees to these columns); every
     lane of 2 inner and 2 outer must be even and not negative.  The lanes hold
-    sum |w_v| + 2 sum c_v, a bound on every column."""
+    sum |w_v| + 2 sum c_v, a bound on every column.  Nothing here depends on t."""
     if q._kernel is not None:
         return q._kernel
     _require_genus(q)
@@ -595,38 +576,46 @@ def _model_lanes(q: QuasistableGraph) -> SimpleNamespace:
         satisfied=(offset + signs) & (room + signs) & signs == signs,
         git_stable=not (~(room + lows) & signs >> width & ~unions),
         orbit_closed=not (~(offset + lows) & (core_contact + lows) & signs),
-        signs=signs, width=width, twist=None, rows=None,
+        signs=signs, width=width,
         columns=(contact, weight, core_contact, inner, outer, offset, room),
     )
     return q._kernel
 
 
 def _table_rows(q: QuasistableGraph, t: int) -> list:
-    """(m(Y), k(Y), row) of every mask at twist t (index 0 the empty mask),
-    decoded from the model kernel's columns, in which the rows are linear:
-    2m(Y) = (2t+1) W(Y) - k(Y) and 2d(Y) = 2m(Y) + offset.  One Fraction per
-    distinct m(Y); the kernel keeps the rows of the latest twist only."""
+    """(m(Y), k(Y), row) of every mask at twist t, decoded from the kernel's
+    columns, in which the rows are linear: 2m(Y) = (2t+1) W(Y) - k(Y) and
+    2d(Y) = 2m(Y) + offset.  One Fraction per distinct m(Y); nothing is kept."""
     kernel = _model_lanes(q)
-    if kernel.twist != t:
-        contact, weight, core_contact, inner, outer, offset, room = (
-            _lanes(column, kernel.signs, kernel.width) for column in kernel.columns
-        )
-        twice = [(2 * t + 1) * w - k for w, k in zip(weight, contact)]  # 2 m(Y)
-        lowers = {x: _fraction(x, 2) for x in set(twice)}
-        degree = [(x + y) >> 1 for x, y in zip(twice, offset)]
-        rows = zip(degree, core_contact, *(map(not_, x) for x in (inner, outer, offset, room)))
-        kernel.rows, kernel.twist = list(zip(map(lowers.__getitem__, twice), contact, rows)), t
-    return kernel.rows
+    contact, weight, core_contact, inner, outer, offset, room = (
+        _lanes(column, kernel.signs, kernel.width) for column in kernel.columns
+    )
+    twice = [(2 * t + 1) * w - k for w, k in zip(weight, contact)]  # 2 m(Y)
+    lowers = {x: _fraction(x, 2) for x in set(twice)}
+    degree = [(x + y) >> 1 for x, y in zip(twice, offset)]
+    rows = zip(degree, core_contact, *(map(not_, x) for x in (inner, outer, offset, room)))
+    return list(zip(map(lowers.__getitem__, twice), contact, rows))
 
 
-def _direct_row(q: QuasistableGraph, t: int, mask: int) -> tuple[Fraction, int, tuple]:
-    """(lower, contact, row) of one mask in O(n^2), for models over the cap."""
-    g_y, k_y, internal = _mask_numbers(q, mask)
+def _direct_row(
+    q: QuasistableGraph, t: int, spin: Multidegree, mask: int
+) -> tuple[Fraction, int, tuple]:
+    """(lower, contact, row) of one mask past the cap, from the caller's spin
+    multidegree at t.  Beyond `_mask_counts`, the offset 2(g-1)(d(Y) - m(Y))
+    must be (g-1)(core contact + 2 inner): exact ends and structural clauses agree."""
     g = _require_genus(q)
-    degrees = q._spin_cache[t].values(q.ids)
-    degree = sum(d for i, d in enumerate(degrees) if mask >> i & 1)
+    g_y, k_y, _, core_contact, _, inner, outer = _mask_counts(q, mask)
+    degree = sum(d for i, d in enumerate(spin.values(q.ids)) if mask >> i & 1)
     offset = 2 * (g - 1) * degree - _scaled_lower((2 * t + 1) * (g - 1), g, g_y, k_y)
-    row = _checked_row(q, mask, k_y, internal, _node_counts(q, mask), t, degree, offset)
+    at_min, at_max = offset == 0, offset == 2 * (g - 1) * k_y
+    if offset != (g - 1) * (core_contact + 2 * inner):
+        raise _model_error(
+            q,
+            f"boundary predicates disagree (direct min/max {at_min}/{at_max}, "
+            f"structural {not core_contact and not inner}/{not core_contact and not outer})",
+            mask, t=t,
+        )
+    row = degree, core_contact, not inner, not outer, at_min, at_max
     return degree - _fraction(offset, 2 * (g - 1)), k_y, row
 
 
@@ -639,18 +628,19 @@ def boundary_case(
     characterization (core_contact zero plus the appropriate exceptional
     clause).  The routes must agree, else RuntimeError: the degree formulas
     and the combinatorics would have come apart.  Within MAX_SUBSET_VERTICES
-    this is a lookup in the model's boundary table for t, decoded once from
-    its kernel's columns; larger models compute the one row directly.
+    this is a lookup in the twist record's rows, decoded on the first call at
+    t; larger models compute the one row directly.  Each call keeps the record it read.
     """
     _check_kind(q, QuasistableGraph, "q")
     check_t(t, unsafe_t=unsafe_t)
-    rows = q._kernel.rows if getattr(q._kernel, "twist", None) == t else None
-    if rows is None:  # the first call at t: the spin structure, then the table
+    while (record := q._twist) is None or record.t != t:  # first call at t, or another t between
         spin_multidegree(q, t, unsafe_t=unsafe_t)
-        rows = None if q.n > MAX_SUBSET_VERTICES else _table_rows(q, t)
+    rows = record.rows
+    if rows is None and q.n <= MAX_SUBSET_VERTICES:
+        rows = record.rows = _table_rows(q, t)
     Y, mask = _as_subcurve(q, subcurve)
     lower, contact, (degree, core_contact, inner_ok, outer_ok, at_min, at_max) = (
-        _direct_row(q, t, mask) if rows is None else rows[mask]
+        _direct_row(q, t, record.spin, mask) if rows is None else rows[mask]
     )
     return _unchecked(BoundaryCase, {
         "subcurve": Y, "degree": degree, "lower": lower, "contact": contact,

@@ -287,6 +287,11 @@ def test_none_for_a_table_or_a_subcurve_is_a_graph_error(call, argument):
 
 _GENUS5 = DualGraph([("a", 1), ("b", 0), ("c", 1)], {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 1})
 _SPIN5 = Multidegree.from_values(_GENUS5, [38, 39, 42])  # total 21 * (5 - 1)
+# A spin model whose ids include "ab": the string "ab" is an id, not {a, b}.
+_AB = expand(
+    DualGraph([("a", 1), ("b", 0), ("ab", 1)], {("a", "b"): 2, ("b", "ab"): 2, ("a", "ab"): 2}),
+    BlowupConfig(),
+)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -344,6 +349,11 @@ def test_public_arguments_of_the_wrong_type_raise_library_errors(call, error, me
     (lambda: SpinWitness().sort_key(None), GraphError, "graph"),
     (lambda: SplitCurveRow("x", 10, 0, 0, 1, 2), WitnessError, "genus"),
     (lambda: _SPIN5.degree_on(["z"]), GraphError, "subcurve"),
+    (lambda: subcurve_profile(_AB, "ab", 4), GraphError, "subcurve"),
+    (lambda: boundary_case(_AB, 10, "ab"), GraphError, "subcurve"),
+    (lambda: exceptional_profile(_AB, "ab"), GraphError, "subcurve"),
+    (lambda: Multidegree.of({"a": 1, "b": 2, "ab": 7}).degree_on("ab"), GraphError,
+     "subcurve"),
 ], ids=[
     "spin-degree-plain", "git-plain", "git-scan-plain", "orbit-scan-plain", "boundary-plain",
     "contract-plain", "exceptional-plain", "expand-dict", "parity-none", "grouped-dict",
@@ -351,6 +361,7 @@ def test_public_arguments_of_the_wrong_type_raise_library_errors(call, error, me
     "locus-none", "profile-none", "stable-none", "orientation-pairs-none",
     "orientation-count-str", "orientation-quotas-none", "config-validate-none",
     "witness-validate-none", "witness-sort-key-none", "split-row-str", "degree-on-unknown",
+    "profile-subcurve-str", "boundary-subcurve-str", "exceptional-subcurve-str", "degree-on-str",
 ])
 def test_objects_of_the_wrong_kind_raise_library_errors(call, error, argument):
     """A plain graph where a blow-up model belongs, or an object of the wrong

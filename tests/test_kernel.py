@@ -15,7 +15,10 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -258,7 +261,7 @@ def test_basic_inequality_on_models_equals_a_plain_copy(quasistable_corpus):
         for t in (10, 11):
             md = spin_multidegree(q, t)
             got = basic_inequality(q, md)
-            assert q._kernel is not None and q._kernel.rows is None
+            assert q._kernel is not None and q._twist.spin is md and q._twist.rows is None
             assert got == basic_inequality(q, Multidegree(md.items)) == basic_inequality(plain, md)
             assert got == BIReport(True, ())
             if q.n > 1 and checked % 5 == 0:
@@ -309,7 +312,7 @@ def test_a_table_built_under_unsafe_t_still_checks_the_twist():
     split = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 4})
     q = expand(split, BlowupConfig({("C1", "C2"): 2}))
     case = boundary_case(q, 5, {"C1"}, unsafe_t=True)
-    assert q._kernel.twist == 5 and q._kernel.rows is not None
+    assert q._twist.t == 5 and q._twist.rows is not None
     with pytest.raises(DomainError, match="at least 10"):
         boundary_case(q, 5, {"C1"})
     assert boundary_case(q, 5, {"C1"}, unsafe_t=True) == case
@@ -467,7 +470,7 @@ def test_twist_sweep_keeps_one_row_table(monkeypatch):
         assert orbit_closed_check(q, t) == orbit_closed_check(fresh, t)
         for Y in subcurves:
             assert boundary_case(q, t, Y) == boundary_case(fresh, t, Y)
-        assert q._kernel.twist == t and len(q._kernel.rows) == 1 << q.n
+        assert q._twist.t == t and len(q._twist.rows) == 1 << q.n
     assert [m for m in calls if m is q._matrix or m is q._core_nodes[0]] == [
         q._matrix, q._core_nodes[0]
     ]
@@ -475,23 +478,108 @@ def test_twist_sweep_keeps_one_row_table(monkeypatch):
 
 
 def test_scans_leave_no_rows_until_boundary_case_asks():
-    """Both scans read the packed lanes alone: the model kernel holds no
-    per-mask rows until boundary_case decodes them, once per twist, and then
-    the latest twist's only."""
+    """Both scans read the packed lanes alone: the twist record holds no
+    per-mask rows until boundary_case decodes them, once per twist, a new
+    twist replaces the record, and the kernel holds no rows at all."""
     source = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
     q = expand(source, BlowupConfig({("C1", "C2"): 4}))
     assert git_stable_exhaustive(q, 10) and orbit_closed_check(q, 10)
-    kernel, decoded = q._kernel, None
-    assert kernel.rows is None and kernel.twist is None
+    kernel = q._kernel
     for t in (10, 11):
         assert git_stable_exhaustive(q, t) and orbit_closed_check(q, t)
-        assert q._kernel is kernel and kernel.twist == decoded
+        record = q._twist
+        assert q._kernel is kernel and record.t == t and record.rows is None
         case = boundary_case(q, t, {"C1"})
-        rows = kernel.rows
-        assert kernel.twist == t and len(rows) == 1 << q.n
+        rows = record.rows
+        assert q._twist is record and len(rows) == 1 << q.n
         assert orbit_closed_check(q, t) and boundary_case(q, t, {"C2"}).degree == case.degree
-        assert kernel.rows is rows and q._kernel is kernel
-        decoded = t
+        assert record.rows is rows and q._kernel is kernel
+    assert not vars(kernel).keys() & {"twist", "rows"}
+
+
+def test_a_twist_sweep_leaves_one_record_and_plain_verdicts():
+    """After `spin_multidegree` at 2,000 twists the model holds one twist
+    record and no per-twist table; `basic_inequality` on a non-spin
+    multidegree, and on the spin multidegree of an earlier twist, each
+    equals the verdict on a plain copy."""
+    source = DualGraph([("A", 1), ("B", 1)], {("A", "B"): 3})
+    q = expand(source, BlowupConfig({("A", "B"): 3}))
+    assert q.n == 5
+    earlier = spin_multidegree(q, 10)
+    for t in range(10, 2010):
+        latest = spin_multidegree(q, t)
+    assert q._twist.t == 2009 and q._twist.spin is latest
+    assert all(len(value) < 100 for value in vars(q).values() if hasattr(value, "__len__"))
+    plain = _plain(q)
+    moved = _perturbed(latest, random.Random(2009), 3)
+    assert basic_inequality(q, moved) == basic_inequality(plain, moved)
+    assert not basic_inequality(q, moved).satisfied
+    assert basic_inequality(q, earlier) == basic_inequality(plain, earlier) == BIReport(True, ())
+    assert basic_inequality(q, latest) == basic_inequality(plain, latest) == BIReport(True, ())
+
+
+@pytest.mark.parametrize("route", ["table", "direct"])
+def test_a_call_at_another_twist_midway_answers_for_its_own(route, monkeypatch):
+    """A `boundary_case` at t that meets `spin_multidegree` at t + 1 midway,
+    inside the row decode within the cap or inside the per-mask counts past
+    it, still answers for t and raises nothing: each call works on the twist
+    record it read, and leaves nothing of t in the record at t + 1."""
+    source = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
+    config = BlowupConfig({("C1", "C2"): 4})
+    fresh, q, t = expand(source, config), expand(source, config), 10
+    expected = {Y: boundary_case(fresh, t, Y) for Y in iter_subcurves(fresh)}
+    name = "_table_rows" if route == "table" else "_node_counts"
+    if route == "direct":
+        monkeypatch.setattr(quasistable, "MAX_SUBSET_VERTICES", 0)
+    exact, midway = getattr(quasistable, name), []
+
+    def interleaved(*args):
+        midway.append(spin_multidegree(q, t + 1))
+        return exact(*args)
+
+    monkeypatch.setattr(quasistable, name, interleaved)
+    got = {Y: boundary_case(q, t, Y) for Y in expected}
+    assert midway and all(md.total == (2 * t + 3) * (q.genus - 1) for md in midway)
+    assert got == expected
+    monkeypatch.undo()
+    assert all(boundary_case(q, t + 1, Y) == boundary_case(fresh, t + 1, Y) for Y in expected)
+
+
+@pytest.mark.parametrize("route", ["table", "direct"])
+def test_threads_at_different_twists_share_one_model(route, monkeypatch):
+    """Four threads ask `boundary_case` on one model, each at its own twist,
+    with the interpreter switching threads as often as it can: every answer
+    is a fresh model's at that thread's twist, and none raises."""
+    source = DualGraph([("C1", 0), ("C2", 0)], {("C1", "C2"): 6})
+    config = BlowupConfig({("C1", "C2"): 4})
+    q, twists = expand(source, config), (10, 11, 12, 13)
+    subcurves = list(iter_subcurves(q))
+    expected = {t: [boundary_case(expand(source, config), t, Y) for Y in subcurves] for t in twists}
+    if route == "direct":
+        monkeypatch.setattr(quasistable, "MAX_SUBSET_VERTICES", 0)
+    wrong, errors = [], []
+
+    def ask(t: int) -> None:
+        try:
+            for _ in range(5):
+                wrong.extend(
+                    (t, Y) for Y, case in zip(subcurves, expected[t]) if boundary_case(q, t, Y) != case
+                )
+        except Exception as exc:  # reported below, with the thread's twist
+            errors.append((t, exc))
+
+    threads = [threading.Thread(target=ask, args=(t,)) for t in twists]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and not wrong, (errors, wrong[:5])
 
 
 # The model kernel keeps its columns in lanes of 8, 16, 32 or 64 bits, wider
@@ -687,9 +775,10 @@ def test_slot_bound_failure_raises_a_replayable_payload(monkeypatch):
 
     monkeypatch.setattr(quasistable, "_mask_numbers", inflated)
     # The lanes hold no internal column; the replay of the failing mask
-    # tells an over-full slot from a short one.
-    with pytest.raises(RuntimeError, match="exceeds its bound"):
-        quasistable._direct_row(q, 12, mask_of(q, {"E(C1|C2)#1"}))
+    # tells an over-full slot from a short one, with no twist on either route.
+    with pytest.raises(RuntimeError, match="exceeds its bound") as err:
+        quasistable._direct_row(q, 12, spin_multidegree(q, 12), mask_of(q, {"E(C1|C2)#1"}))
+    assert "t" not in replay_payload(err)
     with pytest.raises(RuntimeError, match="exceeds its bound") as err:
         exceptional_profile(q, {"C1", "E(C1|C2)#2"})
     payload = replay_payload(err)
@@ -739,21 +828,22 @@ def test_an_odd_core_contact_lane_names_its_mask(monkeypatch):
 
 def _first_failing_mask(q, t: int, degree: list, bumps: dict[int, int]) -> tuple[int, int]:
     """The smallest mask whose per-mask row raises with degrees ``degree``
-    and ``bumps[mask]`` extra internal nodes, and how many masks do."""
+    and ``bumps[mask]`` extra internal nodes, and how many masks do: the
+    per-mask route, reading its numbers from the list tables."""
     genus, contact, internal = subcurve_table(q)
     internal = [e + bumps.get(mask, 0) for mask, e in enumerate(internal)]
-    g = q.genus
+    spin = Multidegree.from_values(q, degree)
     failing = []
-    for mask in range(1, 1 << q.n):
-        d_y = sum(d for i, d in enumerate(degree) if mask >> i & 1)
-        offset = 2 * (g - 1) * d_y - quasistable._scaled_lower(
-            (2 * t + 1) * (g - 1), g, genus[mask], contact[mask]
-        )
-        counts = quasistable._node_counts(q, mask)
-        try:
-            quasistable._checked_row(q, mask, contact[mask], internal[mask], counts, t, d_y, offset)
-        except RuntimeError:
-            failing.append(mask)
+
+    def numbers(graph, mask):
+        return genus[mask], contact[mask], internal[mask]
+
+    with mock.patch.object(quasistable, "_mask_numbers", numbers):
+        for mask in range(1, 1 << q.n):
+            try:
+                quasistable._direct_row(q, t, spin, mask)
+            except RuntimeError:
+                failing.append(mask)
     return failing[0], len(failing)
 
 
@@ -791,7 +881,7 @@ def test_column_failure_names_the_first_failing_mask(fault, monkeypatch):
     payload = replay_payload(err)
     assert payload["subcurve"] == [v for i, v in enumerate(q.ids) if first >> i & 1]
     assert payload.get("t") == (10 if fault == "degree" else None)
-    assert q._kernel is None and (10 in q._spin_cache) == (fault == "internal")
+    assert q._kernel is None and (q._twist is not None) == (fault == "internal")
 
 
 def test_witness_check_raises_a_replayable_payload(monkeypatch):

@@ -377,9 +377,9 @@ def spin_models(draw):
 @given(spin_models())
 def test_column_rows_match_the_direct_row_on_every_mask(case):
     q, t, unsafe = case
-    spin_multidegree(q, t, unsafe_t=unsafe)
+    md = spin_multidegree(q, t, unsafe_t=unsafe)
     # Valid models never fall back to the per-mask rows.
-    with mock.patch.object(quasistable, "_checked_row", side_effect=AssertionError("per-mask rerun")):
+    with mock.patch.object(quasistable, "_mask_counts", side_effect=AssertionError("per-mask rerun")):
         kernel = quasistable._model_lanes(q)
         lane_contact, _, lane_core_contact, twice_inner, twice_outer, _, _ = (
             quasistable._lanes(column, kernel.signs, kernel.width) for column in kernel.columns
@@ -393,7 +393,7 @@ def test_column_rows_match_the_direct_row_on_every_mask(case):
     assert (lane_contact, lane_core_contact) == (contact, core_contact), q
     assert (twice_inner, twice_outer) == ([2 * x for x in inner], [2 * x for x in outer]), q
     for mask in range(1, 1 << q.n):
-        assert rows[mask] == quasistable._direct_row(q, t, mask), (q, t, mask)
+        assert rows[mask] == quasistable._direct_row(q, t, md, mask), (q, t, mask)
         profile = exceptional_profile(q, [v for i, v in enumerate(q.ids) if mask >> i & 1])
         assert (profile.core_contact, profile.core_internal_nodes, profile.internal_nodes) == (
             core_contact[mask], core_internal[mask], internal[mask]

@@ -286,3 +286,41 @@ def test_the_model_kernel_takes_no_twist():
     names = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)}
     assert not names & {"t", "_spin_cache"}, names & {"t", "_spin_cache"}
+
+
+def test_one_twist_record_per_model():
+    """What depends on the twist sits in one record per blow-up model,
+    ``q._twist``, which `spin_multidegree` alone assigns (`_flag` sets it
+    to None on construction): no per-twist spin cache is left, the model
+    kernel's namespace holds no twist or rows, and the per-mask counts
+    `_node_counts` are read only through the checks of `_mask_counts`."""
+    stores, callers = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text()
+        assert "_spin_cache" not in source, path.name
+        for fn in ast.walk(ast.parse(source, filename=str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_node_counts":
+                    callers.add(f"{path.name}:{fn.name}")
+                targets = node.targets if isinstance(node, ast.Assign) else []
+                for target in targets:
+                    if isinstance(target, ast.Attribute) and target.attr == "_twist":
+                        none = isinstance(node.value, ast.Constant) and node.value.value is None
+                        stores.add((path.name, fn.name, none))
+    assert stores == {
+        ("quasistable.py", "spin_multidegree", False), ("quasistable.py", "_flag", True)
+    }, stores
+    assert callers == {"quasistable.py:_mask_counts"}, callers
+    tree = ast.parse((SRC / "quasistable.py").read_text())
+    (kernel,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_model_lanes"
+    ]
+    (namespace,) = [
+        node for node in ast.walk(kernel)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SimpleNamespace"
+    ]
+    fields = {keyword.arg for keyword in namespace.keywords}
+    assert "satisfied" in fields and not fields & {"twist", "rows"}, fields
