@@ -138,7 +138,7 @@ class DualGraph:
 
     Instances are immutable by convention: no method mutates the graph after
     construction.  The genus and per-vertex contacts are set on construction;
-    the sorted pairs and the node matrix are memoized on first use.
+    the sorted pairs and the node rows `_later` are memoized on first use.
     """
 
     def __init__(self, vertices: Iterable[VertexLike], edges: EdgeTable = ()) -> None:
@@ -214,6 +214,8 @@ class DualGraph:
             return self._index[vid]
         except KeyError:
             raise GraphError(f"unknown vertex id {vid!r}") from None
+        except TypeError:  # unhashable, so never an id
+            raise GraphError(f"vertex id must be a non-empty string, got {vid!r}") from None
 
     def vertex(self, vid: str) -> Vertex:
         return self._vertices[self.index(vid)]
@@ -253,12 +255,12 @@ class DualGraph:
         ]))
 
     @cached_property
-    def _matrix(self) -> tuple[tuple[int, ...], ...]:
-        index, rows = self._index, [[0] * len(self._ids) for _ in self._ids]
-        for u, row in zip(self._ids, rows):
-            for v, m in self._adjacency[u].items():
-                row[index[v]] = m
-        return tuple(map(tuple, rows))
+    def _later(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Node rows: per vertex i, the (j, nodes) of each joined j > i, every pair once."""
+        index, adjacency = self._index, self._adjacency
+        return tuple([
+            tuple([(index[v], m) for v, m in adjacency[u].items() if v > u]) for u in self._ids
+        ])
 
     def _lane_verdict(self, multidegree: "Multidegree") -> Optional[bool]:
         """True where kept lanes show the basic inequality; only blow-up models keep any."""
@@ -277,8 +279,11 @@ class DualGraph:
     def relabeled(self, mapping: Mapping[str, str]) -> "DualGraph":
         """Copy of the graph with vertex ids renamed through an injective map."""
         mapping = _converted(dict, mapping, "mapping", "a bijection of the vertex ids")
-        if mapping.keys() != set(self._ids) or len(set(mapping.values())) != self.n:
-            raise GraphError("relabeling must be a bijection defined on every vertex id")
+        try:
+            if mapping.keys() != set(self._ids) or len(set(mapping.values())) != self.n:
+                raise GraphError("relabeling must be a bijection defined on every vertex id")
+        except TypeError:  # an unhashable new id: the vertex check below names it
+            pass
         vs = [Vertex(mapping[v.id], v.pa, v.self_nodes) for v in self._vertices]
         adjacency = {
             mapping[u]: {mapping[v]: m for v, m in row.items()}
@@ -501,7 +506,10 @@ class Multidegree(_Record):
         keys, degrees = zip(*self.items) if self.items else ((), ())
         if keys == ids:  # the id-sorted order: read off without a lookup
             return degrees
-        return tuple([self._lookup[i] for i in ids])
+        try:
+            return tuple([self._lookup[i] for i in ids])
+        except (KeyError, TypeError):
+            raise GraphError(f"ids must be vertex ids with a degree, got {ids!r}") from None
 
     def degree_on(self, subcurve: Iterable[str]) -> int:
         """Total degree carried by the components in the subcurve."""
@@ -587,10 +595,9 @@ def _subset_sums(values: Sequence, zero=0) -> list:
 
 
 def _mask_numbers(graph: DualGraph, mask: int) -> tuple[int, int, int]:
-    """(genus, contact, internal nodes) of one subcurve, in O(n^2)."""
+    """(genus, contact, internal nodes) of one subcurve, in O(n + E) over the node rows."""
     members = [i for i in range(graph.n) if mask >> i & 1]
-    matrix = graph._matrix
-    internal = sum(matrix[i][j] for a, i in enumerate(members) for j in members[a + 1:])
+    internal = sum([m for i in members for j, m in graph._later[i] if mask >> j & 1])
     genus = sum(graph.vertices[i].pa - 1 for i in members) + internal + 1
     contact = sum(graph._contacts[i] for i in members) - 2 * internal
     return genus, contact, internal
@@ -750,17 +757,21 @@ def _lanes(value: int, signs: int, width: int) -> list[int]:
     return [int.from_bytes(raw[i:i + k], "little", signed=True) for i in range(0, len(raw), k)]
 
 
-def _subset_lanes(matrix: Sequence, contacts: Sequence, values: Sequence, width: int) -> tuple:
-    """k(Y) and the sum of ``values`` over Y for every mask Y of the node
-    ``matrix`` with row sums ``contacts``, one ``width``-bit lane per mask: the
-    doubling recurrence of every 2^n scan, k(Y + h) = k(Y) + c_h - 2 (nodes
-    from h to Y), those cross terms doubled alongside as row subset sums."""
-    contact, total, across, ones, shift = 0, 0, [0] * len(contacts), 1, width
-    for h, (row, c, x) in enumerate(zip(matrix, contacts, values)):
-        contact += (contact + c * ones - 2 * across[0]) << shift
+def _subset_lanes(later: Sequence, contacts: Sequence, values: Sequence, width: int) -> tuple:
+    """k(Y) and the sum of ``values`` over Y, one ``width``-bit lane per mask
+    Y, from node rows ``later`` and contacts ``contacts``: the recurrence of
+    every 2^n scan, k(Y + h) = k(Y) + c_h - 2 (nodes from h to Y), its cross
+    sums doubled alongside only for later vertices some node already reaches."""
+    contact, total, across, ones, shift = 0, 0, {}, 1, width
+    for h, (row, c, x) in enumerate(zip(later, contacts, values)):
+        contact += (contact + c * ones - 2 * across.pop(h, 0)) << shift
         total += (total + x * ones) << shift
-        across = [a + ((a + m * ones) << shift) for a, m in zip(across[1:], row[h + 1:])]
-        ones |= ones << shift
+        for j, a in across.items():
+            across[j] = a + (a << shift)
+        high = ones << shift
+        for j, m in row:
+            across[j] = across.get(j, 0) + m * high
+        ones |= high
         shift <<= 1
     return contact, total
 
@@ -792,7 +803,7 @@ def basic_inequality(
     weights = [2 * v.pa - 2 + c for v, c in zip(graph.vertices, graph._contacts)]
     offsets = [2 * half * deg - d_total * w for deg, w in zip(degrees, weights)]
     width, signs = _lane_format(sum(map(abs, offsets)) + half * sum(graph._contacts), graph.n)
-    contact, offset = _subset_lanes(graph._matrix, graph._contacts, offsets, width)
+    contact, offset = _subset_lanes(graph._later, graph._contacts, offsets, width)
     scaled = half * contact + signs
     kept = (scaled - offset) & (scaled + offset) & signs
     if kept == signs:

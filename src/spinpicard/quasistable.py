@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from functools import cached_property
-from operator import mul, not_
+from operator import not_
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
@@ -139,7 +139,21 @@ class BlowupConfig:
 
         Shape: ``{"s": [{"u": ..., "v": ..., "count": ...}],
         "r": [{"vertex": ..., "count": ...}]}``; each array absent, null or given.
+        Plain JSON is read in one pass, anything else by the checks naming its fault.
         """
+        if cls is BlowupConfig and type(raw) is dict and raw.keys() <= {"s", "r"}:
+            pairs, hosts = ([] if x is None else x for x in (raw.get("s"), raw.get("r")))
+            if type(pairs) is list and type(hosts) is list:
+                s = {_pair(u, v): c for e in pairs if type(e) is dict and len(e) == 3
+                     and type(u := e.get("u")) is type(v := e.get("v")) is str and u and v
+                     and u != v and type(c := e.get("count")) is int and c >= 0}
+                r = {vid: c for e in hosts if type(e) is dict and len(e) == 2
+                     and type(vid := e.get("vertex")) is str and vid
+                     and type(c := e.get("count")) is int and c >= 0}
+                if len(s) == len(pairs) and len(r) == len(hosts):  # every entry, no key twice
+                    config = _unchecked(BlowupConfig, "_s", {k: c for k, c in s.items() if c})
+                    config._r = {vid: c for vid, c in r.items() if c}
+                    return config
         if not isinstance(raw, Mapping):
             raise BlowupError("blow-up description must be a JSON object")
         unknown = set(raw) - {"s", "r"}
@@ -284,12 +298,15 @@ class QuasistableGraph(DualGraph):
 
     @cached_property
     def _core_nodes(self) -> tuple:
-        """The node matrix with exceptional rows and columns zeroed, its row
-        sums cc_v, and delta_v: 2 on an exceptional vertex, cc_v - c_v on a core one."""
-        keep = [vid not in self.exceptional for vid in self.ids]
-        zero = [0] * self.n
-        rows = [list(map(mul, row, keep)) if k else zero for row, k in zip(self._matrix, keep)]
-        contacts = list(map(sum, rows))
+        """The node rows `_later` of core pairs alone, the core contacts cc_v,
+        and delta_v: 2 on an exceptional vertex, cc_v - c_v on a core one."""
+        keep, contacts = [vid not in self.exceptional for vid in self._ids], [0] * self.n
+        rows = [[(j, m) for j, m in row if keep[j]] if k else ()
+                for row, k in zip(self._later, keep)]
+        for i, row in enumerate(rows):
+            for j, m in row:
+                contacts[i] += m
+                contacts[j] += m
         deltas = [cc - c if k else 2 for cc, c, k in zip(contacts, self._contacts, keep)]
         return rows, contacts, deltas
 
@@ -439,29 +456,19 @@ def _model_error(q: QuasistableGraph, message: str, mask: int = 0, **context) ->
 
 
 def _node_counts(q: QuasistableGraph, mask: int) -> tuple[int, int, int, int]:
-    """Core contact, core-internal, inner and outer nodes of one mask in one
-    O(n^2) pass over the core rows of the node matrix, which see every node
-    (exceptionals are never joined): the per-mask route past the cap."""
-    exc = q._exceptional_mask
-    core_contact = core_internal = inner = outer = 0
-    for i, row in enumerate(q._matrix):
-        if exc >> i & 1:
-            continue
-        in_y = mask >> i & 1
-        for j, m in enumerate(row):
-            if not m:
-                continue
-            if (mask >> j & 1) == in_y:
-                if in_y and j > i and not exc >> j & 1:
-                    core_internal += m
-            elif exc >> j & 1:
-                if in_y:
-                    outer += m
-                else:
-                    inner += m
-            elif in_y:
-                core_contact += m
-    return core_contact, core_internal, inner, outer
+    """Core contact, core-internal, inner and outer nodes of one mask, one
+    O(n + E) walk over the node rows: the per-mask route past the cap.  No two
+    exceptionals are joined, so a pair with one is inner or outer by its end in Y."""
+    exc, counts = q._exceptional_mask, [0, 0, 0, 0]
+    for i, row in enumerate(q._later):
+        for j, m in row:
+            in_i, in_j = mask >> i & 1, mask >> j & 1
+            if (exc >> i | exc >> j) & 1:  # inner when the exceptional end is in Y
+                if in_i != in_j:
+                    counts[2 if in_i == exc >> i & 1 else 3] += m
+            elif in_i or in_j:  # core contact, or core internal with both in Y
+                counts[in_i & in_j] += m
+    return tuple(counts)
 
 
 def _mask_counts(q: QuasistableGraph, mask: int) -> tuple[int, ...]:
@@ -545,7 +552,7 @@ def _model_lanes(q: QuasistableGraph) -> SimpleNamespace:
     """The model kernel: every scan verdict and the packed columns, one lane
     per mask, built once per model and kept for its life; no column depends on
     the twist.  `_subset_lanes` gives k(Y) and W(Y), the sum of w_v = 2pa_v - 2
-    + c_v, on the node matrix, and cc(Y) and D(Y) = inner - outer on
+    + c_v, on the node rows `_later`, and cc(Y) and D(Y) = inner - outer on
     `_core_nodes`.  So 2 inner = k - cc + D, 2 outer = k - cc - D, and at
     every twist the offset 2(d(Y) - m(Y)) and the room 2k(Y) - offset are k +
     D and k - D (`spin_multidegree` ties the degrees to these columns); every
@@ -554,11 +561,11 @@ def _model_lanes(q: QuasistableGraph) -> SimpleNamespace:
     if q._kernel is not None:
         return q._kernel
     _require_genus(q)
-    core_matrix, core_contacts, deltas = q._core_nodes
+    core_rows, core_contacts, deltas = q._core_nodes
     weights = [2 * v.pa - 2 + c for v, c in zip(q.vertices, q._contacts)]
     width, signs = _lane_format(sum(map(abs, weights)) + 2 * sum(q._contacts), q.n)
-    contact, weight = _subset_lanes(q._matrix, q._contacts, weights, width)
-    core_contact, balance = _subset_lanes(core_matrix, core_contacts, deltas, width)
+    contact, weight = _subset_lanes(q._later, q._contacts, weights, width)
+    core_contact, balance = _subset_lanes(core_rows, core_contacts, deltas, width)
     inner, outer = contact - core_contact + balance, contact - core_contact - balance  # doubled
     ones = signs >> (width - 1)
     # 2 inner and 2 outer differ by 2D, so one low bit tests both for evenness.

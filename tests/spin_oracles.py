@@ -26,6 +26,9 @@ runs.
 blow-up scans read before their packed-lane kernel: genus, contact and
 internal nodes of every mask, and a model's core contact, core-internal,
 inner nodes and slots, each doubled over the vertices as lists.
+``dense_subset_lanes`` is the packed recurrence as the library ran it on the
+dense n x n node matrix (``node_matrix``, looked up by id) before it took
+sparse node rows: it doubles a cross sum for every later vertex at every step.
 """
 
 from __future__ import annotations
@@ -448,3 +451,26 @@ def node_columns(q) -> tuple[list[int], list[int], list[int], list[int], list[in
             inner += [i - x for i, x in zip(inner, cross)]
             slots += slots
     return core_contact, core_internal, inner, inner[::-1], slots
+
+
+def node_matrix(graph: DualGraph, keep: Optional[Iterable[str]] = None) -> list[list[int]]:
+    """k(u, v) for every pair of ids in id order, by lookup; with ``keep``,
+    the rows and columns of every other vertex zeroed."""
+    ids = graph.ids
+    kept = set(ids if keep is None else keep)
+    return [[graph.k(u, v) if u in kept and v in kept else 0 for v in ids] for u in ids]
+
+
+def dense_subset_lanes(matrix: Sequence, contacts: Sequence, values: Sequence, width: int) -> tuple:
+    """k(Y) and the sum of ``values`` over Y for every mask Y of the node
+    ``matrix`` with row sums ``contacts``, one ``width``-bit lane per mask: the
+    doubling recurrence k(Y + h) = k(Y) + c_h - 2 (nodes from h to Y), the
+    cross terms of every later vertex doubled alongside as row subset sums."""
+    contact, total, across, ones, shift = 0, 0, [0] * len(contacts), 1, width
+    for h, (row, c, x) in enumerate(zip(matrix, contacts, values)):
+        contact += (contact + c * ones - 2 * across[0]) << shift
+        total += (total + x * ones) << shift
+        across = [a + ((a + m * ones) << shift) for a, m in zip(across[1:], row[h + 1:])]
+        ones |= ones << shift
+        shift <<= 1
+    return contact, total

@@ -354,6 +354,15 @@ def test_public_arguments_of_the_wrong_type_raise_library_errors(call, error, me
     (lambda: exceptional_profile(_AB, "ab"), GraphError, "subcurve"),
     (lambda: Multidegree.of({"a": 1, "b": 2, "ab": 7}).degree_on("ab"), GraphError,
      "subcurve"),
+    (lambda: _GENUS5.vertex(["a"]), GraphError, "vertex id"),
+    (lambda: _GENUS5.k(["a"], "b"), GraphError, "vertex id"),
+    (lambda: _GENUS5.neighbors({}), GraphError, "vertex id"),
+    (lambda: _AB.core_contact(["a"]), GraphError, "vertex id"),
+    (lambda: _AB.is_exceptional(["a"]), GraphError, "vertex id"),
+    (lambda: _GENUS5.relabeled({"a": ["x"], "b": "y", "c": "z"}), GraphError, "vertex id"),
+    (lambda: SPLIT3.relabeled({"C1": ["x"], "C2": "y"}), GraphError, "vertex id"),
+    (lambda: Multidegree.of({"a": 1, "b": 2}).values(["zz"]), GraphError, "ids"),
+    (lambda: Multidegree.of({"a": 1, "b": 2}).values([["a"]]), GraphError, "ids"),
 ], ids=[
     "spin-degree-plain", "git-plain", "git-scan-plain", "orbit-scan-plain", "boundary-plain",
     "contract-plain", "exceptional-plain", "expand-dict", "parity-none", "grouped-dict",
@@ -362,12 +371,14 @@ def test_public_arguments_of_the_wrong_type_raise_library_errors(call, error, me
     "orientation-count-str", "orientation-quotas-none", "config-validate-none",
     "witness-validate-none", "witness-sort-key-none", "split-row-str", "degree-on-unknown",
     "profile-subcurve-str", "boundary-subcurve-str", "exceptional-subcurve-str", "degree-on-str",
+    "vertex-list", "k-list", "neighbors-dict", "core-contact-list", "is-exceptional-list",
+    "relabel-list", "relabel-list-first", "values-unknown", "values-list",
 ])
 def test_objects_of_the_wrong_kind_raise_library_errors(call, error, argument):
     """A plain graph where a blow-up model belongs, or an object of the wrong
-    kind for a graph, config, witness, pair table or quota table, raises the
-    library's error naming the argument, never the AttributeError or
-    TypeError of using it."""
+    kind for a graph, config, witness, pair table, quota table, vertex id or
+    list of ids, raises the library's error naming the argument, never the
+    AttributeError, KeyError or TypeError of using it."""
     with pytest.raises(error, match=f"^{argument} must "):
         call()
 
@@ -597,8 +608,9 @@ def test_columns_set_on_construction_match_the_pair_formulas(quasistable_corpus)
 
 def test_decide_builds_neither_the_node_matrix_nor_the_subcurve_table():
     """A 40-cycle of elliptic components, two nodes per link: the witness
-    search reads the contact column and the pairs, never the O(n^2) matrix
-    (the 2^n subcurve table is gone from the library altogether)."""
+    search reads the contact column and the pairs, never the node rows of
+    the subset recurrence (the dense O(n^2) matrix and the 2^n subcurve table
+    are gone from the library altogether)."""
     ids = [f"c{i:02d}" for i in range(40)]
     links = {(u, v): 2 for u, v in zip(ids, ids[1:] + ids[:1])}
     graph = DualGraph([(vid, 1) for vid in ids], links)
@@ -608,4 +620,4 @@ def test_decide_builds_neither_the_node_matrix_nor_the_subcurve_table():
     md = Multidegree.of({vid: t * 4 + 2 for vid in ids})
     witness = decide_spin_component(graph, t, md)
     assert grouped_multidegree(graph, witness, t) == md
-    assert "_matrix" not in vars(graph)
+    assert not {"_matrix", "_later"} & set(vars(graph))

@@ -274,8 +274,8 @@ def test_basic_inequality_on_models_equals_a_plain_copy(quasistable_corpus):
 
 
 def test_scans_after_basic_inequality_build_no_lanes_again(quasistable_corpus, monkeypatch):
-    """One lane build per model, two `_subset_lanes` calls (the node matrix
-    and the core-only one), and none again for the scans and the boundary
+    """One lane build per model, two `_subset_lanes` calls (the node rows
+    and the core-only ones), and none again for the scans and the boundary
     table after `basic_inequality`."""
     calls = []
     lanes = quasistable._subset_lanes
@@ -326,12 +326,17 @@ def test_cached_sign_lane_equals_its_byte_construction(width):
         assert graphs._lane_format(1 << (width // 2 - 1), n) == (width, expected)
 
 
-def test_node_matrix_equals_the_lookup_construction(quasistable_corpus):
+def test_node_rows_equal_the_lookup_construction(quasistable_corpus):
+    """Row i of `_later` holds (j, k(i, j)) for every joined j > i, each
+    once: the nonzero upper triangle of the node counts looked up by id."""
     for graph in [*quasistable_corpus, *models(quasistable_corpus)]:
         ids = graph.ids
-        assert graph._matrix == tuple(
-            tuple(graph._adjacency[u].get(v, 0) for v in ids) for u in ids
-        )
+        assert len(graph._later) == graph.n
+        for i, row in enumerate(graph._later):
+            assert len({j for j, _ in row}) == len(row)
+            assert dict(row) == {
+                j: graph.k(ids[i], v) for j, v in enumerate(ids) if j > i and graph.k(ids[i], v)
+            }
 
 
 # The packed scan keeps (g-1) k(Y) -+ X(Y), X(Y) = 2(g-1) d(Y) - d w(Y), in
@@ -429,8 +434,8 @@ def test_basic_inequality_builds_no_subcurve_table():
     cached = set(vars(graph))
     assert not basic_inequality(graph, md).satisfied
     assert basic_inequality(graph, _doubled_canonical(graph)).satisfied
-    # Only the O(n^2) node matrix stays on the graph, no table of 2^n entries.
-    assert set(vars(graph)) - cached <= {"_matrix"}
+    # Only the O(n + E) node rows stay on the graph, no table of 2^n entries.
+    assert set(vars(graph)) - cached <= {"_later"}
 
 
 # -- GIT and orbit-closure scans ----------------------------------------------------
@@ -471,8 +476,8 @@ def test_twist_sweep_keeps_one_row_table(monkeypatch):
         for Y in subcurves:
             assert boundary_case(q, t, Y) == boundary_case(fresh, t, Y)
         assert q._twist.t == t and len(q._twist.rows) == 1 << q.n
-    assert [m for m in calls if m is q._matrix or m is q._core_nodes[0]] == [
-        q._matrix, q._core_nodes[0]
+    assert [rows for rows in calls if rows is q._later or rows is q._core_nodes[0]] == [
+        q._later, q._core_nodes[0]
     ]
     assert len(calls) == 2 * 11
 
@@ -741,12 +746,12 @@ def test_row_disagreement_raises_a_replayable_payload(monkeypatch):
 def _inflate_internal(monkeypatch, q, bumps: dict[int, int]) -> None:
     """Add ``bumps[mask]`` internal nodes to that mask of q in the kernel's
     lanes: k(Y) = sum c - 2 internal(Y) loses two per node in the lanes of
-    the call on q's node matrix."""
+    the call on q's node rows."""
     exact = quasistable._subset_lanes
 
-    def inflated(matrix, contacts, values, width):
-        contact, total = exact(matrix, contacts, values, width)
-        if matrix is q._matrix:
+    def inflated(later, contacts, values, width):
+        contact, total = exact(later, contacts, values, width)
+        if later is q._later:
             contact -= sum(2 * count << mask * width for mask, count in bumps.items())
         return contact, total
 
@@ -814,9 +819,9 @@ def test_an_odd_core_contact_lane_names_its_mask(monkeypatch):
     mask = mask_of(q, {"C1", "E(C1|C2)#1"})
     exact = quasistable._subset_lanes
 
-    def bumped(matrix, contacts, values, width):
-        contact, total = exact(matrix, contacts, values, width)
-        if matrix is not q._matrix:
+    def bumped(later, contacts, values, width):
+        contact, total = exact(later, contacts, values, width)
+        if later is not q._later:
             contact += 1 << mask * width
         return contact, total
 

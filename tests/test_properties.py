@@ -10,9 +10,13 @@ violated subcurve, the locus must not depend on vertex names, a graph's
 pairs must be every joined id pair however its ids are ordered, and the
 admissible set must move with the total and, on cycles past the cap, reach
 Stanley's forest count.  On random spin blow-up models the rows decoded from
-the packed-lane kernel must match the O(n^2) direct row on every mask, the
-kernel's node lanes and exceptional_profile the list node columns.  On random witnesses and
-blow-up configurations, valid or not, the pair-space grouping and parity
+the packed-lane kernel must match the per-mask direct row on every mask, the
+kernel's node lanes and exceptional_profile the list node columns.  On random
+graphs and blow-up models of 2-16 vertices (spin or not), past the cap, the
+subset recurrence on sparse node rows must give the dense-matrix
+recurrence's packed integers bit for bit, its lanes the per-mask counts.  On
+random witnesses and blow-up configurations, valid or not, the pair-space
+grouping and parity
 check must match the per-vertex neighbor sums they replaced, errors included,
 and blow-up iteration the product of every count range filtered by
 spin_parity, on graphs with self-nodes.
@@ -21,8 +25,9 @@ as a fresh kernel does.  On random blow-ups at coprime totals, the model
 multidegrees with exceptional degree 1 that pass the basic inequality must
 be as many as the spanning trees of the graph less the blown nodes.  On
 JSON-shaped values the graph, multidegree, blow-up, witness and model
-constructors must build a value or raise a library error, and `cli.main` on
-such files must exit 0, 1 or 2 without a traceback.
+constructors must build a value or raise a library error, `cli.main` on
+such files must exit 0, 1 or 2 without a traceback, and on blow-up configs
+`BlowupConfig.from_dict` must equal its validating route, config or error.
 """
 
 from __future__ import annotations
@@ -43,11 +48,13 @@ import spinpicard.cli as cli
 import spinpicard.quasistable as quasistable
 from spin_oracles import (
     box_enumeration,
+    dense_subset_lanes,
     greedy_witness,
     named_violation,
     neighbor_sum_grouped,
     neighbor_sum_odd_vertex,
     node_columns,
+    node_matrix,
     product_blowup_configs,
     stratum_trees,
     subcurve_table,
@@ -68,12 +75,14 @@ from spinpicard import (
     expand,
     grouped_multidegree,
     iter_blowup_configs,
+    iter_subcurves,
     spin_multidegree,
     spin_parity,
     subcurve_profile,
     validate_graph,
 )
-from spinpicard.graphs import _Orientation, _spin_base
+from spinpicard.graphs import _lane_format, _lanes, _mask_numbers, _Orientation, _spin_base
+from test_quasistable import config_outcome
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -401,6 +410,74 @@ def test_column_rows_match_the_direct_row_on_every_mask(case):
 
 
 @st.composite
+def recurrence_graphs(draw):
+    """A random stable graph of 2-16 vertices, or a blow-up model of at most
+    16 vertices of one with 2-8 (self-nodes blown on some positive-genus
+    components, spin or not), and one integer per vertex in [-60, 60]."""
+    model = draw(st.booleans())
+    base = draw(stable_graphs(max_mult=3 if model else 2, sizes=(2, 6) if model else (2, 16)))
+    if model:
+        base = DualGraph(
+            [Vertex(v.id, v.pa, draw(st.integers(0, min(v.pa, 1)))) for v in base.vertices],
+            [(u, v, k) for u, v, k in base.pairs()],
+        )
+        room, s, r = 16 - base.n, {}, {}
+        for u, v, k in base.pairs():
+            s[(u, v)] = count = min(room, draw(st.integers(0, k)))
+            room -= count
+        for v in base.vertices:
+            r[v.id] = count = min(room, draw(st.integers(0, v.self_nodes)))
+            room -= count
+        base = expand(base, BlowupConfig(s, r))
+    values = draw(st.lists(st.integers(-60, 60), min_size=base.n, max_size=base.n))
+    return base, values
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(recurrence_graphs())
+def test_sparse_node_rows_match_the_dense_recurrence_on_every_mask(case):
+    """`_subset_lanes` on the node rows gives the packed integers the dense
+    recurrence gives on the node matrix, bit for bit, and so does a model's
+    call on its core rows against the matrix with exceptionals zeroed.  Past
+    the cap, raised explicitly, every decoded k(Y) and value-sum lane is the
+    per-mask `_mask_numbers` and the plain sum, and on a model `_node_counts`
+    is the lane row: cc(Y), (sum of cc_v over Y - cc(Y)) / 2, and the halved
+    2 inner and 2 outer lanes of the model kernel."""
+    graph, values = case
+    contacts = graph._contacts
+    width, signs = _lane_format(sum(map(abs, values)) + 2 * sum(contacts), graph.n)
+    packed = quasistable._subset_lanes(graph._later, contacts, values, width)
+    assert packed == dense_subset_lanes(node_matrix(graph), contacts, values, width), graph
+    contact, total = (_lanes(lane, signs, width) for lane in packed)
+    subsets = [0]
+    for x in values:
+        subsets += [y + x for y in subsets]
+    lane_rows = None
+    if isinstance(graph, QuasistableGraph):
+        core_rows, core_contacts, deltas = graph._core_nodes
+        core = [vid for vid in graph.ids if vid not in graph.exceptional]
+        for weights in (deltas, core_contacts):
+            assert quasistable._subset_lanes(core_rows, core_contacts, weights, width) == (
+                dense_subset_lanes(node_matrix(graph, core), core_contacts, weights, width)
+            ), graph
+        core_contact, core_sums = (
+            _lanes(lane, signs, width)
+            for lane in quasistable._subset_lanes(core_rows, core_contacts, core_contacts, width)
+        )
+        kernel = quasistable._model_lanes(graph)
+        inner, outer = (_lanes(column, kernel.signs, kernel.width) for column in kernel.columns[3:5])
+        lane_rows = list(zip(core_contact, core_sums, inner, outer))
+    for mask, subcurve in enumerate(iter_subcurves(graph, max_vertices=16), 1):
+        assert subcurve == {vid for i, vid in enumerate(graph.ids) if mask >> i & 1}
+        assert (contact[mask], total[mask]) == (_mask_numbers(graph, mask)[1], subsets[mask])
+        if lane_rows is not None:
+            cc, sums, twice_inner, twice_outer = lane_rows[mask]
+            assert quasistable._node_counts(graph, mask) == (
+                cc, (sums - cc) // 2, twice_inner // 2, twice_outer // 2
+            ), (graph, mask)
+
+
+@st.composite
 def blown_tables(draw):
     """A stable graph on 2-6 vertices with self-nodes on some components,
     per-pair blown counts s and shares sigma, self-node counts r, and a
@@ -534,6 +611,33 @@ def test_blowup_and_witness_inputs_succeed_or_raise_library_errors(first, second
             call()
         except SpinPicardError:
             pass
+
+
+_config_ids = st.sampled_from(["a", "b", "ab"]) | st.sampled_from(["", None, 1, True, ["a"]])
+_config_counts = st.integers(0, 3) | st.sampled_from([-1, True, False, 1.5, "1", None])
+_config_arrays = [
+    st.lists(entries, max_size=3) | st.lists(entries | json_values, max_size=3)
+    | st.none() | st.sampled_from([0, "", {}])
+    for entries in (
+        st.fixed_dictionaries(
+            {"u": _config_ids, "v": _config_ids, "count": _config_counts}, optional={"x": st.none()}
+        ),
+        st.fixed_dictionaries({"vertex": _config_ids, "count": _config_counts}, optional={"u": _config_ids}),
+    )
+]
+#: Blow-up configs in JSON form, most of them plain or one fault away from it.
+config_values = st.fixed_dictionaries(
+    {}, optional={"s": _config_arrays[0], "r": _config_arrays[1]}
+) | json_values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(config_values)
+def test_the_config_pass_equals_the_validating_route_on_json_shaped_values(raw):
+    """`BlowupConfig.from_dict` reads plain JSON in one pass; on any JSON
+    value it builds the config the validating route builds, or raises the
+    same error with the same message."""
+    assert config_outcome(raw) == config_outcome(raw, validating=True)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

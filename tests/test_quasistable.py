@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -140,6 +142,76 @@ def test_blowup_config_json_form():
     round_tripped = BlowupConfig.from_dict(config.to_dict())
     assert round_tripped == config
     assert BlowupConfig.from_dict({"s": None, "r": None}) == BlowupConfig()
+
+
+def config_outcome(raw, *, validating: bool = False):
+    """What `BlowupConfig.from_dict` makes of ``raw``: the config with its
+    repr, hash, JSON form and table orders, or the error's class and
+    message.  ``validating`` hands it a mapping that is no dict, which its
+    one pass over plain JSON leaves to the checks that name each fault."""
+    if validating and type(raw) is dict:
+        raw = MappingProxyType(raw)
+    try:
+        config = BlowupConfig.from_dict(raw)
+    except Exception as error:  # compared, class and message, across both routes
+        return type(error), str(error)
+    return (config, type(config), repr(config), hash(config), config.to_dict(),
+            list(config._s.items()), list(config._r.items()))
+
+
+def _pairs(*entries):
+    return {"s": [dict(zip(("u", "v", "count"), entry)) for entry in entries]}
+
+
+def _hosts(*entries):
+    return {"r": [dict(zip(("vertex", "count"), entry)) for entry in entries]}
+
+
+PLAIN_CONFIGS = [
+    {}, {"s": None}, {"r": None}, {"s": None, "r": None}, {"s": [], "r": []},
+    _pairs(("C1", "C2", 2)), _pairs(("C2", "C1", 2)), _pairs(("b", "a", 1), ("a", "c", 3)),
+    _pairs(("a", "b", 0)), _pairs(("a", "b", 0), ("c", "d", 1)), _pairs(("a", "b", 10**20)),
+    {**_pairs(("a", "b", 1)), **_hosts(("x", 1), ("w", 0), ("v", 2))},
+]
+
+
+@pytest.mark.parametrize("raw", PLAIN_CONFIGS)
+def test_plain_configs_skip_the_validating_constructor(raw):
+    """Plain JSON takes the one pass: no call of the validating constructor."""
+    with mock.patch.object(BlowupConfig, "__init__", side_effect=AssertionError("validated")):
+        config = BlowupConfig.from_dict(raw)
+    assert config_outcome(raw) == config_outcome(raw, validating=True)
+    assert config == config_outcome(raw, validating=True)[0]
+
+
+@pytest.mark.parametrize("raw", [
+    *PLAIN_CONFIGS,
+    {"s": 0}, {"s": ""}, {"r": 0}, {"r": ""}, {"s": False}, {"s": {}}, {"s": (), "r": []},
+    _pairs(("a", "b", True)), _pairs(("a", "b", False)), _pairs(("a", "b", -1)),
+    _pairs(("a", "b", 1.5)), _pairs(("a", "b", 1.0)), _pairs(("a", "b", "1")), _pairs(("a", "b", None)),
+    _hosts(("a", True)), _hosts(("a", -2)), _hosts(("a", 2.0)), _hosts(("a", None)),
+    _pairs(("a", "b", 1), ("a", "b", 1)), _pairs(("a", "b", 1), ("b", "a", 2)),
+    _pairs(("a", "b", 0), ("a", "b", 1)), _pairs(("a", "b", 1), ("a", "b", 0)),
+    _pairs(("a", "b", 0), ("b", "a", 0)), _hosts(("a", 1), ("a", 1)), _hosts(("a", 0), ("a", 2)),
+    _hosts(("a", 2), ("a", 0)), _pairs(("a", "a", 1)), _pairs(("a", "a", 0)),
+    {"s": [{"u": "a", "v": "b", "count": 1, "x": 0}]}, {"s": [{"u": "a", "count": 1}]},
+    {"s": [{"u": "a", "v": "b"}]}, {"s": [{"u": "a", "v": "b", "x": 1}]},
+    {"r": [{"vertex": "a", "count": 1, "u": "b"}]}, {"r": [{"vertex": "a"}]}, {"r": [{"count": 1}]},
+    {"r": [{"vertex": "a", "x": 1}]}, {"s": [["a", "b", 1]]}, {"s": [None]}, {"s": [5]}, {"r": ["a"]},
+    {"s": [OrderedDict(u="a", v="b", count=1)]}, {"s": [MappingProxyType({"u": "a", "v": "b", "count": 1})]},
+    _pairs((1, "b", 1)), _pairs(("a", None, 1)), _pairs(("", "b", 1)), _pairs((["a"], "b", 1)),
+    _pairs((True, "b", 1)), _hosts((1, 1)), _hosts(("", 1)), _hosts((None, 0)), _hosts((["a"], 1)),
+    {"s": [], "x": 1}, {"x": None}, [], "s", None, 5, OrderedDict(s=[{"u": "a", "v": "b", "count": 1}]),
+    {"s": [{"u": "a", "v": "b", "count": 1}], "r": 0}, {"s": [{"u": "a", "count": 1}], "r": 0},
+    {"s": [{"u": "a", "v": "a", "count": 1}], "r": [{"vertex": "", "count": 1}]},
+])
+def test_the_config_pass_equals_the_validating_route(raw):
+    """Plain JSON configs parse in one pass to the config the validating
+    route builds, equal in repr, hash, JSON form and table order; anything
+    off plain raises the same error with the same message on both routes.
+    Only a null or absent array counts as empty."""
+    assert config_outcome(raw) == config_outcome(raw, validating=True)
+    assert config_outcome({"s": 0})[1] == "'s' must be an array"
 
 
 def test_the_config_must_match_the_origin_table():

@@ -271,6 +271,14 @@ def test_one_subset_lane_recurrence():
     assert "shift" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def test_no_dense_node_matrix():
+    """The subset recurrence reads sparse node rows (`DualGraph._later` and a
+    model's core rows): the dense n x n node matrix, `_matrix`, appears
+    nowhere in the package, code, comments or docstrings."""
+    named = [path.name for path in sorted(SRC.rglob("*.py")) if "_matrix" in path.read_text()]
+    assert not named, named
+
+
 def test_the_model_kernel_takes_no_twist():
     """The blow-up model kernel, `quasistable._model_lanes`, takes the model
     alone, and its body names neither a twist ``t`` nor the per-twist spin

@@ -225,7 +225,8 @@ def _witnesses():
 
 def _configs():
     """Every blow-up configuration of every tenth small corpus graph,
-    self-node counts included, rebuilt from its public tables by the
+    self-node counts included, and its JSON form read back by the one pass
+    of `BlowupConfig.from_dict`, each rebuilt from its public tables by the
     validating constructor."""
     configs = []
     for graph in quasistable_graphs()[::10]:
@@ -243,6 +244,7 @@ def _configs():
 
         configs += trusted
         yield trusted, validated, view, ()
+        yield [BlowupConfig.from_dict(c.to_dict()) for c in trusted], validated, view, ()
     assert any(c.r_items() for c in configs) and any(c.s_items() for c in configs)
 
 
